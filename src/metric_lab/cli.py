@@ -60,8 +60,10 @@ def parse_scales(text: str):
         lo, hi = text.split("..", 1)
         if not (lo.startswith("2^") and hi.startswith("2^")):
             raise click.UsageError(f"scale ranges use the form 2^-a..2^-b, got {text!r}")
-        a = int(lo[2:])
-        b = int(hi[2:])
+        try:
+            a, b = int(lo[2:]), int(hi[2:])
+        except ValueError:
+            raise click.UsageError(f"scale range exponents must be integers, got {text!r}")
         step = -1 if b < a else 1
         return [2.0 ** k for k in range(a, b + step, step)]
     return [parse_number(tok) for tok in text.split(",") if tok]
@@ -69,8 +71,11 @@ def parse_scales(text: str):
 
 def parse_center(text: str):
     if text.startswith("vertex:"):
-        _, stage, idx = text.split(":")
-        return ("vertex", int(stage), int(idx))
+        try:
+            _, stage, idx = text.split(":")
+            return ("vertex", int(stage), int(idx))
+        except ValueError:
+            raise click.UsageError(f"center must be x,y or vertex:stage:index, got {text!r}")
     parts = [parse_number(tok) for tok in text.split(",")]
     if len(parts) != 2:
         raise click.UsageError(f"center must be x,y or vertex:stage:index, got {text!r}")
@@ -250,13 +255,16 @@ def gh_cmd(x_path, y_path, exact, budget, seed, base_x, base_y, out):
 @_domain_guard
 def qs_cmd(domain_path, codomain_path, map_path, budget, seed, out):
     """Distortion envelope of a sampled map; CSV columns t, s."""
+    try:
+        budget_val = "all" if budget == "all" else int(budget)
+    except ValueError:
+        raise click.UsageError(f"--budget must be an integer or 'all', got {budget!r}")
     dom = mc.space_from_json(_load_json(domain_path))
     cod = mc.space_from_json(_load_json(codomain_path))
     assignment = _load_json(map_path)
     if not isinstance(assignment, dict) or "assignment" not in assignment:
         raise click.UsageError(f"{map_path} must contain an 'assignment' list")
     f = qs.SampledMap(dom, cod, np.asarray(assignment["assignment"], dtype=int))
-    budget_val = "all" if budget == "all" else int(budget)
     env = qs.distortion_envelope(f, budget_val, seed=seed)
     lines = ["t,s"] + [f"{fmt(t)},{fmt(s)}" for t, s in env.breakpoints]
     write_text_atomic("\n".join(lines) + "\n", out)

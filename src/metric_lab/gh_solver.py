@@ -53,10 +53,10 @@ class GhResult:
     witness: Correspondence | None = None
 
     def __post_init__(self):
-        if self.exact is not None:
-            if not (self.lower - 1e-12 <= self.exact <= self.upper + 1e-12):
-                raise DomainError(
-                    f"inconsistent GhResult: {self.lower} <= {self.exact} <= {self.upper} fails")
+        value = self.upper if self.exact is None else self.exact
+        if not (self.lower - 1e-12 <= value <= self.upper + 1e-12):
+            raise DomainError(f"inconsistent GhResult: lower {self.lower}, "
+                              f"exact {self.exact}, upper {self.upper}")
 
     def to_json(self) -> dict:
         obj = {"lower": self.lower, "upper": self.upper,
@@ -76,21 +76,6 @@ def _pair_distortion(DX, DY, I, J, chunk: int = 1024) -> float:
         b = DY[J[lo:hi]][:, J]
         worst = max(worst, float(np.abs(a - b).max()))
     return worst
-
-
-def _pair_distortion_argmax(DX, DY, I, J, chunk: int = 1024):
-    """Like _pair_distortion but also returns the (row, col) pair indices attaining it."""
-    k = len(I)
-    worst, where = -1.0, (0, 0)
-    for lo in range(0, k, chunk):
-        hi = min(lo + chunk, k)
-        m = np.abs(DX[I[lo:hi]][:, I] - DY[J[lo:hi]][:, J])
-        idx = int(np.argmax(m))
-        r, c = divmod(idx, k)
-        if m.flat[idx] > worst:
-            worst = float(m.flat[idx])
-            where = (lo + r, c)
-    return worst, where
 
 
 def distortion_of_correspondence(X: FiniteMetricSpace, Y: FiniteMetricSpace,
@@ -216,58 +201,68 @@ def _value_match(keys_x: np.ndarray, keys_y: np.ndarray):
 
 
 def _pairs_from_maps(nx, ny, f, g, base_pair):
-    pairs = {(x, int(f[x])) for x in range(nx)}
-    covered = {int(f[x]) for x in range(nx)}
-    pairs.update((int(g[y]), y) for y in range(ny) if y not in covered)
+    """Sorted distinct pairs of graph(f), of g on the Y points f misses, and the base pair."""
+    missed = np.ones(ny, dtype=bool)
+    missed[f] = False
+    keys = [np.arange(nx) * ny + f, g[missed] * ny + np.flatnonzero(missed)]
     if base_pair is not None:
-        pairs.add((int(base_pair[0]), int(base_pair[1])))
-    pairs = sorted(pairs)
-    arr = np.asarray(pairs, dtype=int)
-    return arr[:, 0], arr[:, 1]
+        keys.append([base_pair[0] * ny + base_pair[1]])
+    keys = np.unique(np.concatenate(keys))  # key x * ny + y sorts as the pair (x, y) does
+    return keys // ny, keys % ny
 
 
 def _local_search(DX, DY, I, J, base_pair, moves: int):
-    """Hill-climb on dis: repair an endpoint of the worst pair, strict descent."""
-    nx, ny = DX.shape[0], DY.shape[0]
+    """Hill-climb on dis: repair an endpoint of the worst pair, strict descent.
+
+    The k x k pair-distortion matrix M is kept across moves, so a move costs
+    an O((nx+ny)*k) candidate scan plus an O(k^2) argmax over M, with no
+    rebuild, in about k^2 + 2*(nx+ny)*k floats.  moves == 0 keeps nothing.
+    """
     I, J = I.copy(), J.copy()
-    cur, where = _pair_distortion_argmax(DX, DY, I, J)
+    if moves <= 0:
+        return _pair_distortion(DX, DY, I, J), I, J
+    k = len(I)
+    GX, GY = DX[:, I], DY[:, J]  # column m: distances to the ends of pair m
+    M = np.abs(GX[I] - GY[J])
+    idx = int(np.argmax(M))  # first maximum in row-major order
+    cur, where = float(M.flat[idx]), divmod(idx, k)
+    candJ, candI = np.empty_like(GY), np.empty_like(GX)
     for _ in range(moves):
         if cur <= 0:
             break
-        improved = False
-        for k in where:
-            if base_pair is not None and (I[k], J[k]) == base_pair:
+        for p in where:
+            if base_pair is not None and (I[p], J[p]) == base_pair:
                 continue
-            others = np.ones(len(I), dtype=bool)
-            others[k] = False
-            Io, Jo = I[others], J[others]
-            # try re-pairing pair k on either side
-            cand = np.abs(DX[I[k]][Io][None, :] - DY[:, Jo])  # ny × k-1: replace J[k]
-            row = cand.max(axis=1)
-            jbest = int(np.lexsort((np.arange(ny), row))[0])
-            cand2 = np.abs(DX[:, Io] - DY[J[k]][Jo][None, :])  # nx × k-1: replace I[k]
-            row2 = cand2.max(axis=1)
-            ibest = int(np.lexsort((np.arange(nx), row2))[0])
-            trial = None
-            if row[jbest] <= row2[ibest] and row[jbest] < cur:
-                trial = (I[k], jbest)
-            elif row2[ibest] < cur:
-                trial = (ibest, J[k])
-            if trial is None:
+            # re-pair pair p on either side; zeroing its own column leaves each
+            # row max unchanged (entries >= 0, and k >= 2 when cur > 0)
+            np.abs(np.subtract(GX[I[p]], GY, out=candJ), out=candJ)  # replace J[p]
+            np.abs(np.subtract(GX, GY[J[p]], out=candI), out=candI)  # replace I[p]
+            candJ[:, p] = candI[:, p] = 0.0
+            rowJ, rowI = candJ.max(axis=1), candI.max(axis=1)
+            jbest, ibest = int(np.argmin(rowJ)), int(np.argmin(rowI))
+            if rowJ[jbest] <= rowI[ibest] and rowJ[jbest] < cur:
+                trial, new_row = (I[p], jbest), candJ[jbest]
+            elif rowI[ibest] < cur:
+                trial, new_row = (ibest, J[p]), candI[ibest]
+            else:
                 continue
-            oldI, oldJ = I[k], J[k]
-            I[k], J[k] = trial
+            oldI, oldJ = I[p], J[p]
+            I[p], J[p] = trial
             # the replaced pair may have been the unique cover of its endpoints
             if oldI not in I or oldJ not in J:
-                I[k], J[k] = oldI, oldJ
+                I[p], J[p] = oldI, oldJ
                 continue
-            new, nwhere = _pair_distortion_argmax(DX, DY, I, J)
-            if new < cur - 1e-15:
-                cur, where = new, nwhere
-                improved = True
+            old_row, old_col = M[p].copy(), M[:, p].copy()
+            M[p] = new_row
+            M[:, p] = np.abs(DX[I, I[p]] - DY[J, J[p]])
+            idx = int(np.argmax(M))
+            if M.flat[idx] < cur - 1e-15:
+                cur, where = float(M.flat[idx]), divmod(idx, k)
+                GX[:, p], GY[:, p] = DX[:, I[p]], DY[:, J[p]]
                 break
-            I[k], J[k] = oldI, oldJ
-        if not improved:
+            M[p], M[:, p] = old_row, old_col
+            I[p], J[p] = oldI, oldJ
+        else:  # neither endpoint of the worst pair could be improved
             break
     return cur, I, J
 
@@ -284,6 +279,9 @@ def gh_bounds(X: FiniteMetricSpace, Y: FiniteMetricSpace, *,
     seeds (identity when sizes agree, eccentricity-rank and signed-coordinate
     matchings, caller-provided seeds) plus seeded random restarts, each
     polished by a worst-pair repair search.  Fixed seed, deterministic output.
+    A repair move on a seed of k pairs costs an O((nx+ny)*k) candidate scan
+    plus an O(k^2) argmax over the kept matrix (about k^2 + 2*(nx+ny)*k
+    floats); seeds with k^2 > max_pair_budget are only evaluated, in chunks.
     """
     if X.n == 0 or Y.n == 0:
         raise DomainError("GH bounds of an empty space")

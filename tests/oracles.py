@@ -1,7 +1,8 @@
 """Independent brute-force oracles used only by the test suite.
 
 These deliberately avoid the library's own search code: exhaustive
-enumeration for GH distances, a hand-rolled heap Dijkstra with its own graph
+enumeration for GH distances, a recompute-everything copy of the GH upper
+bound's local search, a hand-rolled heap Dijkstra with its own graph
 construction for intrinsic metrics, and a plain Floyd-Warshall.
 """
 from __future__ import annotations
@@ -90,6 +91,61 @@ def gh_exhaustive(X, Y, base_pair=None, chunk: int = 20000) -> float:
             flush()
     flush()
     return best / 2.0
+
+
+def _worst_pair(DX, DY, I, J):
+    """(dis, (row, col)) of the pair-pair distortion matrix, first max in row-major order."""
+    m = np.abs(DX[I][:, I] - DY[J][:, J])
+    idx = int(np.argmax(m))
+    return float(m.flat[idx]), divmod(idx, len(I))
+
+
+def reference_local_search(DX, DY, I, J, base_pair, moves: int):
+    """Worst-pair repair hill-climb that rebuilds every matrix it reads.
+
+    Each move takes the first worst pair (row-major), re-pairs one of its
+    endpoints to the partner minimising the pair's worst mismatch against
+    the other pairs (lowest index on ties), keeps the endpoints covered, and
+    accepts only a strict decrease of the full distortion, recomputed from
+    scratch.  Returns (dis, I, J).
+    """
+    nx, ny = DX.shape[0], DY.shape[0]
+    I, J = np.array(I, dtype=int), np.array(J, dtype=int)
+    cur, where = _worst_pair(DX, DY, I, J)
+    for _ in range(moves):
+        if cur <= 0:
+            break
+        improved = False
+        for k in where:
+            if base_pair is not None and (I[k], J[k]) == base_pair:
+                continue
+            others = np.ones(len(I), dtype=bool)
+            others[k] = False
+            Io, Jo = I[others], J[others]
+            row = np.abs(DX[I[k]][Io][None, :] - DY[:, Jo]).max(axis=1)
+            jbest = int(np.lexsort((np.arange(ny), row))[0])
+            row2 = np.abs(DX[:, Io] - DY[J[k]][Jo][None, :]).max(axis=1)
+            ibest = int(np.lexsort((np.arange(nx), row2))[0])
+            if row[jbest] <= row2[ibest] and row[jbest] < cur:
+                trial = (I[k], jbest)
+            elif row2[ibest] < cur:
+                trial = (ibest, J[k])
+            else:
+                continue
+            oldI, oldJ = I[k], J[k]
+            I[k], J[k] = trial
+            if oldI not in I or oldJ not in J:
+                I[k], J[k] = oldI, oldJ
+                continue
+            new, nwhere = _worst_pair(DX, DY, I, J)
+            if new < cur - 1e-15:
+                cur, where = new, nwhere
+                improved = True
+                break
+            I[k], J[k] = oldI, oldJ
+        if not improved:
+            break
+    return cur, I, J
 
 
 def count_full_correspondences(nx: int, ny: int) -> int:

@@ -114,6 +114,17 @@ class TestQs:
         t, s = map(float, lines[-1].split(","))
         assert s == pytest.approx(t ** 0.5, rel=1e-9)
 
+    def test_non_integer_budget_is_exit_two(self, runner, tmp_path):
+        write_small_space(tmp_path / "d.json")
+        (tmp_path / "m.json").write_text(json.dumps({"assignment": [0, 1, 2]}))
+        result = runner.invoke(main, ["qs", "--domain", str(tmp_path / "d.json"),
+                                      "--codomain", str(tmp_path / "d.json"),
+                                      "--map", str(tmp_path / "m.json"),
+                                      "--budget", "abc", "--out", str(tmp_path / "e.csv")])
+        assert result.exit_code == 2
+        assert "--budget" in result.output
+        assert not (tmp_path / "e.csv").exists()
+
 
 class TestBoundary:
     def test_probe_reports_exact_doubling(self, runner, tmp_path):
@@ -141,6 +152,19 @@ class TestScan:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "lambda,model,lower,upper,points,seconds"
         assert len(lines) == 1 + 3 * 2
+
+    @pytest.mark.parametrize("center,scales", [("0,0", "2^-x..2^-5"),
+                                               ("vertex:3:x", "2^-3..2^-5"),
+                                               ("vertex:3", "2^-3..2^-5")])
+    def test_unparsable_center_or_scales_is_exit_two(self, runner, tmp_path, center, scales):
+        out = tmp_path / "scan.csv"
+        result = runner.invoke(main, ["scan", "--space", "square", "--center", center,
+                                      "--scales", scales, "--radius", "1",
+                                      "--models", "quarter", "--rule", "lambda/8",
+                                      "--out", str(out)])
+        assert result.exit_code == 2
+        assert "Error:" in result.output
+        assert not out.exists()
 
 
 class TestReproduce:

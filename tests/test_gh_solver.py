@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 
 from metric_lab.errors import DomainError
+from metric_lab.fractal_gen import (
+    FlatSnowflakeGenerator,
+    model_tangent_space,
+    unit_square_generator,
+)
 from metric_lab.gh_solver import (
     Correspondence,
+    GhResult,
+    _local_search,
+    _pairs_from_maps,
     correspondence_from_map,
     distortion_of_correspondence,
     gh_bounds,
@@ -14,8 +22,14 @@ from metric_lab.gh_solver import (
     pointed_gh_bounds,
 )
 from metric_lab.metric_core import FiniteMetricSpace, PointedWindow, rescale, restrict_ball
+from metric_lab.tangent_lab import extract_window, nearest_position_seed
 
-from .oracles import count_full_correspondences, gh_exhaustive, minimal_full_correspondences
+from .oracles import (
+    count_full_correspondences,
+    gh_exhaustive,
+    minimal_full_correspondences,
+    reference_local_search,
+)
 
 
 def random_space(rng, n, scale=1.0):
@@ -151,6 +165,11 @@ class TestBounds:
             assert bounds.lower <= exact + 1e-12
             assert exact <= bounds.upper + 1e-12
 
+    def test_inverted_bounds_rejected_without_exact(self):
+        with pytest.raises(DomainError, match="inconsistent"):
+            GhResult(lower=0.5, upper=0.25)
+        assert GhResult(lower=0.25, upper=0.25).exact is None
+
     def test_local_search_upper_dominates_exact_on_subsample_pairs(self):
         rng = np.random.default_rng(23)
         for _ in range(3):
@@ -162,6 +181,50 @@ class TestBounds:
             exact = gh_exact_small(X8, Y8)
             if exact.exact is not None:
                 assert upper >= exact.exact - 1e-12
+
+
+class TestLocalSearch:
+    @pytest.mark.parametrize("batch", range(24))
+    def test_matches_recompute_everything_reference(self, batch):
+        # Y is a jittered copy of a prefix of X's point set and the start maps
+        # are the index identity with a third of X scrambled, so the search
+        # makes many moves before it stalls.  Rejected moves followed by an
+        # accepted one are rare, hence 600 cases.
+        for trial in range(25 * batch, 25 * batch + 25):
+            rng = np.random.default_rng(300 + trial)
+            nx, ny = (int(v) for v in rng.integers(3, 41, size=2))
+            pts = rng.random((max(nx, ny), 2))
+            X = FiniteMetricSpace(np.linalg.norm(pts[:nx, None] - pts[None, :nx], axis=-1))
+            q = pts[:ny] + 0.02 * rng.random((ny, 2))
+            Y = FiniteMetricSpace(np.linalg.norm(q[:, None] - q[None], axis=-1))
+            base_pair = (int(rng.integers(nx)), int(rng.integers(ny))) if trial % 2 else None
+            f, g = np.minimum(np.arange(nx), ny - 1), np.minimum(np.arange(ny), nx - 1)
+            f[rng.integers(0, nx, size=nx // 3)] = rng.integers(0, ny, size=nx // 3)
+            I, J = _pairs_from_maps(nx, ny, f, g, base_pair)
+            pairs = {(x, int(f[x])) for x in range(nx)}
+            pairs |= {(int(g[y]), y) for y in range(ny) if y not in set(f.tolist())}
+            pairs |= {base_pair} if base_pair is not None else set()
+            assert list(zip(I.tolist(), J.tolist())) == sorted(pairs)
+            if trial % 3 == 0:  # a correspondence holding duplicate pairs
+                dup = rng.integers(0, len(I), size=3)
+                I, J = np.concatenate([I, I[dup]]), np.concatenate([J, J[dup]])
+            for moves in (0, 1, 80):
+                dis, I2, J2 = _local_search(X.dist, Y.dist, I, J, base_pair, moves)
+                ref, I3, J3 = reference_local_search(X.dist, Y.dist, I, J, base_pair, moves)
+                assert dis == ref
+                assert np.array_equal(I2, I3) and np.array_equal(J2, J3)
+
+    @pytest.mark.parametrize("scan,model", [("snowflake", "line"), ("corner", "quarter"),
+                                            ("corner", "half"), ("corner", "t")])
+    def test_upper_is_half_the_witness_distortion_on_acceptance_windows(self, scan, model):
+        # coarsest scale of acceptance scans 08 (rule lambda/64) and 09 (lambda/16)
+        gen, center, k = {"snowflake": (FlatSnowflakeGenerator(), ("vertex", 3, 17), 64),
+                          "corner": (unit_square_generator(), (0.0, 0.0), 16)}[scan]
+        lam = 2.0 ** -3
+        W = extract_window(gen, center, lam, 1.0, lam / k)
+        M = model_tangent_space(model, 1.0, 1.0 / k)
+        res = pointed_gh_bounds(W, M, extra_seeds=[nearest_position_seed(W, M)])
+        assert distortion_of_correspondence(W.space, M.space, res.witness) / 2.0 == res.upper
 
 
 class TestPointed:
