@@ -69,17 +69,42 @@ def parse_scales(text: str):
     return [parse_number(tok) for tok in text.split(",") if tok]
 
 
+def parse_pair(text: str, usage: str):
+    """Two numbers "a,b"; usage names the option in the error message."""
+    parts = [parse_number(tok) for tok in text.split(",")]
+    if len(parts) != 2:
+        raise click.UsageError(f"{usage}, got {text!r}")
+    return (parts[0], parts[1])
+
+
+def parse_int_or_all(text: str, option: str):
+    """An integer or the word 'all' (sampling budgets and counts)."""
+    if text == "all":
+        return "all"
+    try:
+        return int(text)
+    except ValueError:
+        raise click.UsageError(f"{option} must be an integer or 'all', got {text!r}")
+
+
 def parse_center(text: str):
+    usage = "center must be x,y or vertex:stage:index"
     if text.startswith("vertex:"):
         try:
             _, stage, idx = text.split(":")
             return ("vertex", int(stage), int(idx))
         except ValueError:
-            raise click.UsageError(f"center must be x,y or vertex:stage:index, got {text!r}")
-    parts = [parse_number(tok) for tok in text.split(",")]
-    if len(parts) != 2:
-        raise click.UsageError(f"center must be x,y or vertex:stage:index, got {text!r}")
-    return (parts[0], parts[1])
+            raise click.UsageError(f"{usage}, got {text!r}")
+    return parse_pair(text, usage)
+
+
+def parse_rule(text: str) -> str:
+    """A resolution rule "lambda/K" whose K must be a number."""
+    try:
+        tl.resolution_rule(text)
+    except ValueError:
+        raise click.UsageError(f"--rule takes lambda/K with a number K, got {text!r}")
+    return text
 
 
 def parse_flatness(text: str):
@@ -170,15 +195,15 @@ def gen_cmd(kind, r_spec, levels, h_spec, stage, flatness, window, epsilon,
         space = (fg.pillow_carpet_space if kind == "pillow-carpet"
                  else fg.slit_carpet_space)(sched, h)
     elif kind == "snowflake":
-        a, b = (parse_number(t) for t in window.split(","))
-        space = fg.snowflake_polyline(stage, parse_flatness(flatness), (a, b))
+        space = fg.snowflake_polyline(stage, parse_flatness(flatness),
+                                      parse_pair(window, "--window takes a,b"))
     elif kind == "rickman-rug":
-        lo, hi = (parse_number(t) for t in extent.split(","))
-        space = fg.product_rug_space(("rickman", epsilon), (lo, hi), h)
+        space = fg.product_rug_space(("rickman", epsilon),
+                                     parse_pair(extent, "--extent takes a,b"), h)
     elif kind == "wu-rug":
-        lo, hi = (parse_number(t) for t in extent.split(","))
         sched = fg.default_wu_schedule(truncation)
-        space = fg.product_rug_space(("wu", sched, truncation), (lo, hi), h)
+        space = fg.product_rug_space(("wu", sched, truncation),
+                                     parse_pair(extent, "--extent takes a,b"), h)
     elif kind == "snowflake-pair":
         if not (out_codomain and out_map):
             raise click.UsageError(
@@ -255,10 +280,7 @@ def gh_cmd(x_path, y_path, exact, budget, seed, base_x, base_y, out):
 @_domain_guard
 def qs_cmd(domain_path, codomain_path, map_path, budget, seed, out):
     """Distortion envelope of a sampled map; CSV columns t, s."""
-    try:
-        budget_val = "all" if budget == "all" else int(budget)
-    except ValueError:
-        raise click.UsageError(f"--budget must be an integer or 'all', got {budget!r}")
+    budget_val = parse_int_or_all(budget, "--budget")
     dom = mc.space_from_json(_load_json(domain_path))
     cod = mc.space_from_json(_load_json(codomain_path))
     assignment = _load_json(map_path)
@@ -291,6 +313,7 @@ def boundary_cmd(rank, depth, visual_base, cylinder_spec, probe_expansion,
                  count, seed, out):
     """Free-group boundary experiments: cylinders and expansion probes."""
     a = parse_number(visual_base)
+    count_val = parse_int_or_all(count, "--count")
     payload: dict = {"rank": rank, "depth": depth, "base": a}
     if cylinder_spec is None:
         raise click.UsageError("--cylinder prefix:m is required")
@@ -305,7 +328,6 @@ def boundary_cmd(rank, depth, visual_base, cylinder_spec, probe_expansion,
     prefix = bfg.reduce_word(prefix_text, rank)
     rep = bfg.enumerate_words(rank, depth, prefix.letters)[0]
     p = bfg.BoundaryPoint(bfg.ReducedWord(rep, rank))
-    count_val = "all" if count == "all" else int(count)
     ball = bfg.cylinder_ball(p, m, depth, count=count_val, a=a, seed=seed)
     payload["cylinder"] = {"prefix": str(prefix), "m": m,
                            "points": ball.n, "diameter": ball.diameter()}
@@ -351,7 +373,8 @@ def scan_cmd(space_name, r_spec, levels, flatness, center, scales, radius,
     gen = fg.make_generator(space_name, **params)
     cfg = tl.ScanConfig(generator=gen, center=parse_center(center),
                         scales=parse_scales(scales), window_radius=radius,
-                        models=tuple(models.split(",")), rule=rule, seed=seed)
+                        models=tuple(models.split(",")), rule=parse_rule(rule),
+                        seed=seed)
     report = tl.tangent_scan(cfg)
     deterministic = bool(os.environ.get("METRIC_LAB_DETERMINISTIC"))
     lines = ["lambda,model,lower,upper,points,seconds"]

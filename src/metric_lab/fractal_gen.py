@@ -30,6 +30,13 @@ def _mesh_steps(h: float) -> int:
     return M
 
 
+def _check_resolution(radius_phys: float, h: float) -> None:
+    """The check every generator's sample_ball runs before sampling."""
+    if h > radius_phys:
+        raise ResolutionError(
+            f"mesh {h} cannot resolve a window of radius {radius_phys}")
+
+
 # ---------------------------------------------------------------------------
 # Slit carpets and pillow carpets
 # ---------------------------------------------------------------------------
@@ -261,11 +268,6 @@ class FlatSnowflakeGenerator:
             raise DomainError(f"stage-{stage} polyline has {len(P)} vertices")
         return (float(P[index, 0]), float(P[index, 1]))
 
-    def resolution_check(self, center, radius_phys: float, h: float) -> None:
-        if h > radius_phys:
-            raise ResolutionError(
-                f"mesh {h} cannot resolve a window of radius {radius_phys}")
-
     def _center_position(self, center) -> tuple:
         if isinstance(center, tuple) and len(center) == 3 and center[0] == "vertex":
             return self.vertex_position(int(center[1]), int(center[2]))
@@ -274,7 +276,7 @@ class FlatSnowflakeGenerator:
     def sample_ball(self, center, radius_phys: float, h: float):
         """Vertices within chordal distance radius_phys of the center vertex,
         refined until every nearby segment is shorter than h."""
-        self.resolution_check(center, radius_phys, h)
+        _check_resolution(radius_phys, h)
         cpos = np.asarray(self._center_position(center))
         span = self.window[1] - self.window[0]
         depth = max(1, math.ceil(math.log(span / h) / math.log(3.0)))
@@ -573,22 +575,40 @@ def product_rug_space(line_metric, extent=(-1.0, 1.0), h: float = 0.25,
 # Model tangent spaces
 # ---------------------------------------------------------------------------
 
-def _euclid_window(pred, R: float, h: float, one_dim: bool = False) -> PointedWindow:
+# Euclidean model tangents: region predicate and whether only the x-axis is
+# sampled.  The same table drives model_tangent_space and make_generator.
+_EUCLID_MODELS = {
+    "plane": (lambda x, y: True, False),
+    "half": (lambda x, y: y >= -TOL, False),
+    "quarter": (lambda x, y: x >= -TOL and y >= -TOL, False),
+    "line": (lambda x, y: True, True),
+}
+
+
+def _grid_ball(pred, center, R: float, h: float, one_dim: bool):
+    """Nodes of the h-grid inside the region pred within distance R of the
+    center node, Euclidean metric: (space, base index)."""
+    cx, cy = float(center[0]), float(center[1])
+    icx, icy = round(cx / h), round(cy / h)
+    if abs(icx * h - cx) > 1e-9 or abs(icy * h - cy) > 1e-9:
+        raise DomainError(f"center {center} is not a node of the h={h} grid")
     K = math.floor((R + TOL) / h)
-    pts = []
-    base = None
-    ys = (0,) if one_dim else range(-K, K + 1)
-    for ix in range(-K, K + 1):
+    pts, base = [], None
+    ys = (icy,) if one_dim else range(icy - K, icy + K + 1)
+    for ix in range(icx - K, icx + K + 1):
         for iy in ys:
             x, y = ix * h, iy * h
-            if x * x + y * y <= (R + TOL) ** 2 and pred(x, y):
-                if ix == 0 and iy == 0:
+            if not pred(x, y):
+                continue
+            if (x - cx) ** 2 + (y - cy) ** 2 <= (R + TOL) ** 2:
+                if ix == icx and iy == icy:
                     base = len(pts)
                 pts.append((x, y))
+    if base is None:
+        raise DomainError(f"center {center} lies outside the region")
     arr = np.array(pts)
     d = np.linalg.norm(arr[:, None, :] - arr[None, :, :], axis=-1)
-    space = FiniteMetricSpace(d, tuple((float(x), float(y)) for x, y in pts))
-    return PointedWindow(space, base, 1.0, R)
+    return FiniteMetricSpace(d, tuple((float(x), float(y)) for x, y in pts)), base
 
 
 def _build_t_graph(K: int, h: float) -> GraphBuilder:
@@ -658,13 +678,18 @@ def _d_graph(K: int, h: float) -> GridGraph:
     return b.build()
 
 
-def _graph_window(graph: GridGraph, base_key, R: float) -> PointedWindow:
-    base = graph.index[base_key]
+_GRAPH_MODELS = {"t": _t_graph, "l": _l_graph, "d": _d_graph}
+
+
+def _graph_ball(graph: GridGraph, key, R: float):
+    """Nodes within shortest-path distance R of the node key, with the metric
+    of the whole graph: (space, base index)."""
+    if key not in graph.index:
+        raise DomainError(f"center {key} is not a node of the grid graph")
+    base = graph.index[key]
     row = graph.distances_from([base])[0]
     sel = np.nonzero(row <= R + TOL)[0]
-    space = graph.space_on(sel)
-    base_idx = int(np.nonzero(sel == base)[0][0])
-    return PointedWindow(space, base_idx, 1.0, R)
+    return graph.space_on(sel), int(np.nonzero(sel == base)[0][0])
 
 
 def model_tangent_space(kind: str, R: float, h: float, pad: float = 3.0) -> PointedWindow:
@@ -680,23 +705,16 @@ def model_tangent_space(kind: str, R: float, h: float, pad: float = 3.0) -> Poin
     kind = kind.lower()
     if R <= 0 or h <= 0:
         raise DomainError("window radius and mesh must be positive")
-    if kind == "plane":
-        return _euclid_window(lambda x, y: True, R, h)
-    if kind == "half":
-        return _euclid_window(lambda x, y: y >= -TOL, R, h)
-    if kind == "quarter":
-        return _euclid_window(lambda x, y: x >= -TOL and y >= -TOL, R, h)
-    if kind == "line":
-        return _euclid_window(lambda x, y: True, R, h, one_dim=True)
-    K = math.ceil(pad * R / h) + 1
-    if kind == "t":
-        return _graph_window(_t_graph(K, h), (0.0, 0.0), R)
-    if kind == "l":
-        return _graph_window(_l_graph(K, h), (0.0, 0.0), R)
-    if kind == "d":
-        return _graph_window(_d_graph(K, h), (0.0, 0.0), R)
-    raise DomainError(f"unknown model tangent kind {kind!r}; "
-                      f"expected one of {MODEL_KINDS}")
+    if kind in _EUCLID_MODELS:
+        pred, one_dim = _EUCLID_MODELS[kind]
+        space, base = _grid_ball(pred, (0.0, 0.0), R, h, one_dim)
+    elif kind in _GRAPH_MODELS:
+        K = math.ceil(pad * R / h) + 1
+        space, base = _graph_ball(_GRAPH_MODELS[kind](K, h), (0.0, 0.0), R)
+    else:
+        raise DomainError(f"unknown model tangent kind {kind!r}; "
+                          f"expected one of {MODEL_KINDS}")
+    return PointedWindow(space, base, 1.0, R)
 
 
 # ---------------------------------------------------------------------------
@@ -704,43 +722,18 @@ def model_tangent_space(kind: str, R: float, h: float, pad: float = 3.0) -> Poin
 # ---------------------------------------------------------------------------
 
 class _EuclideanRegionGenerator:
-    """Samples a convex region of the plane on an h-grid; the intrinsic
-    metric of a convex region is the Euclidean restriction, exact per pair."""
+    """Samples a convex region of the plane on an h-grid (the unit square or
+    a Euclidean model tangent); the intrinsic metric of a convex region is the
+    Euclidean restriction, exact per pair."""
 
     def __init__(self, kind, pred, one_dim=False):
         self.kind = kind
         self._pred = pred
         self._one_dim = one_dim
 
-    def resolution_check(self, center, radius_phys: float, h: float) -> None:
-        if h > radius_phys:
-            raise ResolutionError(
-                f"mesh {h} cannot resolve a window of radius {radius_phys}")
-
     def sample_ball(self, center, radius_phys: float, h: float):
-        self.resolution_check(center, radius_phys, h)
-        cx, cy = float(center[0]), float(center[1])
-        icx, icy = round(cx / h), round(cy / h)
-        if abs(icx * h - cx) > 1e-9 or abs(icy * h - cy) > 1e-9:
-            raise DomainError(f"center {center} is not a node of the h={h} grid")
-        K = math.floor((radius_phys + TOL) / h)
-        pts, base = [], None
-        ys = (icy,) if self._one_dim else range(icy - K, icy + K + 1)
-        for ix in range(icx - K, icx + K + 1):
-            for iy in ys:
-                x, y = ix * h, iy * h
-                if not self._pred(x, y):
-                    continue
-                if (x - cx) ** 2 + (y - cy) ** 2 <= (radius_phys + TOL) ** 2:
-                    if ix == icx and iy == icy:
-                        base = len(pts)
-                    pts.append((x, y))
-        if base is None:
-            raise DomainError(f"center {center} lies outside the region")
-        arr = np.array(pts)
-        d = np.linalg.norm(arr[:, None, :] - arr[None, :, :], axis=-1)
-        space = FiniteMetricSpace(d, tuple((float(x), float(y)) for x, y in pts))
-        return space, base
+        _check_resolution(radius_phys, h)
+        return _grid_ball(self._pred, center, radius_phys, h, self._one_dim)
 
 
 class SlitCarpetGenerator:
@@ -758,42 +751,10 @@ class SlitCarpetGenerator:
             g = self._cache[h] = slit_carpet_graph(self.sched, h, self.pillows)
         return g
 
-    def resolution_check(self, center, radius_phys: float, h: float) -> None:
-        if h > radius_phys:
-            raise ResolutionError(
-                f"mesh {h} cannot resolve a window of radius {radius_phys}")
+    def sample_ball(self, center, radius_phys: float, h: float):
+        _check_resolution(radius_phys, h)
         _slit_table(self.sched, _mesh_steps(h))
-
-    def sample_ball(self, center, radius_phys: float, h: float):
-        self.resolution_check(center, radius_phys, h)
-        graph = self._graph(h)
-        key = tuple(center)
-        if key not in graph.index:
-            raise DomainError(f"center {center} is not a node of the carpet grid")
-        base = graph.index[key]
-        row = graph.distances_from([base])[0]
-        sel = np.nonzero(row <= radius_phys + TOL)[0]
-        space = graph.space_on(sel)
-        return space, int(np.nonzero(sel == base)[0][0])
-
-
-class ModelTangentGenerator:
-    """A model tangent reused as a generator (handy for self-consistency scans)."""
-
-    def __init__(self, model_kind: str):
-        self.kind = f"model-{model_kind}"
-        self.model_kind = model_kind
-
-    def resolution_check(self, center, radius_phys: float, h: float) -> None:
-        if h > radius_phys:
-            raise ResolutionError(
-                f"mesh {h} cannot resolve a window of radius {radius_phys}")
-
-    def sample_ball(self, center, radius_phys: float, h: float):
-        if tuple(center) != (0.0, 0.0):
-            raise DomainError("model tangents are sampled at their base point")
-        w = model_tangent_space(self.model_kind, radius_phys, h)
-        return w.space, w.base
+        return _graph_ball(self._graph(h), tuple(center), radius_phys)
 
 
 def unit_square_generator() -> _EuclideanRegionGenerator:
@@ -806,8 +767,8 @@ def make_generator(name: str, **params):
     name = name.lower()
     if name == "square":
         return unit_square_generator()
-    if name in ("plane", "half", "quarter", "line"):
-        return ModelTangentGenerator(name)
+    if name in _EUCLID_MODELS:
+        return _EuclideanRegionGenerator(f"model-{name}", *_EUCLID_MODELS[name])
     if name == "flat-snowflake":
         return FlatSnowflakeGenerator(params.get("flatness"),
                                       params.get("window", (0.0, 1.0)))

@@ -3,11 +3,11 @@
 Spaces that the lab cannot write down in closed form are realized as
 4-neighbor grid graphs with step h and measured with shortest paths; the
 graph metric overestimates Euclidean lengths by up to a factor sqrt(2), a
-slack every desk-scale tolerance in the test suite quotes.
+slack every desk-scale tolerance in the test suite quotes.  Every
+distance request is one scipy Dijkstra call; an edge given twice keeps its
+smaller weight.
 """
 from __future__ import annotations
-
-import os
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -15,14 +15,6 @@ from scipy.sparse.csgraph import dijkstra
 
 from .errors import DomainError
 from .metric_core import FiniteMetricSpace
-
-
-def worker_count() -> int:
-    """Worker cap from METRIC_LAB_THREADS; results never depend on it."""
-    try:
-        return max(1, int(os.environ.get("METRIC_LAB_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 class GridGraph:
@@ -40,7 +32,7 @@ class GridGraph:
             if u == v:
                 continue
             pair = (u, v) if u < v else (v, u)
-            seen[pair] = w
+            seen[pair] = min(w, seen.get(pair, w))
         rows, cols, data = [], [], []
         for (u, v), w in seen.items():
             rows += [u, v]
@@ -53,23 +45,10 @@ class GridGraph:
         return len(self.keys)
 
     def distances_from(self, sources) -> np.ndarray:
-        """Shortest-path rows for the given source node ids.
-
-        Single-source runs are independent, so METRIC_LAB_THREADS > 1 shards
-        them across a thread pool; the result does not depend on the split.
-        """
+        """Shortest-path rows for the given source node ids, one scipy
+        Dijkstra pass over the undirected adjacency."""
         sources = np.atleast_1d(np.asarray(sources, dtype=int))
-        workers = worker_count()
-        if workers <= 1 or len(sources) < 2 * workers:
-            return dijkstra(self.adjacency, directed=False, indices=sources)
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunks = np.array_split(sources, workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                lambda idx: dijkstra(self.adjacency, directed=False, indices=idx),
-                [c for c in chunks if len(c)]))
-        return np.vstack(parts)
+        return dijkstra(self.adjacency, directed=False, indices=sources)
 
     def distance(self, u: int, v: int) -> float:
         return float(self.distances_from([u])[0, v])

@@ -176,32 +176,19 @@ def restrict_ball(m: FiniteMetricSpace, p: int, R: float) -> PointedWindow:
 
 def epsilon_net(m: FiniteMetricSpace, eps: float, start: int = 0) -> list[int]:
     """Greedy (farthest-point insertion) eps-net; deterministic, lowest-index ties."""
-    if m.n == 0:
-        return []
+    return _farthest_first(m.dist, eps, start) if m.n else []
+
+
+def _farthest_first(dist: np.ndarray, eps: float, start: int) -> list[int]:
+    """Farthest-point insertion from start until every point is within eps."""
     chosen = [start]
-    d_near = m.dist[start].copy()
+    d_near = dist[start].copy()
     while True:
         far = int(np.argmax(d_near))
         if d_near[far] <= eps:
             return chosen
         chosen.append(far)
-        d_near = np.minimum(d_near, m.dist[far])
-
-
-def _greedy_cover_count(dist_ball: np.ndarray) -> int:
-    """Greedy cover of a ball (given as its submatrix, center first) by half-radius balls."""
-    radius = float(dist_ball[0].max())
-    if radius <= 0:
-        return 1
-    half = radius / 2.0
-    d_near = dist_ball[0].copy()
-    count = 1
-    while True:
-        far = int(np.argmax(d_near))
-        if d_near[far] <= half + TOL:
-            return count
-        count += 1
-        d_near = np.minimum(d_near, dist_ball[far])
+        d_near = np.minimum(d_near, dist[far])
 
 
 def geometry_stats(m: FiniteMetricSpace, scales) -> GeometryStats:
@@ -232,7 +219,10 @@ def geometry_stats(m: FiniteMetricSpace, scales) -> GeometryStats:
         for x in range(m.n):
             in_ball = np.nonzero(d[x] <= r + TOL)[0]
             order = np.concatenate(([x], in_ball[in_ball != x]))
-            doubling = max(doubling, _greedy_cover_count(d[np.ix_(order, order)]))
+            # greedy cover of the ball (center first) by half-radius balls
+            ball = d[np.ix_(order, order)]
+            half = float(ball[0].max()) / 2.0
+            doubling = max(doubling, len(_farthest_first(ball, half + TOL, 0)))
 
             # open exterior / open-outer closed-inner annulus
             row = d[x]
@@ -297,27 +287,26 @@ def read_space(path: str) -> FiniteMetricSpace:
 
 
 def write_json_atomic(obj, path: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(obj, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    """Indented, key-sorted JSON streamed into path by _write_atomic."""
+    def dump(fh):
+        json.dump(obj, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    _write_atomic(dump, path)
 
 
 def write_text_atomic(text: str, path: str) -> None:
+    _write_atomic(lambda fh: fh.write(text), path)
+
+
+def _write_atomic(write, path: str) -> None:
+    """Run write(fh) on a temp file in the target directory and rename it over
+    path; on any failure the temp file is removed and path is left as it was."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

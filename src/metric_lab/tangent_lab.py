@@ -169,11 +169,10 @@ class ScanReport:
 def tangent_scan(cfg: ScanConfig) -> ScanReport:
     """Extract a window per scale and bound its pointed GH distance to every
     requested model window of equal radius and matching relative resolution."""
-    h_of = resolution_rule(cfg.rule)
     model_cache: dict = {}
     rows = []
     for lam in cfg.scales:
-        h = h_of(lam)
+        h = cfg.h_of(lam)
         W = extract_window(cfg.generator, cfg.center, lam, cfg.window_radius, h)
         results, seconds = {}, {}
         for kind in cfg.models:
@@ -236,9 +235,6 @@ class ScaledGenerator:
         self.kind = f"{gen.kind}*{c}"
         self._gen = gen
         self._c = c
-
-    def resolution_check(self, center, radius_phys, h):
-        self._gen.resolution_check(center, radius_phys / self._c, h / self._c)
 
     def sample_ball(self, center, radius_phys, h):
         space, base = self._gen.sample_ball(center, radius_phys / self._c,

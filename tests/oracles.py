@@ -3,12 +3,14 @@
 These deliberately avoid the library's own search code: exhaustive
 enumeration for GH distances, a recompute-everything copy of the GH upper
 bound's local search, a hand-rolled heap Dijkstra with its own graph
-construction for intrinsic metrics, and a plain Floyd-Warshall.
+construction for intrinsic metrics, a plain Floyd-Warshall, and a frozen
+copy of the Euclidean model-window sampler.
 """
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -230,3 +232,36 @@ def single_slit_grid_adjacency(M: int, r0: float):
                 else:
                     add((ix, iy), (ix, iy + 1))
     return adj, h
+
+
+# ---------------------------------------------------------------------------
+# Euclidean model windows
+# ---------------------------------------------------------------------------
+
+_TOL = 1e-9  # metric_core.TOL, repeated so the copy below stays frozen
+
+# Region predicate and one_dim flag per Euclidean model tangent.
+REFERENCE_EUCLID_MODELS = {
+    "plane": (lambda x, y: True, False),
+    "half": (lambda x, y: y >= -_TOL, False),
+    "quarter": (lambda x, y: x >= -_TOL and y >= -_TOL, False),
+    "line": (lambda x, y: True, True),
+}
+
+
+def reference_euclid_window(pred, R: float, h: float, one_dim: bool = False):
+    """Frozen origin-centred Euclidean model window: (labels, dist, base)."""
+    K = math.floor((R + _TOL) / h)
+    pts = []
+    base = None
+    ys = (0,) if one_dim else range(-K, K + 1)
+    for ix in range(-K, K + 1):
+        for iy in ys:
+            x, y = ix * h, iy * h
+            if x * x + y * y <= (R + _TOL) ** 2 and pred(x, y):
+                if ix == 0 and iy == 0:
+                    base = len(pts)
+                pts.append((x, y))
+    arr = np.array(pts)
+    d = np.linalg.norm(arr[:, None, :] - arr[None, :, :], axis=-1)
+    return tuple((float(x), float(y)) for x, y in pts), d, base

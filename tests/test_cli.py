@@ -67,6 +67,16 @@ class TestGen:
                                       "--out", str(tmp_path / "x.json")])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("argv", [["--kind", "snowflake", "--window", "0.1"],
+                                      ["--kind", "rickman-rug", "--extent", "1"],
+                                      ["--kind", "wu-rug", "--extent", "1"]])
+    def test_unparsable_pair_is_exit_two(self, runner, tmp_path, argv):
+        out = tmp_path / "x.json"
+        result = runner.invoke(main, ["gen", *argv, "--out", str(out)])
+        assert result.exit_code == 2
+        assert argv[2] in result.output
+        assert not out.exists()
+
 
 class TestGh:
     def test_identical_spaces_give_exact_zero(self, runner, tmp_path):
@@ -138,6 +148,14 @@ class TestBoundary:
         assert payload["expansion"]["max"] == 4.0
         assert payload["cylinder"]["diameter"] == 0.25
 
+    def test_non_integer_count_is_exit_two(self, runner, tmp_path):
+        out = tmp_path / "b.json"
+        result = runner.invoke(main, ["boundary", "--cylinder", "a:2", "--count", "abc",
+                                      "--out", str(out)])
+        assert result.exit_code == 2
+        assert "--count" in result.output
+        assert not out.exists()
+
 
 class TestScan:
     def test_square_corner_scan_csv(self, runner, tmp_path):
@@ -153,17 +171,31 @@ class TestScan:
         assert lines[0] == "lambda,model,lower,upper,points,seconds"
         assert len(lines) == 1 + 3 * 2
 
-    @pytest.mark.parametrize("center,scales", [("0,0", "2^-x..2^-5"),
-                                               ("vertex:3:x", "2^-3..2^-5"),
-                                               ("vertex:3", "2^-3..2^-5")])
-    def test_unparsable_center_or_scales_is_exit_two(self, runner, tmp_path, center, scales):
+    @pytest.mark.parametrize("center,scales,rule", [
+        pytest.param("0,0", "2^-x..2^-5", "lambda/8", id="0,0-2^-x..2^-5"),
+        pytest.param("vertex:3:x", "2^-3..2^-5", "lambda/8", id="vertex:3:x-2^-3..2^-5"),
+        pytest.param("vertex:3", "2^-3..2^-5", "lambda/8", id="vertex:3-2^-3..2^-5"),
+        pytest.param("0,0", "2^-3..2^-5", "lambda/abc", id="rule-lambda/abc")])
+    def test_unparsable_center_or_scales_is_exit_two(self, runner, tmp_path, center,
+                                                     scales, rule):
         out = tmp_path / "scan.csv"
         result = runner.invoke(main, ["scan", "--space", "square", "--center", center,
                                       "--scales", scales, "--radius", "1",
-                                      "--models", "quarter", "--rule", "lambda/8",
+                                      "--models", "quarter", "--rule", rule,
                                       "--out", str(out)])
         assert result.exit_code == 2
         assert "Error:" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("space", ["square", "half"])
+    def test_mesh_coarser_than_window_is_domain_failure(self, runner, tmp_path, space):
+        # rule lambda/0.5 asks for h = 2 lambda, twice the window radius
+        out = tmp_path / "scan.csv"
+        result = runner.invoke(main, ["scan", "--space", space, "--center", "0,0",
+                                      "--scales", "2^-1..2^-3", "--models", "half",
+                                      "--rule", "lambda/0.5", "--out", str(out)])
+        assert result.exit_code == 1
+        assert "ResolutionError" in result.output
         assert not out.exists()
 
 

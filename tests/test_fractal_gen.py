@@ -32,7 +32,12 @@ from metric_lab.fractal_gen import (
 )
 from metric_lab.metric_core import validate_metric
 
-from .oracles import dijkstra_dict, single_slit_grid_adjacency
+from .oracles import (
+    REFERENCE_EUCLID_MODELS,
+    dijkstra_dict,
+    reference_euclid_window,
+    single_slit_grid_adjacency,
+)
 
 
 class TestSlitCarpet:
@@ -321,6 +326,20 @@ class TestModelTangents:
         iu = w.space.labels.index((1.0, h))
         idn = w.space.labels.index((1.0, -h))
         assert w.space.dist[iu, idn] == pytest.approx(2.0 + 2 * h, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", sorted(REFERENCE_EUCLID_MODELS))
+    def test_euclidean_windows_match_frozen_reference(self, kind):
+        pred, one_dim = REFERENCE_EUCLID_MODELS[kind]
+        for R in (0.25, 0.5, 1.0, 1.5):
+            for h in (1 / 2, 1 / 3, 1 / 4, 1 / 7, 1 / 8, 1 / 10, 0.3):
+                assert (R / h) ** 2 <= 2000  # a bigger plane window is too large
+                labels, dist, base = reference_euclid_window(pred, R, h, one_dim)
+                w = model_tangent_space(kind, R, h)
+                assert w.space.labels == labels, (R, h)
+                assert np.array_equal(w.space.dist, dist), (R, h)
+                assert w.base == base, (R, h)
+                if h > R:  # no resolution check here: the base point alone
+                    assert w.space.labels == ((0.0, 0.0),), (R, h)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(DomainError):

@@ -1,5 +1,7 @@
 """Tests for distance-matrix validation, rescaling, balls and coarse stats."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,9 @@ from metric_lab.metric_core import (
     space_from_json,
     space_to_json,
     validate_metric,
+    write_json_atomic,
     write_space,
+    write_text_atomic,
 )
 
 
@@ -172,3 +176,22 @@ class TestJsonFormat:
     def test_tuple_labels_survive(self):
         m = FiniteMetricSpace([[0, 1], [1, 0]], ((0.0, 1.0), (2.0, 3.0)))
         assert space_from_json(space_to_json(m)).labels == m.labels
+
+
+class TestAtomicWriters:
+    def test_json_is_indented_sorted_and_newline_terminated(self, tmp_path):
+        obj = {"b": [1, 2.5], "a": {"d": None, "c": "x"}}
+        path = tmp_path / "out.json"
+        write_json_atomic(obj, str(path))
+        assert path.read_text() == json.dumps(obj, indent=1, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("write,bad", [(write_json_atomic, {"x": object()}),
+                                           (write_text_atomic, 123)])
+    def test_failed_write_keeps_old_bytes_and_leaves_no_temp_file(self, tmp_path,
+                                                                  write, bad):
+        path = tmp_path / "out.json"
+        path.write_bytes(b'{"old": 1}\n')
+        with pytest.raises(TypeError):
+            write(bad, str(path))
+        assert path.read_bytes() == b'{"old": 1}\n'
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from metric_lab.errors import DomainError
+from metric_lab.errors import DomainError, ResolutionError
 from metric_lab.fractal_gen import (
     FlatSnowflakeGenerator,
-    ModelTangentGenerator,
+    make_generator,
     model_tangent_space,
     unit_square_generator,
 )
@@ -57,6 +57,11 @@ class TestExtractWindow:
         small = extract_window(gen, (0.5, 0.5), 2.0 ** -3, 0.5, 2.0 ** -7)
         assert set(small.space.labels) <= set(big.space.labels)
 
+    @pytest.mark.parametrize("name", ["plane", "half", "quarter", "line"])
+    def test_model_generators_refuse_a_mesh_coarser_than_the_window(self, name):
+        with pytest.raises(ResolutionError):
+            extract_window(make_generator(name), (0.0, 0.0), 0.5, 1.0, 1.0)
+
     def test_bad_scale_rejected(self):
         gen = unit_square_generator()
         with pytest.raises(DomainError):
@@ -85,7 +90,7 @@ class TestScan:
         assert report.verdict.best_model == "half"
 
     def test_model_scanned_against_itself_is_discretization_tight(self):
-        cfg = ScanConfig(generator=ModelTangentGenerator("plane"),
+        cfg = ScanConfig(generator=make_generator("plane"),
                          center=(0.0, 0.0),
                          scales=(2.0 ** -2, 2.0 ** -3, 2.0 ** -4),
                          window_radius=1.0, models=("plane",), rule="lambda/8")
