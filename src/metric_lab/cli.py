@@ -99,12 +99,23 @@ def parse_center(text: str):
 
 
 def parse_rule(text: str) -> str:
-    """A resolution rule "lambda/K" whose K must be a number."""
+    """A resolution rule "lambda/K" whose K must be a positive number."""
     try:
         tl.resolution_rule(text)
-    except ValueError:
-        raise click.UsageError(f"--rule takes lambda/K with a number K, got {text!r}")
+    except (ValueError, MetricLabError):
+        raise click.UsageError(
+            f"--rule takes lambda/K with a positive number K, got {text!r}")
     return text
+
+
+def parse_models(text: str) -> tuple:
+    """A comma list of model tangent kinds, each one of fractal_gen.MODEL_KINDS."""
+    models = tuple(text.split(","))
+    unknown = [m for m in models if m.lower() not in fg.MODEL_KINDS]
+    if unknown:
+        raise click.UsageError(
+            f"--models takes a comma list of {', '.join(fg.MODEL_KINDS)}, got {text!r}")
+    return models
 
 
 def parse_flatness(text: str):
@@ -373,7 +384,7 @@ def scan_cmd(space_name, r_spec, levels, flatness, center, scales, radius,
     gen = fg.make_generator(space_name, **params)
     cfg = tl.ScanConfig(generator=gen, center=parse_center(center),
                         scales=parse_scales(scales), window_radius=radius,
-                        models=tuple(models.split(",")), rule=parse_rule(rule),
+                        models=parse_models(models), rule=parse_rule(rule),
                         seed=seed)
     report = tl.tangent_scan(cfg)
     deterministic = bool(os.environ.get("METRIC_LAB_DETERMINISTIC"))

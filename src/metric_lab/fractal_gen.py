@@ -31,7 +31,8 @@ def _mesh_steps(h: float) -> int:
 
 
 def _check_resolution(radius_phys: float, h: float) -> None:
-    """The check every generator's sample_ball runs before sampling."""
+    """The check every generator's sample_ball and model_tangent_space run
+    before sampling."""
     if h > radius_phys:
         raise ResolutionError(
             f"mesh {h} cannot resolve a window of radius {radius_phys}")
@@ -700,11 +701,13 @@ def model_tangent_space(kind: str, R: float, h: float, pad: float = 3.0) -> Poin
 
     Euclidean kinds are exact restrictions; t, l, d are grid graphs with the
     shortest-path metric, built with enough padding that windowed geodesics
-    are unaffected by the boundary.
+    are unaffected by the boundary.  A mesh h > R raises ResolutionError, as
+    in every generator's sample_ball.
     """
     kind = kind.lower()
     if R <= 0 or h <= 0:
         raise DomainError("window radius and mesh must be positive")
+    _check_resolution(R, h)
     if kind in _EUCLID_MODELS:
         pred, one_dim = _EUCLID_MODELS[kind]
         space, base = _grid_ball(pred, (0.0, 0.0), R, h, one_dim)

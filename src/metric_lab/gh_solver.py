@@ -347,102 +347,109 @@ def gh_exact_small(X: FiniteMetricSpace, Y: FiniteMetricSpace, *,
 
     Slots are the X points (choose an image) followed by the uncovered Y
     points (choose a preimage), both in decreasing-eccentricity order with
-    lower-index tie break; the pruning bound is the current partial
-    distortion.  An upper bound from gh_bounds seeds the incumbent.
+    lower-index tie break.  One nx x ny matrix L holds each pair's worst
+    mismatch against the pairs fixed so far, so a slot's candidate costs are
+    a row or a column of L and fixing a pair is one elementwise maximum.
+    Candidates run in cost order until the cost reaches the incumbent.  On X
+    slots a forward check also skips a candidate when some point's cheapest
+    partner in the child's L already reaches it (max over rows of the row
+    minimum, likewise columns), as no completion below can do better.  Each
+    level holds O(nx*ny) floats; the budget counts slots entered.  The
+    incumbent starts from gh_bounds without random restarts; only when the
+    budget runs out do the restarts run, and the better witness is kept.
     """
     if X.n == 0 or Y.n == 0:
         raise DomainError("GH distance of an empty space")
     DX, DY = X.dist, Y.dist
     nx, ny = X.n, Y.n
 
-    warm = gh_bounds(X, Y, seed=seed, restarts=min(40, 8 + 2 * max(nx, ny)),
-                     base_pair=base_pair)
+    warm = gh_bounds(X, Y, seed=seed, restarts=0, base_pair=base_pair)
     lower = warm.lower
     bestI, bestJ = warm.witness.arrays()
     best_dis = _pair_distortion(DX, DY, bestI, bestJ)
 
-    xs = _eccentricity_order(DX)
-    ys_order = _eccentricity_order(DY)
-
-    pre_I = [int(base_pair[0])] if base_pair is not None else []
-    pre_J = [int(base_pair[1])] if base_pair is not None else []
+    xs = _eccentricity_order(DX).tolist()
+    ys_order = _eccentricity_order(DY).tolist()
 
     nodes = 0
     exhausted = False
-
     I_buf = np.empty(nx + ny + 1, dtype=int)
     J_buf = np.empty(nx + ny + 1, dtype=int)
-    I_buf[:len(pre_I)] = pre_I
-    J_buf[:len(pre_J)] = pre_J
+    # colX[x] is DX[:, x] as a column, rowY[y] is DY[:, y] as a row (views):
+    # fixing the pair (x, y) raises L to at least |colX[x] - rowY[y]|
+    colX, rowY = DX.T[:, :, None], DY.T[:, None, :]
 
-    def dfs(slot: int, k: int, cur: float):
-        # slot < nx: assign image of xs[slot]; afterwards cover remaining Y
+    def child(L, x: int, y: int):
+        out = np.subtract(colX[x], rowY[y])
+        np.abs(out, out=out)
+        return np.maximum(out, L, out=out)
+
+    def dfs(slot: int, k: int, cur: float, L, rest):
         nonlocal best_dis, bestI, bestJ, nodes, exhausted
-        if exhausted:
-            return
-        if slot == nx:
+        if slot == nx:  # every X point has an image; cover the remaining Y
             covered = set(J_buf[:k].tolist())
-            rest = [int(y) for y in ys_order if int(y) not in covered]
-            dfs_y(rest, k, cur)
-            return
-        x = int(xs[slot])
-        nodes += 1
-        if nodes > budget:
-            exhausted = True
-            return
-        I, J = I_buf[:k], J_buf[:k]
-        if k:
-            delta = np.abs(DX[x, I][None, :] - DY[:, J]).max(axis=1)
-        else:
-            delta = np.zeros(ny)
-        order = np.lexsort((np.arange(ny), delta))
-        for y in order:
-            d = max(cur, float(delta[y]))
-            if d >= best_dis:
-                break  # candidates sorted: the rest only get worse
-            I_buf[k], J_buf[k] = x, int(y)
-            dfs(slot + 1, k + 1, d)
-            if exhausted:
-                return
-
-    def dfs_y(rest, k: int, cur: float):
-        nonlocal best_dis, bestI, bestJ, nodes, exhausted
-        if exhausted:
-            return
-        if not rest:
+            rest = [y for y in ys_order if y not in covered]
+        on_x = slot < nx
+        if not on_x and slot - nx == len(rest):
             if cur < best_dis:
                 best_dis = cur
                 bestI = I_buf[:k].copy()
                 bestJ = J_buf[:k].copy()
             return
-        y = rest[0]
         nodes += 1
         if nodes > budget:
             exhausted = True
             return
-        I, J = I_buf[:k], J_buf[:k]
-        delta = np.abs(DX[:, I] - DY[y, J][None, :]).max(axis=1)
-        order = np.lexsort((np.arange(nx), delta))
-        for x in order:
-            d = max(cur, float(delta[x]))
+        if on_x:
+            x = xs[slot]
+            cost = L[x]
+        else:
+            y = rest[slot - nx]
+            cost = L[:, y]
+        order = cost.argsort(kind="stable")
+        costs = cost[order]
+        if on_x:
+            # forward check: the child L of every live candidate at once,
+            # shape (candidates, nx, ny), freed before recursing
+            live = order[:costs.searchsorted(best_dis)]
+            T = np.abs(colX[x][None] - rowY[live])
+            np.maximum(T, L, out=T)
+            bound = np.maximum(T.min(axis=2).max(axis=1), T.min(axis=1).max(axis=1))
+            del T
+            bound = bound.tolist()
+        else:
+            bound = [-np.inf] * len(order)
+        for c, cc, b in zip(order.tolist(), costs.tolist(), bound):
+            d = max(cur, cc)
             if d >= best_dis:
-                break
-            I_buf[k], J_buf[k] = int(x), y
-            dfs_y(rest[1:], k + 1, d)
+                break  # candidates sorted: the rest only get worse
+            if b >= best_dis:
+                continue
+            pair = (x, c) if on_x else (c, y)
+            I_buf[k], J_buf[k] = pair
+            dfs(slot + 1, k + 1, d, child(L, *pair), rest)
             if exhausted:
                 return
 
-    k0 = len(pre_I)
-    cur0 = 0.0
-    if k0:
-        cur0 = float(np.abs(DX[pre_I[0], pre_I[0]] - DY[pre_J[0], pre_J[0]]))
-    dfs(0, k0, cur0)
+    if base_pair is not None:
+        b1, b2 = int(base_pair[0]), int(base_pair[1])
+        I_buf[0], J_buf[0] = b1, b2
+        cur0 = float(np.abs(DX[b1, b1] - DY[b2, b2]))
+        dfs(0, 1, cur0, np.abs(colX[b1] - rowY[b2]), None)
+    else:
+        dfs(0, 0, 0.0, np.zeros((nx, ny)), None)
 
-    witness = Correspondence(tuple(zip(bestI.tolist(), bestJ.tolist())))
     if exhausted:
-        return GhResult(lower=lower, upper=best_dis / 2.0, exact=None, witness=witness)
+        full = gh_bounds(X, Y, seed=seed, restarts=min(40, 8 + 2 * max(nx, ny)),
+                         base_pair=base_pair)
+        I, J = full.witness.arrays()
+        dis = _pair_distortion(DX, DY, I, J)
+        if dis < best_dis:
+            best_dis, bestI, bestJ = dis, I, J
+    witness = Correspondence(tuple(zip(bestI.tolist(), bestJ.tolist())))
     value = best_dis / 2.0
-    return GhResult(lower=min(lower, value), upper=value, exact=value, witness=witness)
+    return GhResult(lower=lower, upper=value, exact=None if exhausted else value,
+                    witness=witness)
 
 
 def pointed_gh_bounds(W1: PointedWindow, W2: PointedWindow, *,

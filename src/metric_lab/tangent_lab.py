@@ -28,7 +28,7 @@ def resolution_rule(rule):
         return rule
     if isinstance(rule, str) and rule.startswith("lambda/"):
         k = float(rule.split("/", 1)[1])
-        if k <= 0:
+        if not 0 < k < float("inf"):  # also refuses nan
             raise DomainError(f"bad resolution rule {rule!r}")
         return lambda lam: lam / k
     raise DomainError(f"unrecognized resolution rule {rule!r}")

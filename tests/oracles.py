@@ -2,9 +2,11 @@
 
 These deliberately avoid the library's own search code: exhaustive
 enumeration for GH distances, a recompute-everything copy of the GH upper
-bound's local search, a hand-rolled heap Dijkstra with its own graph
-construction for intrinsic metrics, a plain Floyd-Warshall, and a frozen
-copy of the Euclidean model-window sampler.
+bound's local search, a frozen copy of the exact branch and bound that
+recomputes every candidate cost (warm-started by the library's gh_bounds),
+a hand-rolled heap Dijkstra with its own graph construction for intrinsic
+metrics, a plain Floyd-Warshall, and a frozen copy of the Euclidean
+model-window sampler.
 """
 from __future__ import annotations
 
@@ -14,6 +16,15 @@ import math
 from functools import lru_cache
 
 import numpy as np
+
+from metric_lab.errors import DomainError
+from metric_lab.gh_solver import (
+    Correspondence,
+    GhResult,
+    _eccentricity_order,
+    _pair_distortion,
+    gh_bounds,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +172,117 @@ def count_full_correspondences(nx: int, ny: int) -> int:
         if len({i for i, _ in chosen}) == nx and len({j for _, j in chosen}) == ny:
             count += 1
     return count
+
+
+# ---------------------------------------------------------------------------
+# Frozen exact GH branch and bound
+# ---------------------------------------------------------------------------
+
+def reference_exact_small(X, Y, *,
+                          budget: int = 5_000_000, base_pair=None,
+                          seed: int = 0) -> GhResult:
+    """Frozen branch and bound that recomputes every candidate cost.
+
+    Slots are the X points (choose an image) followed by the uncovered Y
+    points (choose a preimage), both in decreasing-eccentricity order with
+    lower-index tie break; the pruning bound is the current partial
+    distortion.  An upper bound from gh_bounds with min(40, 8 + 2*max(nx, ny))
+    restarts seeds the incumbent.  Returns a GhResult whose lower bound is
+    clamped to the exact value.
+    """
+    if X.n == 0 or Y.n == 0:
+        raise DomainError("GH distance of an empty space")
+    DX, DY = X.dist, Y.dist
+    nx, ny = X.n, Y.n
+
+    warm = gh_bounds(X, Y, seed=seed, restarts=min(40, 8 + 2 * max(nx, ny)),
+                     base_pair=base_pair)
+    lower = warm.lower
+    bestI, bestJ = warm.witness.arrays()
+    best_dis = _pair_distortion(DX, DY, bestI, bestJ)
+
+    xs = _eccentricity_order(DX)
+    ys_order = _eccentricity_order(DY)
+
+    pre_I = [int(base_pair[0])] if base_pair is not None else []
+    pre_J = [int(base_pair[1])] if base_pair is not None else []
+
+    nodes = 0
+    exhausted = False
+
+    I_buf = np.empty(nx + ny + 1, dtype=int)
+    J_buf = np.empty(nx + ny + 1, dtype=int)
+    I_buf[:len(pre_I)] = pre_I
+    J_buf[:len(pre_J)] = pre_J
+
+    def dfs(slot: int, k: int, cur: float):
+        # slot < nx: assign image of xs[slot]; afterwards cover remaining Y
+        nonlocal best_dis, bestI, bestJ, nodes, exhausted
+        if exhausted:
+            return
+        if slot == nx:
+            covered = set(J_buf[:k].tolist())
+            rest = [int(y) for y in ys_order if int(y) not in covered]
+            dfs_y(rest, k, cur)
+            return
+        x = int(xs[slot])
+        nodes += 1
+        if nodes > budget:
+            exhausted = True
+            return
+        I, J = I_buf[:k], J_buf[:k]
+        if k:
+            delta = np.abs(DX[x, I][None, :] - DY[:, J]).max(axis=1)
+        else:
+            delta = np.zeros(ny)
+        order = np.lexsort((np.arange(ny), delta))
+        for y in order:
+            d = max(cur, float(delta[y]))
+            if d >= best_dis:
+                break  # candidates sorted: the rest only get worse
+            I_buf[k], J_buf[k] = x, int(y)
+            dfs(slot + 1, k + 1, d)
+            if exhausted:
+                return
+
+    def dfs_y(rest, k: int, cur: float):
+        nonlocal best_dis, bestI, bestJ, nodes, exhausted
+        if exhausted:
+            return
+        if not rest:
+            if cur < best_dis:
+                best_dis = cur
+                bestI = I_buf[:k].copy()
+                bestJ = J_buf[:k].copy()
+            return
+        y = rest[0]
+        nodes += 1
+        if nodes > budget:
+            exhausted = True
+            return
+        I, J = I_buf[:k], J_buf[:k]
+        delta = np.abs(DX[:, I] - DY[y, J][None, :]).max(axis=1)
+        order = np.lexsort((np.arange(nx), delta))
+        for x in order:
+            d = max(cur, float(delta[x]))
+            if d >= best_dis:
+                break
+            I_buf[k], J_buf[k] = int(x), y
+            dfs_y(rest[1:], k + 1, d)
+            if exhausted:
+                return
+
+    k0 = len(pre_I)
+    cur0 = 0.0
+    if k0:
+        cur0 = float(np.abs(DX[pre_I[0], pre_I[0]] - DY[pre_J[0], pre_J[0]]))
+    dfs(0, k0, cur0)
+
+    witness = Correspondence(tuple(zip(bestI.tolist(), bestJ.tolist())))
+    if exhausted:
+        return GhResult(lower=lower, upper=best_dis / 2.0, exact=None, witness=witness)
+    value = best_dis / 2.0
+    return GhResult(lower=min(lower, value), upper=value, exact=value, witness=witness)
 
 
 # ---------------------------------------------------------------------------

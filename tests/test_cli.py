@@ -7,6 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from metric_lab.cli import main, parse_center, parse_number, parse_scales
+from metric_lab.fractal_gen import MODEL_KINDS
 from metric_lab.metric_core import read_space
 
 
@@ -66,6 +67,15 @@ class TestGen:
         result = runner.invoke(main, ["gen", "--kind", "no-such-kind",
                                       "--out", str(tmp_path / "x.json")])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_model_mesh_coarser_than_radius_is_domain_failure(self, runner, tmp_path, kind):
+        out = tmp_path / "x.json"
+        result = runner.invoke(main, ["gen", "--kind", f"model-{kind}", "--radius", "1",
+                                      "--h", "2", "--out", str(out)])
+        assert result.exit_code == 1
+        assert "ResolutionError" in result.output
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["--kind", "snowflake", "--window", "0.1"],
                                       ["--kind", "rickman-rug", "--extent", "1"],
@@ -185,6 +195,22 @@ class TestScan:
                                       "--out", str(out)])
         assert result.exit_code == 2
         assert "Error:" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("models,rule,option", [
+        ("quarter", "foo", "--rule"), ("quarter", "lambda/0", "--rule"),
+        ("quarter", "lambda/-8", "--rule"), ("quarter", "lambda/inf", "--rule"),
+        ("quarter", "lambda/nan", "--rule"), ("wedge", "lambda/8", "--models"),
+        ("half,wedge", "lambda/8", "--models"), ("half,", "lambda/8", "--models")])
+    def test_unknown_rule_or_model_is_exit_two(self, runner, tmp_path, models, rule,
+                                               option):
+        out = tmp_path / "scan.csv"
+        result = runner.invoke(main, ["scan", "--space", "square", "--center", "0,0",
+                                      "--scales", "2^-3..2^-5", "--models", models,
+                                      "--rule", rule, "--out", str(out)])
+        assert result.exit_code == 2
+        assert option in result.output
+        assert "DomainError" not in result.output
         assert not out.exists()
 
     @pytest.mark.parametrize("space", ["square", "half"])

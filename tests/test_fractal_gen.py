@@ -333,17 +333,25 @@ class TestModelTangents:
         for R in (0.25, 0.5, 1.0, 1.5):
             for h in (1 / 2, 1 / 3, 1 / 4, 1 / 7, 1 / 8, 1 / 10, 0.3):
                 assert (R / h) ** 2 <= 2000  # a bigger plane window is too large
+                if h > R:  # the reference would return the base point alone
+                    with pytest.raises(ResolutionError):
+                        model_tangent_space(kind, R, h)
+                    continue
                 labels, dist, base = reference_euclid_window(pred, R, h, one_dim)
                 w = model_tangent_space(kind, R, h)
                 assert w.space.labels == labels, (R, h)
                 assert np.array_equal(w.space.dist, dist), (R, h)
                 assert w.base == base, (R, h)
-                if h > R:  # no resolution check here: the base point alone
-                    assert w.space.labels == ((0.0, 0.0),), (R, h)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(DomainError):
             model_tangent_space("wedge", 1.0, 0.25)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_mesh_coarser_than_the_radius_is_refused(self, kind):
+        with pytest.raises(ResolutionError, match="cannot resolve"):
+            model_tangent_space(kind, 1.0, 2.0)
+        assert model_tangent_space(kind, 1.0, 1.0).space.n >= 2  # h == R still samples
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_windows_are_valid_metric_spaces(self, kind):

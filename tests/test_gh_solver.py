@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from metric_lab import gh_solver
 from metric_lab.errors import DomainError
 from metric_lab.fractal_gen import (
     FlatSnowflakeGenerator,
@@ -28,6 +29,7 @@ from .oracles import (
     count_full_correspondences,
     gh_exhaustive,
     minimal_full_correspondences,
+    reference_exact_small,
     reference_local_search,
 )
 
@@ -107,6 +109,18 @@ class TestExactSmall:
         assert res.exact is None
         assert res.lower <= res.upper
 
+    def test_lower_bound_above_the_exact_value_is_an_error(self, monkeypatch):
+        # the warm starts miss the optimum here, so a lower bound between the
+        # exact value and their upper bound only contradicts the exact value
+        rng = np.random.default_rng(1)
+        X, Y = random_space(rng, 5), random_space(rng, 5)
+        exact = gh_exact_small(X, Y).exact
+        upper = gh_bounds(X, Y, restarts=18).upper
+        assert exact < upper
+        monkeypatch.setattr(gh_solver, "_lower_bound", lambda *a: (exact + upper) / 2)
+        with pytest.raises(DomainError, match="inconsistent"):
+            gh_exact_small(X, Y)
+
     def test_symmetry_under_argument_swap(self):
         rng = np.random.default_rng(11)
         X, Y = random_space(rng, 5), random_space(rng, 6)
@@ -135,6 +149,40 @@ class TestExactSmall:
         lam = 3.0
         scaled = gh_exact_small(rescale(X, 1 / lam), rescale(Y, 1 / lam)).exact
         assert scaled == pytest.approx(lam * gh_exact_small(X, Y).exact, rel=1e-10)
+
+
+class TestExactAgainstFrozenReference:
+    @pytest.mark.parametrize("batch", range(12))
+    def test_matches_recompute_everything_reference(self, batch):
+        for trial in range(25 * batch, 25 * batch + 25):
+            rng = np.random.default_rng(900 + trial)
+            nx, ny = (int(v) for v in rng.integers(3, 8, size=2))
+            X, Y = random_space(rng, nx), random_space(rng, ny)
+            base_pair = (0, 0) if trial % 2 else None
+            res = gh_exact_small(X, Y, base_pair=base_pair)
+            ref = reference_exact_small(X, Y, base_pair=base_pair)
+            assert res.exact == ref.exact
+            assert res.lower == ref.lower
+            assert distortion_of_correspondence(X, Y, res.witness) / 2.0 == res.upper
+
+    @pytest.mark.parametrize("batch", range(4))
+    def test_small_budgets_give_the_exact_value_or_restart_bounds(self, batch):
+        exhausted = 0
+        for trial in range(6 * batch, 6 * batch + 6):
+            rng = np.random.default_rng(1300 + trial)
+            nx, ny = (int(v) for v in rng.integers(7, 9, size=2))
+            X, Y = random_space(rng, nx), random_space(rng, ny)
+            base_pair = (0, 0) if trial % 2 else None
+            exact = gh_exact_small(X, Y, base_pair=base_pair).exact
+            full = gh_bounds(X, Y, restarts=min(40, 8 + 2 * max(nx, ny)),
+                             base_pair=base_pair)
+            for budget in (10, 30, 100, 500):
+                res = gh_exact_small(X, Y, budget=budget, base_pair=base_pair)
+                assert res.exact is None or res.exact == exact
+                assert res.lower <= exact <= res.upper <= full.upper
+                assert distortion_of_correspondence(X, Y, res.witness) / 2.0 == res.upper
+                exhausted += res.exact is None
+        assert exhausted >= 6
 
 
 class TestBounds:

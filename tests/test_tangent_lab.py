@@ -137,6 +137,14 @@ class TestScan:
                        scales=(0.5, 0.25), window_radius=1.0, models=("plane",),
                        rule=lambda lam: 0.01)  # h/lam grows as lam shrinks
 
+    @pytest.mark.parametrize("rule", ["lambda/0", "lambda/-8", "lambda/inf", "lambda/nan",
+                                      "foo"])
+    def test_rule_needs_a_finite_positive_divisor(self, rule):
+        with pytest.raises(DomainError, match="resolution rule"):
+            ScanConfig(generator=unit_square_generator(), center=(0, 0),
+                       scales=(0.5, 0.25), window_radius=1.0, models=("plane",),
+                       rule=rule)
+
 
 class TestClassify:
     def test_zero_column_wins_flat_and_conclusive(self):
