@@ -223,6 +223,7 @@ def gen_cmd(kind, r_spec, levels, h_spec, stage, flatness, window, epsilon,
         gaps = np.abs(pts[:, None] - pts[None, :])
         dom = mc.FiniteMetricSpace(gaps, tuple(float(p) for p in pts))
         cod = mc.FiniteMetricSpace(gaps ** epsilon, tuple(float(p) for p in pts))
+        _check_metric(dom, cod)
         mc.write_space(dom, out)
         mc.write_space(cod, out_codomain)
         write_json_atomic({"assignment": list(range(len(pts)))}, out_map)
@@ -231,11 +232,17 @@ def gen_cmd(kind, r_spec, levels, h_spec, stage, flatness, window, epsilon,
     else:  # model tangents
         space = fg.model_tangent_space(kind.removeprefix("model-"), radius, h).space
 
-    report = mc.validate_metric(space)
-    if report:
-        raise _DomainFailure(f"generated space violates {report[0].axiom}")
+    _check_metric(space)
     mc.write_space(space, out)
     click.echo(f"gen {kind}: {space.n} points, diameter {fmt(space.diameter())} -> {out}")
+
+
+def _check_metric(*spaces):
+    """Exit 1 before anything is written unless every space is a metric."""
+    for space in spaces:
+        report = mc.validate_metric(space)
+        if report:
+            raise _DomainFailure(f"generated space violates {report[0].axiom}")
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ enumeration for GH distances, a recompute-everything copy of the GH upper
 bound's local search, a frozen copy of the exact branch and bound that
 recomputes every candidate cost (warm-started by the library's gh_bounds),
 a hand-rolled heap Dijkstra with its own graph construction for intrinsic
-metrics, a plain Floyd-Warshall, and a frozen copy of the Euclidean
-model-window sampler.
+metrics, a plain Floyd-Warshall, a frozen copy of the Euclidean
+model-window sampler, and a frozen metric-axiom check that scans every
+triangle slab.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from metric_lab.gh_solver import (
     _pair_distortion,
     gh_bounds,
 )
+from metric_lab.metric_core import AxiomViolation
 
 
 # ---------------------------------------------------------------------------
@@ -387,3 +389,48 @@ def reference_euclid_window(pred, R: float, h: float, one_dim: bool = False):
     arr = np.array(pts)
     d = np.linalg.norm(arr[:, None, :] - arr[None, :, :], axis=-1)
     return tuple((float(x), float(y)) for x, y in pts), d, base
+
+
+# ---------------------------------------------------------------------------
+# Metric axioms
+# ---------------------------------------------------------------------------
+
+def reference_validate_metric(m) -> list:
+    """Frozen axiom check that evaluates every triangle slab in full.
+
+    Same contract as metric_core.validate_metric: one AxiomViolation per
+    violated axiom, with the first worst witness in scan order.
+    """
+    d = m.dist
+    n = m.n
+    out = []
+    if n == 0:
+        return out
+
+    diag = np.abs(np.diag(d))
+    if diag.max(initial=0.0) > _TOL:
+        i = int(np.argmax(diag))
+        out.append(AxiomViolation("identity", (i,), float(diag[i])))
+
+    asym = np.abs(d - d.T)
+    if asym.max(initial=0.0) > _TOL:
+        i, j = np.unravel_index(int(np.argmax(asym)), asym.shape)
+        out.append(AxiomViolation("symmetry", (int(i), int(j)), float(asym[i, j])))
+
+    off = d + np.diag(np.full(n, np.inf))
+    if n > 1 and off.min() <= _TOL:
+        i, j = np.unravel_index(int(np.argmin(off)), off.shape)
+        out.append(AxiomViolation("positivity", (int(i), int(j)), float(d[i, j])))
+
+    worst_excess = 0.0
+    worst_triple = None
+    for k in range(n):
+        excess = d - (d[:, k][:, None] + d[k, :][None, :])
+        e = float(excess.max())
+        if e > worst_excess:
+            worst_excess = e
+            i, j = np.unravel_index(int(np.argmax(excess)), excess.shape)
+            worst_triple = (int(i), k, int(j))
+    if worst_excess > _TOL and worst_triple is not None:
+        out.append(AxiomViolation("triangle", worst_triple, worst_excess))
+    return out

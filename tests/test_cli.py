@@ -56,6 +56,16 @@ class TestGen:
         assert result.exit_code == 0, result.output
         assert json.loads((tmp_path / "m.json").read_text())["assignment"] == list(range(10))
 
+    def test_snowflake_pair_that_is_no_metric_writes_nothing(self, runner, tmp_path):
+        outs = [tmp_path / "d.json", tmp_path / "c.json", tmp_path / "m.json"]
+        result = runner.invoke(main, [
+            "gen", "--kind", "snowflake-pair", "--epsilon", "2", "--points", "5",
+            "--out", str(outs[0]), "--out-codomain", str(outs[1]),
+            "--out-map", str(outs[2])])
+        assert result.exit_code == 1, result.output
+        assert "triangle" in result.output
+        assert not any(p.exists() for p in outs)
+
     def test_resolution_error_is_domain_failure(self, runner, tmp_path):
         result = runner.invoke(main, ["gen", "--kind", "slit-carpet",
                                       "--r", "0.1", "--h", "1/8",

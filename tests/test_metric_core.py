@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from metric_lab.errors import DomainError, MalformedMatrixError
+from metric_lab.fractal_gen import SlitSchedule, slit_carpet_space
 from metric_lab.metric_core import (
+    TOL,
     FiniteMetricSpace,
     epsilon_net,
     geometry_stats,
@@ -22,12 +25,87 @@ from metric_lab.metric_core import (
     write_space,
     write_text_atomic,
 )
+from .oracles import reference_validate_metric
 
 
 def line_space(points):
     pts = np.asarray(points, dtype=float)
     return FiniteMetricSpace(np.abs(pts[:, None] - pts[None, :]),
                              tuple(float(p) for p in pts))
+
+
+# Seeded matrix families for the comparison with the frozen reference.  Each
+# draws a size and a scale in [1e-3, 1e6]; the tied and near-TOL lines put
+# several slabs, or the worst excess and TOL, within a few ulps of each other,
+# where a filter without rounding slack or without exact re-evaluation fails.
+
+def _base(rng):
+    n = int(rng.integers(2, 13))
+    scale = 10.0 ** rng.uniform(-3, 6)
+    kind = rng.integers(4)
+    if kind == 0:
+        x = rng.random((n, 1))
+        d = cdist(x, x)
+    elif kind == 1:
+        x = rng.random((n, 2))
+        d = cdist(x, x)
+    elif kind == 2:
+        x = rng.random((n, 3))
+        d = cdist(x, x, "cityblock")
+    else:
+        x = rng.integers(0, 4, (n, 2)).astype(float)
+        d = cdist(x, x, "cityblock")
+    return d * scale, scale
+
+
+def _valid(rng):
+    return _base(rng)[0]
+
+
+def _perturbed(rng):
+    d, scale = _base(rng)
+    i, j = rng.choice(d.shape[0], 2, replace=False)
+    delta = scale * 10.0 ** rng.uniform(-12, 0) * rng.choice([-1, 1])
+    d[i, j] += delta
+    d[j, i] += delta
+    return d
+
+
+def _powered(rng):
+    return _base(rng)[0] ** rng.uniform(0.5, 3)
+
+
+def _rounded(rng):
+    d, scale = _base(rng)
+    step = scale * rng.choice([0.1, 0.25, 1 / 3, 0.5])
+    return np.round(d / step) * step
+
+
+def _asymmetric(rng):
+    d, scale = _base(rng)
+    n = d.shape[0]
+    noise = rng.random((n, n)) * (rng.random((n, n)) < 0.2)
+    return d + noise * scale * 10.0 ** rng.uniform(-12, 0)
+
+
+def _tied_line(rng):
+    n = int(rng.integers(5, 13))
+    scale = 10.0 ** rng.uniform(-3, 6)
+    x = np.sort(rng.choice(4 * n, n, replace=False)) * rng.choice([0.1, 0.3, 0.7])
+    d = np.abs(x[:, None] - x[None, :]) * scale
+    d[0, n - 1] += d[0, 1]
+    return d
+
+
+def _near_tol_line(rng):
+    n = int(rng.integers(3, 13))
+    scale = 10.0 ** rng.uniform(4, 6)
+    x = np.sort(rng.random(n)) * scale
+    d = np.abs(x[:, None] - x[None, :])
+    d[0, n - 1] += TOL + int(rng.integers(-4, 5)) * np.spacing(scale)
+    if rng.random() < 0.5:
+        d[n - 1, 0] = d[0, n - 1]
+    return d
 
 
 class TestValidateMetric:
@@ -58,6 +136,18 @@ class TestValidateMetric:
     def test_nan_matrix_is_malformed(self):
         with pytest.raises(MalformedMatrixError):
             FiniteMetricSpace([[0, np.nan], [np.nan, 0]])
+
+    def test_matches_frozen_reference_on_seeded_matrices(self):
+        rng = np.random.default_rng(20261018)
+        families = (_valid, _perturbed, _powered, _rounded, _asymmetric,
+                    _tied_line, _near_tol_line)
+        violated = 0
+        for t in range(1400):
+            m = FiniteMetricSpace(families[t % len(families)](rng))
+            expected = reference_validate_metric(m)
+            assert validate_metric(m) == expected, (t, m.dist.tolist())
+            violated += any(v.axiom == "triangle" for v in expected)
+        assert 600 <= violated <= 1200
 
     def test_non_square_matrix_is_malformed(self):
         with pytest.raises(MalformedMatrixError):
@@ -177,6 +267,33 @@ class TestJsonFormat:
         m = FiniteMetricSpace([[0, 1], [1, 0]], ((0.0, 1.0), (2.0, 3.0)))
         assert space_from_json(space_to_json(m)).labels == m.labels
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_round_trip_of_tiny_spaces(self, tmp_path, n):
+        m = FiniteMetricSpace(np.zeros((n, n)))
+        path = tmp_path / "space.json"
+        write_space(m, str(path))
+        back = read_space(str(path))
+        assert back.n == n and back.labels == m.labels
+        assert np.array_equal(back.dist, m.dist)
+
+    @pytest.mark.parametrize("m", [
+        FiniteMetricSpace(np.zeros((0, 0))),
+        FiniteMetricSpace([[0.0]], ("only",)),
+        FiniteMetricSpace([[0, 1e-07], [1e-07, 0]], (3, "b")),
+        FiniteMetricSpace([[-0.0, 1e16, 5e-324], [1e16, 0.0, 0.1 + 0.2],
+                           [5e-324, 0.1 + 0.2, -0.0]],
+                          (0.5, (1, (2.5, "x")), np.int64(7))),
+        slit_carpet_space(SlitSchedule((0.5,)), 1 / 8),
+    ], ids=["n0", "n1", "n2", "n3-floats", "carpet"])
+    def test_space_bytes_equal_json_dump(self, tmp_path, m):
+        path = tmp_path / "space.json"
+        write_space(m, str(path))
+        expected = tmp_path / "expected.json"
+        with open(expected, "w") as fh:
+            json.dump(space_to_json(m), fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        assert path.read_bytes() == expected.read_bytes()
+
 
 class TestAtomicWriters:
     def test_json_is_indented_sorted_and_newline_terminated(self, tmp_path):
@@ -185,8 +302,10 @@ class TestAtomicWriters:
         write_json_atomic(obj, str(path))
         assert path.read_text() == json.dumps(obj, indent=1, sort_keys=True) + "\n"
 
-    @pytest.mark.parametrize("write,bad", [(write_json_atomic, {"x": object()}),
-                                           (write_text_atomic, 123)])
+    @pytest.mark.parametrize("write,bad", [
+        (write_json_atomic, {"x": object()}),
+        (write_text_atomic, 123),
+        (write_space, FiniteMetricSpace([[0, 1], [1, 0]], (0, object())))])
     def test_failed_write_keeps_old_bytes_and_leaves_no_temp_file(self, tmp_path,
                                                                   write, bad):
         path = tmp_path / "out.json"
