@@ -204,26 +204,32 @@ def _word_matrix_space(words, rank: int, a: float) -> FiniteMetricSpace:
     return FiniteMetricSpace(dist, labels)
 
 
+def _sample_words(words, count, seed: int):
+    """All words, or a seeded sample of count of them without replacement."""
+    if count == "all":
+        return words
+    if int(count) < 1:
+        raise DomainError("sample count must be positive")
+    rng = np.random.default_rng(seed)
+    idx = rng.choice(len(words), size=min(int(count), len(words)), replace=False)
+    return [words[i] for i in np.sort(idx)]
+
+
 def cylinder_ball(p: BoundaryPoint, m: int, depth: int, count="all",
                   a: float = DEFAULT_BASE, seed: int = 0) -> FiniteMetricSpace:
     """The cylinder U(p, m) realized at the given truncation depth.
 
     count="all" enumerates every depth-N extension of p's length-m prefix;
-    an integer draws a seeded uniform sample without replacement.
+    an integer draws a seeded uniform sample without replacement; a > 1.
     """
+    if a <= 1:
+        raise DomainError(f"visual parameter must exceed 1, got {a}")
     if m > depth:
         raise DomainError(f"cylinder depth {m} exceeds truncation depth {depth}")
     if m > p.depth:
         raise DomainError(f"cylinder depth {m} exceeds known prefix of {p}")
     prefix = p.prefix.letters[:m]
-    words = enumerate_words(p.rank, depth, prefix)
-    if count != "all":
-        k = int(count)
-        if k < 1:
-            raise DomainError("sample count must be positive")
-        rng = np.random.default_rng(seed)
-        idx = rng.choice(len(words), size=min(k, len(words)), replace=False)
-        words = [words[i] for i in np.sort(idx)]
+    words = _sample_words(enumerate_words(p.rank, depth, prefix), count, seed)
     return _word_matrix_space(words, p.rank, a)
 
 
@@ -272,12 +278,7 @@ def expansion_factor_probe(p: BoundaryPoint, m: int, samples="all",
         raise DomainError(f"cylinder depth {m} exceeds truncation depth {depth}")
     prefix = ReducedWord(p.prefix.letters[:m], p.rank)
     g = prefix.inverse()
-    words = enumerate_words(p.rank, depth, prefix.letters)
-    if samples != "all":
-        k = int(samples)
-        rng = np.random.default_rng(seed)
-        idx = rng.choice(len(words), size=min(k, len(words)), replace=False)
-        words = [words[i] for i in np.sort(idx)]
+    words = _sample_words(enumerate_words(p.rank, depth, prefix.letters), samples, seed)
     pts = [BoundaryPoint(ReducedWord(w, p.rank)) for w in words]
     ratios = []
     for i in range(len(pts)):

@@ -192,7 +192,7 @@ GEN_KINDS = ("slit-carpet", "pillow-carpet", "snowflake", "rickman-rug",
 @click.option("--extent", default="-1,1", show_default=True)
 @click.option("--truncation", type=int, default=6, show_default=True)
 @click.option("--radius", type=float, default=1.0, show_default=True)
-@click.option("--points", type=int, default=30, show_default=True)
+@click.option("--points", type=click.IntRange(min=0), default=30, show_default=True)
 @click.option("--out", required=True, type=click.Path())
 @click.option("--out-codomain", type=click.Path(), default=None)
 @click.option("--out-map", type=click.Path(), default=None)

@@ -222,16 +222,20 @@ def snowflake_polyline(stage: int, flatness="standard",
     "standard" is the equilateral construction (flatness 2); a sequence or
     callable supplies the per-stage flatness l_k: legs are l_k/2 times the
     base, so l_k = 1 flattens the stage exactly and l_k < 1 is rejected.
-    Stages whose segments cross are rejected by a pairwise sweep.
+    Stages whose segments cross are rejected by a pairwise sweep, which
+    stops at 4097 vertices (stage 6); later stages raise ConstructionError.
     """
     a, b = float(window[0]), float(window[1])
     if not b > a:
         raise DomainError(f"window must be a nondegenerate interval, got {window}")
+    if 4 ** stage + 1 > 4097:  # before any O(n^2) array of the stage is built
+        raise ConstructionError(f"stage-{stage} polyline has {4 ** stage + 1} vertices; "
+                                "the self-intersection sweep stops at 4097 (stage 6)")
     l_of = _flatness_fn(flatness)
     P = np.array([[a, 0.0], [b, 0.0]])
     for k in range(1, stage + 1):
         P = _refine_polyline(P, l_of(k))
-    if len(P) <= 4097 and _segments_intersect(P):
+    if _segments_intersect(P):
         raise ConstructionError(f"stage-{stage} polyline self-intersects")
     seg = np.linalg.norm(np.diff(P, axis=0), axis=1)
     arc = np.concatenate(([0.0], np.cumsum(seg)))
@@ -533,14 +537,12 @@ def wu_line_metric(x: float, y: float, sched: WuSchedule, truncation: int) -> fl
 # Product rugs
 # ---------------------------------------------------------------------------
 
-def product_rug_space(line_metric, extent=(-1.0, 1.0), h: float = 0.25,
-                      dim: int = 2) -> FiniteMetricSpace:
+def product_rug_space(line_metric, extent=(-1.0, 1.0),
+                      h: float = 0.25) -> FiniteMetricSpace:
     """Grid sample of (R x R, sqrt(delta^2 + |.|^2)) for a distorted line
     metric delta: ("rickman", eps) for the power metric |.|^eps, ("wu",
     schedule, truncation) for Wu's line, or any callable of two reals.
     """
-    if dim != 2:
-        raise DomainError("only dim = 2 rugs are generated")
     lo, hi = float(extent[0]), float(extent[1])
     if not hi > lo:
         raise DomainError(f"extent must be increasing, got {extent}")
@@ -693,7 +695,7 @@ def _graph_ball(graph: GridGraph, key, R: float):
     return graph.space_on(sel), int(np.nonzero(sel == base)[0][0])
 
 
-def model_tangent_space(kind: str, R: float, h: float, pad: float = 3.0) -> PointedWindow:
+def model_tangent_space(kind: str, R: float, h: float) -> PointedWindow:
     """Pointed window of radius R around the distinguished point of a model
     tangent: plane, half plane (origin on the edge), quarter plane (corner),
     the slit plane t (tip), the gluings l = t+half and d = quarter+quarter
@@ -712,7 +714,7 @@ def model_tangent_space(kind: str, R: float, h: float, pad: float = 3.0) -> Poin
         pred, one_dim = _EUCLID_MODELS[kind]
         space, base = _grid_ball(pred, (0.0, 0.0), R, h, one_dim)
     elif kind in _GRAPH_MODELS:
-        K = math.ceil(pad * R / h) + 1
+        K = math.ceil(3.0 * R / h) + 1  # half-width 3R: geodesics stay off the edge
         space, base = _graph_ball(_GRAPH_MODELS[kind](K, h), (0.0, 0.0), R)
     else:
         raise DomainError(f"unknown model tangent kind {kind!r}; "

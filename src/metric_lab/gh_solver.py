@@ -22,6 +22,8 @@ from .errors import DomainError
 from .metric_core import FiniteMetricSpace, PointedWindow
 
 _EXACT_AUTO_LIMIT = 81  # nx*ny up to this: pointed auto mode runs exact search
+_LOCAL_MOVES = 80  # repair moves per gh_bounds seed
+_MAX_PAIR_BUDGET = 4e8  # seeds of k pairs with k^2 above this run no moves
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,11 +38,10 @@ class Correspondence:
 
     def check_full(self, nx: int, ny: int) -> None:
         I, J = self.arrays()
-        for side, covered, total in (("X", set(I.tolist()), nx),
-                                     ("Y", set(J.tolist()), ny)):
-            for i in range(total):
-                if i not in covered:
-                    raise DomainError(f"correspondence does not cover {side} index {i}")
+        for side, covered, total in (("X", I, nx), ("Y", J, ny)):
+            missing = np.setdiff1d(np.arange(total), covered)
+            if len(missing):
+                raise DomainError(f"correspondence does not cover {side} index {missing[0]}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,8 +60,7 @@ class GhResult:
                               f"exact {self.exact}, upper {self.upper}")
 
     def to_json(self) -> dict:
-        obj = {"lower": self.lower, "upper": self.upper,
-               "exact": self.exact if self.exact is not None else None}
+        obj = {"lower": self.lower, "upper": self.upper, "exact": self.exact}
         if self.witness is not None:
             obj["witness"] = [list(p) for p in self.witness.pairs]
         return obj
@@ -121,10 +121,7 @@ def _directed_value_gap(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _values_with_zero(D) -> np.ndarray:
-    if D.shape[0] > 1:
-        vals = D[np.triu_indices(D.shape[0], 1)]
-        return np.unique(np.concatenate(([0.0], vals)))
-    return np.asarray([0.0])
+    return np.unique(np.concatenate(([0.0], D[np.triu_indices(D.shape[0], 1)])))
 
 
 def _value_set_mismatch(DX, DY) -> float:
@@ -268,9 +265,8 @@ def _local_search(DX, DY, I, J, base_pair, moves: int):
 
 
 def gh_bounds(X: FiniteMetricSpace, Y: FiniteMetricSpace, *,
-              seed: int = 0, restarts: int = 200, local_moves: int = 80,
-              extra_seeds=(), base_pair=None,
-              max_pair_budget: float = 4e8) -> GhResult:
+              seed: int = 0, restarts: int = 200,
+              extra_seeds=(), base_pair=None) -> GhResult:
     """Certified lower bound and local-search upper bound; exact always absent.
 
     The lower bound is the larger of the half diameter gap and half the
@@ -281,7 +277,7 @@ def gh_bounds(X: FiniteMetricSpace, Y: FiniteMetricSpace, *,
     polished by a worst-pair repair search.  Fixed seed, deterministic output.
     A repair move on a seed of k pairs costs an O((nx+ny)*k) candidate scan
     plus an O(k^2) argmax over the kept matrix (about k^2 + 2*(nx+ny)*k
-    floats); seeds with k^2 > max_pair_budget are only evaluated, in chunks.
+    floats); seeds with k^2 > _MAX_PAIR_BUDGET are only evaluated, in chunks.
     """
     if X.n == 0 or Y.n == 0:
         raise DomainError("GH bounds of an empty space")
@@ -323,7 +319,7 @@ def gh_bounds(X: FiniteMetricSpace, Y: FiniteMetricSpace, *,
             f, g = item
             I, J = _pairs_from_maps(nx, ny, np.asarray(f, int), np.asarray(g, int), base_pair)
         k = len(I)
-        moves = local_moves if k * k <= max_pair_budget else 0
+        moves = _LOCAL_MOVES if k * k <= _MAX_PAIR_BUDGET else 0
         dis, I, J = _local_search(DX, DY, I, J, base_pair, moves)
         if dis < best[0]:
             best = (dis, I, J)
@@ -354,19 +350,18 @@ def gh_exact_small(X: FiniteMetricSpace, Y: FiniteMetricSpace, *,
     slots a forward check also skips a candidate when some point's cheapest
     partner in the child's L already reaches it (max over rows of the row
     minimum, likewise columns), as no completion below can do better.  Each
-    level holds O(nx*ny) floats; the budget counts slots entered.  The
-    incumbent starts from gh_bounds without random restarts; only when the
-    budget runs out do the restarts run, and the better witness is kept.
+    level holds O(nx*ny) floats; the budget counts slots entered.  The first
+    descent is a greedy dive on L whose leaf is the first incumbent; only when
+    the budget runs out does gh_bounds run, restarts included, and the better
+    witness (the only one if no leaf was reached) is kept.
     """
     if X.n == 0 or Y.n == 0:
         raise DomainError("GH distance of an empty space")
     DX, DY = X.dist, Y.dist
     nx, ny = X.n, Y.n
 
-    warm = gh_bounds(X, Y, seed=seed, restarts=0, base_pair=base_pair)
-    lower = warm.lower
-    bestI, bestJ = warm.witness.arrays()
-    best_dis = _pair_distortion(DX, DY, bestI, bestJ)
+    lower = _lower_bound(X, Y, base_pair)
+    best_dis, bestI, bestJ = np.inf, None, None  # the first leaf reached
 
     xs = _eccentricity_order(DX).tolist()
     ys_order = _eccentricity_order(DY).tolist()
@@ -458,8 +453,11 @@ def pointed_gh_bounds(W1: PointedWindow, W2: PointedWindow, *,
 
     Windows extracted at unequal rescaled radii are compared anyway, with a
     warning: pointed convergence tolerates radius slack.  method="auto" runs
-    the exact search when both windows are small, otherwise bounds.
+    the exact search when both windows are small, otherwise "bounds"; a
+    method other than "auto", "exact" or "bounds" raises DomainError.
     """
+    if method not in ("auto", "exact", "bounds"):
+        raise DomainError(f"unknown GH method {method!r}")
     if abs(W1.radius - W2.radius) > 1e-12:
         warnings.warn(
             f"pointed windows have different radii ({W1.radius} vs {W2.radius}); "

@@ -9,7 +9,7 @@ tangent, never a certificate.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -45,7 +45,6 @@ class ScanConfig:
     models: tuple
     rule: object = "lambda/64"
     seed: int = 0
-    gh_options: dict = field(default_factory=dict)
 
     def __post_init__(self):
         scales = tuple(float(s) for s in self.scales)
@@ -168,7 +167,8 @@ class ScanReport:
 
 def tangent_scan(cfg: ScanConfig) -> ScanReport:
     """Extract a window per scale and bound its pointed GH distance to every
-    requested model window of equal radius and matching relative resolution."""
+    requested model window of equal radius and matching relative resolution,
+    by pointed_gh_bounds at its defaults, seeded by cfg.seed."""
     model_cache: dict = {}
     rows = []
     for lam in cfg.scales:
@@ -182,10 +182,8 @@ def tangent_scan(cfg: ScanConfig) -> ScanReport:
             if M is None:
                 M = model_cache[ck] = model_tangent_space(kind, cfg.window_radius, h_eff)
             t0 = time.perf_counter()
-            seed = nearest_position_seed(W, M)
-            extra = [seed] if seed is not None else []
-            res = pointed_gh_bounds(W, M, extra_seeds=extra, seed=cfg.seed,
-                                    **cfg.gh_options)
+            res = pointed_gh_bounds(W, M, extra_seeds=[nearest_position_seed(W, M)],
+                                    seed=cfg.seed)
             seconds[kind] = time.perf_counter() - t0
             results[kind] = res
         rows.append(ScanRow(lam, W.space.n, results, seconds))

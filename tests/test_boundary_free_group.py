@@ -146,6 +146,19 @@ class TestCylinders:
         with pytest.raises(DomainError):
             cylinder_ball(p, 3, 2)
 
+    @pytest.mark.parametrize("a", [0.5, 1.0])
+    def test_visual_parameter_at_most_one_rejected(self, a):
+        # at a = 0.5 the depth-4 cylinder would break the triangle inequality
+        with pytest.raises(DomainError, match="must exceed 1"):
+            cylinder_ball(boundary_point("abab", 2), 0, 4, a=a)
+
+    def test_sampled_ball_matches_sampled_probe_words(self):
+        p = boundary_point("aaaa", 2)
+        ball = cylinder_ball(p, 1, 4, count=4, seed=5)
+        stats = expansion_factor_probe(p, 1, samples=4, depth=4, seed=5)
+        assert ball.n == 4
+        assert stats.count == 4 * 3 // 2  # distinct depth-4 words: no zero distance
+
 
 class TestTranslation:
     def test_identity_translation(self):
@@ -179,6 +192,12 @@ class TestExpansion:
             stats = expansion_factor_probe(p, m)
             assert stats.minimum == stats.maximum == 2.0 ** m
             assert stats.mean == 2.0 ** m
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_non_positive_sample_count_rejected(self, samples):
+        p = boundary_point("abab", 2)
+        with pytest.raises(DomainError, match="sample count must be positive"):
+            expansion_factor_probe(p, 1, samples=samples)
 
     def test_m_zero_is_identity(self):
         p = boundary_point("abab", 2)

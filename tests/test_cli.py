@@ -66,6 +66,16 @@ class TestGen:
         assert "triangle" in result.output
         assert not any(p.exists() for p in outs)
 
+    def test_negative_point_count_is_exit_two(self, runner, tmp_path):
+        outs = [tmp_path / "d.json", tmp_path / "c.json", tmp_path / "m.json"]
+        result = runner.invoke(main, [
+            "gen", "--kind", "snowflake-pair", "--points", "-1",
+            "--out", str(outs[0]), "--out-codomain", str(outs[1]),
+            "--out-map", str(outs[2])])
+        assert result.exit_code == 2
+        assert "--points" in result.output
+        assert not any(p.exists() for p in outs)
+
     def test_resolution_error_is_domain_failure(self, runner, tmp_path):
         result = runner.invoke(main, ["gen", "--kind", "slit-carpet",
                                       "--r", "0.1", "--h", "1/8",
@@ -167,6 +177,15 @@ class TestBoundary:
         assert payload["expansion"]["min"] == 4.0
         assert payload["expansion"]["max"] == 4.0
         assert payload["cylinder"]["diameter"] == 0.25
+
+    @pytest.mark.parametrize("base", ["0.5", "1"])
+    def test_visual_parameter_at_most_one_is_domain_failure(self, runner, tmp_path, base):
+        out = tmp_path / "b.json"
+        result = runner.invoke(main, ["boundary", "--base", base, "--cylinder", "a:2",
+                                      "--out", str(out)])
+        assert result.exit_code == 1
+        assert "visual parameter must exceed 1" in result.output
+        assert not out.exists()
 
     def test_non_integer_count_is_exit_two(self, runner, tmp_path):
         out = tmp_path / "b.json"

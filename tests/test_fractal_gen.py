@@ -1,6 +1,7 @@
 """Tests for carpets, snowflakes, the square map, Wu's line and model tangents."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -168,6 +169,12 @@ class TestSnowflake:
     def test_arc_metric_is_valid(self):
         sp = snowflake_polyline(3)
         assert validate_metric(sp) == []
+
+    def test_stage_beyond_the_sweep_limit_raises_before_building(self):
+        t0 = time.perf_counter()
+        with pytest.raises(ConstructionError, match="4097"):
+            snowflake_polyline(7)  # 16385 vertices: a 2.1 GB arc-length matrix
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestFlatSnowflakeGenerator:

@@ -110,8 +110,8 @@ class TestExactSmall:
         assert res.lower <= res.upper
 
     def test_lower_bound_above_the_exact_value_is_an_error(self, monkeypatch):
-        # the warm starts miss the optimum here, so a lower bound between the
-        # exact value and their upper bound only contradicts the exact value
+        # gh_bounds misses the optimum here, so a lower bound between the
+        # exact value and its upper bound only contradicts the exact value
         rng = np.random.default_rng(1)
         X, Y = random_space(rng, 5), random_space(rng, 5)
         exact = gh_exact_small(X, Y).exact
@@ -120,6 +120,32 @@ class TestExactSmall:
         monkeypatch.setattr(gh_solver, "_lower_bound", lambda *a: (exact + upper) / 2)
         with pytest.raises(DomainError, match="inconsistent"):
             gh_exact_small(X, Y)
+
+    @pytest.mark.parametrize("base_pair", [None, (0, 0)])
+    def test_gh_bounds_runs_only_when_the_budget_runs_out(self, monkeypatch, base_pair):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return gh_bounds(*args, **kwargs)
+
+        monkeypatch.setattr(gh_solver, "gh_bounds", counting)
+        rng = np.random.default_rng(7)
+        X, Y = random_space(rng, 7), random_space(rng, 7)
+        assert gh_exact_small(X, Y, base_pair=base_pair).exact is not None
+        assert calls == []
+        res = gh_exact_small(X, Y, budget=10, base_pair=base_pair)
+        assert res.exact is None and len(calls) == 1
+        assert distortion_of_correspondence(X, Y, res.witness) / 2.0 == res.upper
+
+    def test_budget_out_before_any_leaf_takes_the_restart_witness(self):
+        rng = np.random.default_rng(7)
+        X, Y = random_space(rng, 7), random_space(rng, 7)
+        res = gh_exact_small(X, Y, budget=1)  # the dive needs 7 X slots
+        full = gh_bounds(X, Y, restarts=min(40, 8 + 2 * 7))
+        assert res.exact is None
+        assert res.upper == full.upper and res.lower == full.lower
+        assert res.witness.pairs == full.witness.pairs
 
     def test_symmetry_under_argument_swap(self):
         rng = np.random.default_rng(11)
@@ -307,6 +333,12 @@ class TestPointed:
             res = gh_exact_small(X, Y, base_pair=(0, 0))
             assert res.exact == pytest.approx(gh_exhaustive(X, Y, base_pair=(0, 0)),
                                               abs=1e-12)
+
+    def test_unknown_method_is_refused(self):
+        w = self.window([[0, 1], [1, 0]], 0, 1.0)
+        with pytest.raises(DomainError, match="exat"):
+            pointed_gh_bounds(w, w, method="exat")
+        assert pointed_gh_bounds(w, w, method="bounds").exact is None
 
     def test_radius_mismatch_warns(self):
         w1 = self.window([[0, 1], [1, 0]], 0, 1.0)
