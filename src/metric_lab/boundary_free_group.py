@@ -131,7 +131,8 @@ class Cylinder:
 
     def __post_init__(self):
         if not (0 <= self.m <= self.p.depth):
-            raise DomainError(f"cylinder depth {self.m} exceeds known prefix {self.p.depth}")
+            raise DomainError(
+                f"cylinder depth {self.m} outside 0..{self.p.depth}, the known prefix of {self.p}")
 
     @property
     def prefix(self) -> ReducedWord:
@@ -165,43 +166,32 @@ def visual_distance(x: BoundaryPoint, y: BoundaryPoint, a: float = DEFAULT_BASE)
     return float(a) ** (-lcp)
 
 
-def _extensions(rank: int):
-    """Letters in canonical order a, A, b, B, ..."""
-    out = []
-    for i in range(1, rank + 1):
-        out.extend((i, -i))
-    return out
-
-
 def enumerate_words(rank: int, depth: int, prefix=()):
-    """All reduced words of the given depth extending the given prefix."""
+    """All reduced words of the given depth extending the given prefix, in
+    lexicographic order over the letters a, A, b, B, ..."""
     prefix = tuple(prefix)
-    if len(prefix) == depth:
-        return [prefix]
-    out = []
-    stack = [prefix]
-    letters = _extensions(rank)
-    while stack:
-        w = stack.pop()
-        if len(w) == depth:
-            out.append(w)
-            continue
-        last = w[-1] if w else 0
-        for ch in reversed(letters):
-            if ch != -last:
-                stack.append(w + (ch,))
-    return out
+    if len(prefix) > depth:
+        raise DomainError(f"prefix of length {len(prefix)} exceeds word depth {depth}")
+    letters = [s * i for i in range(1, rank + 1) for s in (1, -1)]
+    words = [prefix]
+    for _ in range(depth - len(prefix)):  # one letter more on every word
+        words = [w + (ch,) for w in words for ch in letters if not w or ch != -w[-1]]
+    return words
 
 
-def _word_matrix_space(words, rank: int, a: float) -> FiniteMetricSpace:
+def _visual_matrix(words, a: float) -> np.ndarray:
+    """visual_distance of every two equal-length words, bit for bit: the
+    common-prefix lengths index one table of Python-float powers a^-k whose
+    last entry, for words that coincide, is 0."""
     depth = len(words[0])
     L = np.asarray(words, dtype=int).reshape(len(words), depth)
-    eq = L[:, None, :] == L[None, :, :]
-    lcp = np.cumprod(eq, axis=2).sum(axis=2)
-    dist = np.asarray(a, dtype=float) ** (-lcp.astype(float))
-    np.fill_diagonal(dist, 0.0)
-    labels = tuple(word_to_string(w) for w in words)
-    return FiniteMetricSpace(dist, labels)
+    same = np.ones((len(words), len(words)), dtype=bool)
+    lcp = np.zeros(same.shape, dtype=np.intp)
+    for k in range(depth):  # one letter at a time keeps memory at O(n^2)
+        same &= L[:, None, k] == L[None, :, k]
+        lcp += same
+    powers = np.array([float(a) ** -k for k in range(depth)] + [0.0])
+    return powers[lcp]
 
 
 def _sample_words(words, count, seed: int):
@@ -215,6 +205,17 @@ def _sample_words(words, count, seed: int):
     return [words[i] for i in np.sort(idx)]
 
 
+def _cylinder_words(p: BoundaryPoint, m: int, depth: int, count, a: float, seed: int):
+    """Depth-N words of U(p, m): all, or a seeded sample; checks a > 1 and
+    0 <= m <= min(p.depth, depth)."""
+    if a <= 1:
+        raise DomainError(f"visual parameter must exceed 1, got {a}")
+    cylinder = Cylinder(p, m)
+    if m > depth:
+        raise DomainError(f"cylinder depth {m} exceeds truncation depth {depth}")
+    return _sample_words(enumerate_words(p.rank, depth, cylinder.prefix.letters), count, seed)
+
+
 def cylinder_ball(p: BoundaryPoint, m: int, depth: int, count="all",
                   a: float = DEFAULT_BASE, seed: int = 0) -> FiniteMetricSpace:
     """The cylinder U(p, m) realized at the given truncation depth.
@@ -222,15 +223,9 @@ def cylinder_ball(p: BoundaryPoint, m: int, depth: int, count="all",
     count="all" enumerates every depth-N extension of p's length-m prefix;
     an integer draws a seeded uniform sample without replacement; a > 1.
     """
-    if a <= 1:
-        raise DomainError(f"visual parameter must exceed 1, got {a}")
-    if m > depth:
-        raise DomainError(f"cylinder depth {m} exceeds truncation depth {depth}")
-    if m > p.depth:
-        raise DomainError(f"cylinder depth {m} exceeds known prefix of {p}")
-    prefix = p.prefix.letters[:m]
-    words = _sample_words(enumerate_words(p.rank, depth, prefix), count, seed)
-    return _word_matrix_space(words, p.rank, a)
+    words = _cylinder_words(p, m, depth, count, a, seed)
+    return FiniteMetricSpace(_visual_matrix(words, a),
+                             tuple(word_to_string(w) for w in words))
 
 
 def translate_boundary(g: ReducedWord, x: BoundaryPoint) -> BoundaryPoint:
@@ -270,29 +265,20 @@ def expansion_factor_probe(p: BoundaryPoint, m: int, samples="all",
 
     In the tree case the ratio is a^m for every pair (min = max = mean); the
     probe computes each ratio from actual translated distances rather than
-    from the exponent identity.
+    from the exponent identity: each word is translated once, and the ratios
+    are the upper triangles of the translates' and the words' visual matrices.
     """
     if depth is None:
         depth = p.depth
-    if m > depth:
-        raise DomainError(f"cylinder depth {m} exceeds truncation depth {depth}")
-    prefix = ReducedWord(p.prefix.letters[:m], p.rank)
-    g = prefix.inverse()
-    words = _sample_words(enumerate_words(p.rank, depth, prefix.letters), samples, seed)
-    pts = [BoundaryPoint(ReducedWord(w, p.rank)) for w in words]
-    ratios = []
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = visual_distance(pts[i], pts[j], a)
-            if d == 0.0:
-                continue
-            gd = visual_distance(translate_boundary(g, pts[i]),
-                                 translate_boundary(g, pts[j]), a)
-            ratios.append(gd / d)
-    if not ratios:
+    words = _cylinder_words(p, m, depth, samples, a, seed)
+    if len(words) < 2:
         return ExpansionStats(1.0, 1.0, 1.0, 0)
-    arr = np.asarray(ratios)
-    return ExpansionStats(float(arr.min()), float(arr.max()), float(arr.mean()),
+    g = Cylinder(p, m).prefix.inverse()
+    moved = [translate_boundary(g, BoundaryPoint(ReducedWord(w, p.rank))).prefix.letters
+             for w in words]
+    upper = np.triu(np.ones((len(words), len(words)), dtype=bool), 1)  # i < j, row-major
+    ratios = _visual_matrix(moved, a)[upper] / _visual_matrix(words, a)[upper]
+    return ExpansionStats(float(ratios.min()), float(ratios.max()), float(ratios.mean()),
                           len(ratios))
 
 

@@ -174,8 +174,7 @@ def main():
 # ---------------------------------------------------------------------------
 
 GEN_KINDS = ("slit-carpet", "pillow-carpet", "snowflake", "rickman-rug",
-             "wu-rug", "snowflake-pair", "model-plane", "model-half",
-             "model-quarter", "model-t", "model-l", "model-d", "model-line")
+             "wu-rug", "snowflake-pair") + tuple(f"model-{k}" for k in fg.MODEL_KINDS)
 
 
 @main.command("gen")
@@ -339,10 +338,9 @@ def boundary_cmd(rank, depth, visual_base, cylinder_spec, probe_expansion,
     if len(parts) != 2:
         raise click.UsageError(f"--cylinder takes prefix:m, got {cylinder_spec!r}")
     prefix_text, m_text = parts
-    try:
-        m = int(m_text)
-    except ValueError:
-        raise click.UsageError(f"cylinder depth must be an integer, got {m_text!r}")
+    if not m_text.isdecimal():
+        raise click.UsageError(f"cylinder depth must be a non-negative integer, got {m_text!r}")
+    m = int(m_text)
     prefix = bfg.reduce_word(prefix_text, rank)
     rep = bfg.enumerate_words(rank, depth, prefix.letters)[0]
     p = bfg.BoundaryPoint(bfg.ReducedWord(rep, rank))

@@ -215,6 +215,14 @@ def _segments_intersect(P: np.ndarray) -> bool:
     return False
 
 
+def _stage_polyline(window, l_of, stage: int) -> np.ndarray:
+    """Vertices of the stage-`stage` construction over the window [a, b]."""
+    P = np.array([[window[0], 0.0], [window[1], 0.0]])
+    for k in range(1, stage + 1):
+        P = _refine_polyline(P, l_of(k))
+    return P
+
+
 def snowflake_polyline(stage: int, flatness="standard",
                        window=(0.0, 1.0)) -> FiniteMetricSpace:
     """Snowflake curve over [a, b] at the given stage, arc-length metric.
@@ -231,10 +239,7 @@ def snowflake_polyline(stage: int, flatness="standard",
     if 4 ** stage + 1 > 4097:  # before any O(n^2) array of the stage is built
         raise ConstructionError(f"stage-{stage} polyline has {4 ** stage + 1} vertices; "
                                 "the self-intersection sweep stops at 4097 (stage 6)")
-    l_of = _flatness_fn(flatness)
-    P = np.array([[a, 0.0], [b, 0.0]])
-    for k in range(1, stage + 1):
-        P = _refine_polyline(P, l_of(k))
+    P = _stage_polyline((a, b), _flatness_fn(flatness), stage)
     if _segments_intersect(P):
         raise ConstructionError(f"stage-{stage} polyline self-intersects")
     seg = np.linalg.norm(np.diff(P, axis=0), axis=1)
@@ -262,10 +267,7 @@ class FlatSnowflakeGenerator:
         self.window = (float(window[0]), float(window[1]))
 
     def stage_vertices(self, stage: int) -> np.ndarray:
-        P = np.array([[self.window[0], 0.0], [self.window[1], 0.0]])
-        for k in range(1, stage + 1):
-            P = _refine_polyline(P, self.l_of(k))
-        return P
+        return _stage_polyline(self.window, self.l_of, stage)
 
     def vertex_position(self, stage: int, index: int):
         P = self.stage_vertices(stage)

@@ -24,6 +24,8 @@ from .metric_core import FiniteMetricSpace, PointedWindow
 _EXACT_AUTO_LIMIT = 81  # nx*ny up to this: pointed auto mode runs exact search
 _LOCAL_MOVES = 80  # repair moves per gh_bounds seed
 _MAX_PAIR_BUDGET = 4e8  # seeds of k pairs with k^2 above this run no moves
+_BOUNDS_OPTIONS = ("seed", "restarts", "extra_seeds")  # what pointed_gh_bounds passes on
+_EXACT_OPTIONS = ("seed", "budget")
 
 
 @dataclass(frozen=True, eq=False)
@@ -454,8 +456,13 @@ def pointed_gh_bounds(W1: PointedWindow, W2: PointedWindow, *,
     Windows extracted at unequal rescaled radii are compared anyway, with a
     warning: pointed convergence tolerates radius slack.  method="auto" runs
     the exact search when both windows are small, otherwise "bounds"; a
-    method other than "auto", "exact" or "bounds" raises DomainError.
+    method other than "auto", "exact" or "bounds" raises DomainError.  The
+    chosen solver gets the keywords it takes (gh_bounds: seed, restarts,
+    extra_seeds; gh_exact_small: seed, budget); any other raises TypeError.
     """
+    unknown = set(kwargs) - set(_BOUNDS_OPTIONS) - set(_EXACT_OPTIONS)
+    if unknown:
+        raise TypeError(f"pointed_gh_bounds() got unexpected keyword arguments {sorted(unknown)}")
     if method not in ("auto", "exact", "bounds"):
         raise DomainError(f"unknown GH method {method!r}")
     if abs(W1.radius - W2.radius) > 1e-12:
@@ -464,8 +471,6 @@ def pointed_gh_bounds(W1: PointedWindow, W2: PointedWindow, *,
             "comparing anyway", stacklevel=2)
     base_pair = (W1.base, W2.base)
     X, Y = W1.space, W2.space
-    if method == "exact" or (method == "auto" and X.n * Y.n <= _EXACT_AUTO_LIMIT):
-        return gh_exact_small(X, Y, base_pair=base_pair,
-                              **{k: v for k, v in kwargs.items()
-                                 if k in ("budget", "seed")})
-    return gh_bounds(X, Y, base_pair=base_pair, **kwargs)
+    exact = method == "exact" or (method == "auto" and X.n * Y.n <= _EXACT_AUTO_LIMIT)
+    solver, options = (gh_exact_small, _EXACT_OPTIONS) if exact else (gh_bounds, _BOUNDS_OPTIONS)
+    return solver(X, Y, base_pair=base_pair, **{k: v for k, v in kwargs.items() if k in options})

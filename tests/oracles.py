@@ -7,7 +7,8 @@ recomputes every candidate cost (warm-started by the library's gh_bounds),
 a hand-rolled heap Dijkstra with its own graph construction for intrinsic
 metrics, a plain Floyd-Warshall, a frozen copy of the Euclidean
 model-window sampler, and a frozen metric-axiom check that scans every
-triangle slab.
+triangle slab, and a frozen copy of the boundary expansion probe that
+translates both points of every pair and compares scalar visual distances.
 """
 from __future__ import annotations
 
@@ -18,6 +19,14 @@ from functools import lru_cache
 
 import numpy as np
 
+from metric_lab.boundary_free_group import (
+    BoundaryPoint,
+    ExpansionStats,
+    ReducedWord,
+    enumerate_words,
+    translate_boundary,
+    visual_distance,
+)
 from metric_lab.errors import DomainError
 from metric_lab.gh_solver import (
     Correspondence,
@@ -434,3 +443,43 @@ def reference_validate_metric(m) -> list:
     if worst_excess > _TOL and worst_triple is not None:
         out.append(AxiomViolation("triangle", worst_triple, worst_excess))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Boundary expansion probe
+# ---------------------------------------------------------------------------
+
+def reference_expansion_probe(p: BoundaryPoint, m: int, samples="all",
+                              depth: int | None = None, a: float = 2.0,
+                              seed: int = 0) -> ExpansionStats:
+    """Frozen pair-loop probe: d(gx, gy)/d(x, y) over every pair of U(p, m),
+    g = prefix^-1, both points translated and both distances computed by the
+    scalar visual_distance, pair by pair."""
+    if depth is None:
+        depth = p.depth
+    if m > depth:
+        raise DomainError(f"cylinder depth {m} exceeds truncation depth {depth}")
+    prefix = ReducedWord(p.prefix.letters[:m], p.rank)
+    g = prefix.inverse()
+    words = enumerate_words(p.rank, depth, prefix.letters)
+    if samples != "all":
+        if int(samples) < 1:
+            raise DomainError("sample count must be positive")
+        rng = np.random.default_rng(seed)
+        idx = rng.choice(len(words), size=min(int(samples), len(words)), replace=False)
+        words = [words[i] for i in np.sort(idx)]
+    pts = [BoundaryPoint(ReducedWord(w, p.rank)) for w in words]
+    ratios = []
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            d = visual_distance(pts[i], pts[j], a)
+            if d == 0.0:
+                continue
+            gd = visual_distance(translate_boundary(g, pts[i]),
+                                 translate_boundary(g, pts[j]), a)
+            ratios.append(gd / d)
+    if not ratios:
+        return ExpansionStats(1.0, 1.0, 1.0, 0)
+    arr = np.asarray(ratios)
+    return ExpansionStats(float(arr.min()), float(arr.max()), float(arr.mean()),
+                          len(ratios))

@@ -24,6 +24,8 @@ from metric_lab.boundary_free_group import (
 )
 from metric_lab.errors import AlphabetError, DomainError, InsufficientDepthError
 
+from .oracles import reference_expansion_probe
+
 
 def all_points(rank, depth):
     return [BoundaryPoint(ReducedWord(w, rank)) for w in enumerate_words(rank, depth)]
@@ -146,6 +148,24 @@ class TestCylinders:
         with pytest.raises(DomainError):
             cylinder_ball(p, 3, 2)
 
+    def test_negative_cylinder_depth_rejected(self):
+        with pytest.raises(DomainError, match="outside 0..4"):
+            cylinder_ball(boundary_point("abab", 2), -1, 5)
+
+    def test_prefix_longer_than_depth_rejected(self):
+        # there is no such word; enumeration must refuse rather than search forever
+        with pytest.raises(DomainError, match="exceeds word depth"):
+            enumerate_words(2, 1, (1, 2))
+        with pytest.raises(DomainError):
+            enumerate_words(2, -1)
+
+    @pytest.mark.parametrize("a", [1.1, 2.5])
+    def test_entries_equal_scalar_visual_distance(self, a):
+        ball = cylinder_ball(boundary_point("abab", 2), 0, 6, a=a)
+        pts = [boundary_point(lbl, 2) for lbl in ball.labels]
+        expected = np.array([[visual_distance(x, y, a) for y in pts] for x in pts])
+        assert np.array_equal(ball.dist, expected)
+
     @pytest.mark.parametrize("a", [0.5, 1.0])
     def test_visual_parameter_at_most_one_rejected(self, a):
         # at a = 0.5 the depth-4 cylinder would break the triangle inequality
@@ -199,6 +219,18 @@ class TestExpansion:
         with pytest.raises(DomainError, match="sample count must be positive"):
             expansion_factor_probe(p, 1, samples=samples)
 
+    def test_m_beyond_known_prefix_rejected(self):
+        # U(p, 3) is undefined when only two letters of p are known
+        with pytest.raises(DomainError, match="outside 0..2"):
+            expansion_factor_probe(boundary_point("ab", 2), 3, depth=5)
+        with pytest.raises(DomainError):
+            expansion_factor_probe(boundary_point("abab", 2), -1)
+
+    def test_visual_parameter_checked_without_pairs(self):
+        # m == depth leaves one word and no pair; a <= 1 is still refused
+        with pytest.raises(DomainError, match="must exceed 1"):
+            expansion_factor_probe(boundary_point("abab", 2), 4, a=1.0)
+
     def test_m_zero_is_identity(self):
         p = boundary_point("abab", 2)
         stats = expansion_factor_probe(p, 0)
@@ -250,6 +282,28 @@ class TestExpansion:
         D = np.array([[visual_distance(a, b) for b in pts] for a in pts])
         DM = np.array([[visual_distance(a, b) for b in moved] for a in moved])
         assert np.array_equal(DM, (2.0 ** m) * D)
+
+
+# The frozen pair loop costs about 14 us a pair (2-core x86 machine, CPython
+# 3.11): the full-cylinder cases above this many pairs (up to 7 million at
+# rank 3, depth 5) are left to the sampled probes of the same grid.
+_REFERENCE_PAIR_CAP = 30_000
+_PROBE_POINTS = {2: "abABabA", 3: "abcAB"}
+
+
+@pytest.mark.parametrize("rank,depth",
+                         [(2, d) for d in range(1, 8)] + [(3, d) for d in range(1, 6)])
+def test_probe_matches_frozen_pair_loop(rank, depth):
+    p = boundary_point(_PROBE_POINTS[rank][:depth], rank)
+    for m in range(depth + 1):
+        n = len(enumerate_words(rank, depth, p.prefix.letters[:m]))
+        for samples in ("all", 5, 40):
+            if samples == "all" and n * (n - 1) // 2 > _REFERENCE_PAIR_CAP:
+                continue
+            for a in (2.0, 3.0, 1.1, 2.5):
+                kw = dict(samples=samples, a=a, seed=depth + m)
+                assert expansion_factor_probe(p, m, **kw) == \
+                    reference_expansion_probe(p, m, **kw), (m, samples, a)
 
 
 class TestCylinderSpacesValidate:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from metric_lab.cli import main, parse_center, parse_number, parse_scales
+from metric_lab.cli import GEN_KINDS, main, parse_center, parse_number, parse_scales
 from metric_lab.fractal_gen import MODEL_KINDS
 from metric_lab.metric_core import read_space
 
@@ -82,6 +82,12 @@ class TestGen:
                                       "--out", str(tmp_path / "x.json")])
         assert result.exit_code == 1
         assert "ResolutionError" in result.output
+
+    def test_model_kinds_follow_the_library(self, runner):
+        assert GEN_KINDS[-len(MODEL_KINDS):] == tuple(f"model-{k}" for k in MODEL_KINDS)
+        result = runner.invoke(main, ["gen", "--help"])
+        assert result.exit_code == 0
+        assert "|".join(GEN_KINDS) in result.output.replace("\n", "").replace(" ", "")
 
     def test_bad_usage_is_exit_two(self, runner, tmp_path):
         result = runner.invoke(main, ["gen", "--kind", "no-such-kind",
@@ -185,6 +191,22 @@ class TestBoundary:
                                       "--out", str(out)])
         assert result.exit_code == 1
         assert "visual parameter must exceed 1" in result.output
+        assert not out.exists()
+
+    def test_negative_cylinder_depth_is_exit_two(self, runner, tmp_path):
+        out = tmp_path / "b.json"
+        result = runner.invoke(main, ["boundary", "--cylinder", "a:-1", "--probe-expansion",
+                                      "--out", str(out)])
+        assert result.exit_code == 2
+        assert "non-negative" in result.output
+        assert not out.exists()
+
+    def test_prefix_deeper_than_truncation_is_domain_failure(self, runner, tmp_path):
+        out = tmp_path / "b.json"
+        result = runner.invoke(main, ["boundary", "--depth", "1", "--cylinder", "ab:1",
+                                      "--out", str(out)])
+        assert result.exit_code == 1
+        assert "exceeds word depth" in result.output
         assert not out.exists()
 
     def test_non_integer_count_is_exit_two(self, runner, tmp_path):

@@ -187,6 +187,12 @@ class TestFlatSnowflakeGenerator:
         center = np.asarray(gen.vertex_position(3, 17))
         assert np.linalg.norm(pos[base] - center) == 0.0
 
+    def test_stage_vertices_are_the_polyline_vertices(self):
+        # one stage loop builds both: same schedule, same window, same vertices
+        gen = FlatSnowflakeGenerator(window=(0.25, 0.75))
+        sp = snowflake_polyline(3, [1 + 2.0 ** -k for k in (1, 2, 3)], window=(0.25, 0.75))
+        assert np.array_equal(gen.stage_vertices(3), np.array(sp.labels))
+
     def test_chord_never_exceeds_arc(self):
         sp = snowflake_polyline(3, [1 + 2.0 ** -k for k in (1, 2, 3)])
         pos = np.array(sp.labels)

@@ -1,5 +1,7 @@
 """Tests for the GH solver against exhaustive enumeration and forced values."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -339,6 +341,29 @@ class TestPointed:
         with pytest.raises(DomainError, match="exat"):
             pointed_gh_bounds(w, w, method="exat")
         assert pointed_gh_bounds(w, w, method="bounds").exact is None
+
+    def test_each_solver_gets_only_its_keywords(self):
+        w1 = self.window([[0, 1, 1], [1, 0, 2], [1, 2, 0]], 0, 2.0)
+        w2 = self.window([[0, 1, 2], [1, 0, 3], [2, 3, 0]], 0, 2.0)
+        bounds = pointed_gh_bounds(w1, w2, method="bounds", budget=10, seed=1)
+        assert bounds.exact is None
+        assert bounds.upper == pointed_gh_bounds(w1, w2, method="bounds", seed=1).upper
+        exact = pointed_gh_bounds(w1, w2, method="exact", restarts=3,
+                                  extra_seeds=[None], budget=10 ** 6)
+        assert exact.exact == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("method", ["auto", "exact", "bounds"])
+    def test_keyword_no_solver_takes_is_refused(self, method):
+        w = self.window([[0, 1], [1, 0]], 0, 1.0)
+        with pytest.raises(TypeError, match="'bogus'"):
+            pointed_gh_bounds(w, w, method=method, bogus=1)
+
+    def test_routed_keywords_are_the_solvers_options(self):
+        for solver, options in ((gh_bounds, gh_solver._BOUNDS_OPTIONS),
+                                (gh_exact_small, gh_solver._EXACT_OPTIONS)):
+            params = inspect.signature(solver).parameters.values()
+            assert {p.name for p in params if p.kind is p.KEYWORD_ONLY} == \
+                set(options) | {"base_pair"}
 
     def test_radius_mismatch_warns(self):
         w1 = self.window([[0, 1], [1, 0]], 0, 1.0)
