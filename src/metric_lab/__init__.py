@@ -39,6 +39,7 @@ from .gh_solver import (
     correspondence_from_map,
     distortion_of_correspondence,
     gh_bounds,
+    gh_distance,
     gh_exact_small,
     map_distortion,
     pointed_gh_bounds,

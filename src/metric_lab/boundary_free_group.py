@@ -179,6 +179,16 @@ def enumerate_words(rank: int, depth: int, prefix=()):
     return words
 
 
+def first_extension(prefix: ReducedWord, depth: int) -> ReducedWord:
+    """enumerate_words(rank, depth, prefix)[0] without the enumeration: the
+    prefix padded with a, or with A when it ends in A."""
+    letters = prefix.letters
+    if len(letters) > depth:
+        raise DomainError(f"prefix of length {len(letters)} exceeds word depth {depth}")
+    pad = -1 if letters and letters[-1] == -1 else 1
+    return ReducedWord(letters + (pad,) * (depth - len(letters)), prefix.rank)
+
+
 def _visual_matrix(words, a: float) -> np.ndarray:
     """visual_distance of every two equal-length words, bit for bit: the
     common-prefix lengths index one table of Python-float powers a^-k whose
@@ -300,7 +310,6 @@ def expanding_cover(m: int, depth: int, rank: int,
     out = []
     for w in enumerate_words(rank, m):
         word = ReducedWord(w, rank)
-        rep = enumerate_words(rank, depth, w)[0]
-        cyl = Cylinder(BoundaryPoint(ReducedWord(rep, rank)), m)
+        cyl = Cylinder(BoundaryPoint(first_extension(word, depth)), m)
         out.append(CoverElement(cyl, word.inverse()))
     return out

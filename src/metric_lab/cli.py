@@ -20,7 +20,7 @@ from . import metric_core as mc
 from . import qs_analysis as qs
 from . import tangent_lab as tl
 from .errors import MetricLabError
-from .gh_solver import gh_bounds, gh_exact_small
+from .gh_solver import EXACT_BUDGET, gh_distance
 from .metric_core import write_json_atomic, write_text_atomic
 
 
@@ -253,7 +253,7 @@ def _check_metric(*spaces):
 @click.option("--y", "y_path", required=True, type=click.Path())
 @click.option("--exact/--no-exact", default=None,
               help="force or forbid the exact search (default: auto by size)")
-@click.option("--budget", type=int, default=200_000, show_default=True)
+@click.option("--budget", type=int, default=EXACT_BUDGET, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--base-x", type=int, default=None, help="pointed: base index in X")
 @click.option("--base-y", type=int, default=None, help="pointed: base index in Y")
@@ -263,17 +263,11 @@ def gh_cmd(x_path, y_path, exact, budget, seed, base_x, base_y, out):
     """Gromov-Hausdorff distance between two space files."""
     X = mc.space_from_json(_load_json(x_path))
     Y = mc.space_from_json(_load_json(y_path))
-    base_pair = None
     if (base_x is None) != (base_y is None):
         raise click.UsageError("pointed mode needs both --base-x and --base-y")
-    if base_x is not None:
-        base_pair = (base_x, base_y)
-    if exact is None:
-        exact = X.n * Y.n <= 400
-    if exact:
-        res = gh_exact_small(X, Y, budget=budget, seed=seed, base_pair=base_pair)
-    else:
-        res = gh_bounds(X, Y, seed=seed, base_pair=base_pair)
+    base_pair = None if base_x is None else (base_x, base_y)
+    method = {None: "auto", True: "exact", False: "bounds"}[exact]
+    res = gh_distance(X, Y, method=method, base_pair=base_pair, seed=seed, budget=budget)
     payload = _round12(res.to_json())
     if out:
         write_json_atomic(payload, out)
@@ -315,7 +309,8 @@ def qs_cmd(domain_path, codomain_path, map_path, budget, seed, out):
 # ---------------------------------------------------------------------------
 
 @main.command("boundary")
-@click.option("--rank", type=int, default=2, show_default=True)
+@click.option("--rank", type=click.IntRange(1, 26), default=2, show_default=True,
+              help="generators a..z")
 @click.option("--depth", type=int, default=5, show_default=True)
 @click.option("--base", "visual_base", default="2", show_default=True,
               help="visual parameter a > 1")
@@ -342,8 +337,7 @@ def boundary_cmd(rank, depth, visual_base, cylinder_spec, probe_expansion,
         raise click.UsageError(f"cylinder depth must be a non-negative integer, got {m_text!r}")
     m = int(m_text)
     prefix = bfg.reduce_word(prefix_text, rank)
-    rep = bfg.enumerate_words(rank, depth, prefix.letters)[0]
-    p = bfg.BoundaryPoint(bfg.ReducedWord(rep, rank))
+    p = bfg.BoundaryPoint(bfg.first_extension(prefix, depth))
     ball = bfg.cylinder_ball(p, m, depth, count=count_val, a=a, seed=seed)
     payload["cylinder"] = {"prefix": str(prefix), "m": m,
                            "points": ball.n, "diameter": ball.diameter()}

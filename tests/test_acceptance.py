@@ -239,7 +239,8 @@ def test_11_wu_formula_spot_values():
 
 
 def test_12_reproduce_manifest_determinism(tmp_path):
-    """Two consecutive manifest runs yield identical checksums."""
+    """Two consecutive manifest runs yield identical checksums, and every one
+    equals the benchmark's recorded reference (perfbench/reference.json)."""
     manifest = os.path.join(REPO_ROOT, "manifests", "acceptance.json")
     runner = CliRunner()
     sums = []
@@ -258,4 +259,11 @@ def test_12_reproduce_manifest_determinism(tmp_path):
         finally:
             os.chdir(old)
     assert sums[0] == sums[1]
-    report(12, f"{len(sums[0])} experiments byte-identical across two runs")
+    with open(os.path.join(REPO_ROOT, "perfbench", "reference.json")) as fh:
+        reference = json.load(fh)["cli"]
+    for name, checksums in sums[0].items():
+        assert checksums, name
+        for path, digest in checksums.items():
+            assert digest == reference[path], f"{name}: {path}"
+    report(12, f"{len(sums[0])} experiments byte-identical across two runs "
+               "and equal to the recorded reference")

@@ -15,6 +15,7 @@ from metric_lab.boundary_free_group import (
     enumerate_words,
     expanding_cover,
     expansion_factor_probe,
+    first_extension,
     gromov_product_prefix,
     is_saturated,
     reduce_word,
@@ -158,6 +159,20 @@ class TestCylinders:
             enumerate_words(2, 1, (1, 2))
         with pytest.raises(DomainError):
             enumerate_words(2, -1)
+
+    def test_first_extension_is_the_first_enumerated_word(self):
+        # every reduced prefix of every depth 0..6, ranks 1..3: 31 521 cases
+        cases = 0
+        for rank in (1, 2, 3):
+            for depth in range(7):
+                for k in range(depth + 1):
+                    for w in enumerate_words(rank, k):
+                        got = first_extension(ReducedWord(w, rank), depth)
+                        assert got.letters == enumerate_words(rank, depth, w)[0]
+                        cases += 1
+        assert cases == 31_521
+        with pytest.raises(DomainError, match="exceeds word depth"):
+            first_extension(ReducedWord((1, 2), 2), 1)
 
     @pytest.mark.parametrize("a", [1.1, 2.5])
     def test_entries_equal_scalar_visual_distance(self, a):

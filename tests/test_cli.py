@@ -142,6 +142,33 @@ class TestGh:
         assert result.exit_code == 2
 
 
+    @pytest.mark.parametrize("base_x,base_y,side", [("999", "0", "X"), ("-1", "0", "X"),
+                                                     ("0", "3", "Y"), ("0", "-1", "Y")])
+    def test_base_index_out_of_range_is_domain_failure(self, runner, tmp_path,
+                                                       base_x, base_y, side):
+        a = tmp_path / "a.json"
+        write_small_space(a)
+        out = tmp_path / "gh.json"
+        result = runner.invoke(main, ["gh", "--x", str(a), "--y", str(a),
+                                      "--base-x", base_x, "--base-y", base_y,
+                                      "--out", str(out)])
+        assert result.exit_code == 1
+        assert f"outside 0..2 of {side}" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ny,verdict", [(20, "gh exact 0"), (21, "gh lower")])
+    def test_auto_runs_the_exact_search_iff_nx_ny_at_most_400(self, runner, tmp_path,
+                                                              ny, verdict):
+        for name, n in (("x.json", 20), ("y.json", ny)):
+            xs = np.arange(n, dtype=float)
+            (tmp_path / name).write_text(json.dumps(
+                {"labels": list(range(n)), "dist": np.abs(xs[:, None] - xs).tolist()}))
+        result = runner.invoke(main, ["gh", "--x", str(tmp_path / "x.json"),
+                                      "--y", str(tmp_path / "y.json")])
+        assert result.exit_code == 0, result.output
+        assert result.output.startswith(verdict)
+
+
 class TestQs:
     def test_snowflake_envelope_csv(self, runner, tmp_path):
         runner.invoke(main, [
@@ -208,6 +235,22 @@ class TestBoundary:
         assert result.exit_code == 1
         assert "exceeds word depth" in result.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("rank", ["0", "-1", "27"])
+    def test_rank_outside_the_alphabet_is_exit_two(self, runner, tmp_path, rank):
+        out = tmp_path / "b.json"
+        result = runner.invoke(main, ["boundary", "--rank", rank, "--cylinder", "a:1",
+                                      "--out", str(out)])
+        assert result.exit_code == 2
+        assert "--rank" in result.output
+        assert not out.exists()
+
+    def test_rank_26_names_its_last_generator_z(self, runner, tmp_path):
+        out = tmp_path / "b.json"
+        result = runner.invoke(main, ["boundary", "--rank", "26", "--depth", "2",
+                                      "--cylinder", "Z:1", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(out.read_text())["cylinder"]["points"] == 51
 
     def test_non_integer_count_is_exit_two(self, runner, tmp_path):
         out = tmp_path / "b.json"

@@ -20,6 +20,7 @@ from metric_lab.gh_solver import (
     correspondence_from_map,
     distortion_of_correspondence,
     gh_bounds,
+    gh_distance,
     gh_exact_small,
     map_distortion,
     pointed_gh_bounds,
@@ -358,18 +359,45 @@ class TestPointed:
         with pytest.raises(TypeError, match="'bogus'"):
             pointed_gh_bounds(w, w, method=method, bogus=1)
 
-    def test_routed_keywords_are_the_solvers_options(self):
-        for solver, options in ((gh_bounds, gh_solver._BOUNDS_OPTIONS),
-                                (gh_exact_small, gh_solver._EXACT_OPTIONS)):
-            params = inspect.signature(solver).parameters.values()
-            assert {p.name for p in params if p.kind is p.KEYWORD_ONLY} == \
-                set(options) | {"base_pair"}
-
     def test_radius_mismatch_warns(self):
         w1 = self.window([[0, 1], [1, 0]], 0, 1.0)
         w2 = self.window([[0, 1], [1, 0]], 0, 2.0)
         with pytest.warns(UserWarning, match="different radii"):
             pointed_gh_bounds(w1, w2)
+
+
+def line_space(n):
+    xs = np.arange(n, dtype=float)
+    return FiniteMetricSpace(np.abs(xs[:, None] - xs[None, :]))
+
+
+class TestDispatch:
+    def keyword_only(self, fn):
+        params = inspect.signature(fn).parameters.values()
+        return {p.name: p.default for p in params if p.kind is p.KEYWORD_ONLY}
+
+    def test_keywords_are_method_plus_the_solvers_options(self):
+        ours = self.keyword_only(gh_distance)
+        bounds, exact = self.keyword_only(gh_bounds), self.keyword_only(gh_exact_small)
+        assert set(ours) == {"method"} | set(bounds) | set(exact)
+        for name in set(bounds) | set(exact):  # no solver default is overridden
+            assert ours[name] == {**bounds, **exact}[name]
+        assert exact["budget"] == gh_solver.EXACT_BUDGET
+
+    @pytest.mark.parametrize("ny,exact", [(20, True), (21, False)])
+    def test_auto_runs_the_exact_search_iff_nx_ny_at_most_400(self, ny, exact):
+        X, Y = line_space(20), line_space(ny)
+        assert (gh_distance(X, Y).exact is not None) is exact
+        w1, w2 = (PointedWindow(S, 0, 1.0, 20.0) for S in (X, Y))
+        assert (pointed_gh_bounds(w1, w2).exact is not None) is exact
+
+    @pytest.mark.parametrize("solver", [gh_bounds, gh_exact_small])
+    @pytest.mark.parametrize("base_pair,message", [
+        ((-1, 0), "base index -1 outside 0..2 of X"), ((3, 0), "base index 3 outside 0..2 of X"),
+        ((0, -1), "base index -1 outside 0..3 of Y"), ((0, 4), "base index 4 outside 0..3 of Y")])
+    def test_base_pair_out_of_range_is_refused(self, solver, base_pair, message):
+        with pytest.raises(DomainError, match=message):
+            solver(line_space(3), line_space(4), base_pair=base_pair)
 
 
 class TestMapDistortion:
