@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 
 import click
@@ -39,18 +40,30 @@ def _round12(obj):
 
 
 def parse_number(text: str) -> float:
-    """Plain floats plus the fraction and dyadic-power notations 1/64, 2^-5."""
+    """Plain floats plus the fraction and dyadic-power notations 1/64, 2^-5;
+    nan, inf and overflow are refused."""
     text = text.strip()
     try:
         if "/" in text:
             num, den = text.split("/", 1)
-            return parse_number(num) / parse_number(den)
-        if "^" in text:
+            value = parse_number(num) / parse_number(den)
+        elif "^" in text:
             base, expo = text.split("^", 1)
-            return float(base) ** float(expo)
-        return float(text)
-    except (ValueError, ZeroDivisionError) as e:
+            value = float(base) ** float(expo)
+        else:
+            value = float(text)
+    except (ValueError, ZeroDivisionError, OverflowError) as e:
         raise click.UsageError(f"cannot parse number {text!r}: {e}")
+    if not math.isfinite(value):
+        raise click.UsageError(f"number {text!r} is not finite")
+    return value
+
+
+def finite_option(ctx, param, value):
+    """Click callback: a float option must be finite (exit 2 otherwise)."""
+    if not math.isfinite(value):
+        raise click.BadParameter(f"must be finite, got {value}")
+    return value
 
 
 def parse_scales(text: str):
@@ -65,7 +78,7 @@ def parse_scales(text: str):
         except ValueError:
             raise click.UsageError(f"scale range exponents must be integers, got {text!r}")
         step = -1 if b < a else 1
-        return [2.0 ** k for k in range(a, b + step, step)]
+        return [parse_number(f"2^{k}") for k in range(a, b + step, step)]
     return [parse_number(tok) for tok in text.split(",") if tok]
 
 
@@ -187,10 +200,12 @@ GEN_KINDS = ("slit-carpet", "pillow-carpet", "snowflake", "rickman-rug",
 @click.option("--flatness", default="standard", show_default=True,
               help="'standard', '1+2^-k', or a comma list")
 @click.option("--window", default="0,1", show_default=True)
-@click.option("--epsilon", type=float, default=0.5, show_default=True)
+@click.option("--epsilon", type=float, default=0.5, show_default=True,
+              callback=finite_option)
 @click.option("--extent", default="-1,1", show_default=True)
 @click.option("--truncation", type=int, default=6, show_default=True)
-@click.option("--radius", type=float, default=1.0, show_default=True)
+@click.option("--radius", type=float, default=1.0, show_default=True,
+              callback=finite_option)
 @click.option("--points", type=click.IntRange(min=0), default=30, show_default=True)
 @click.option("--out", required=True, type=click.Path())
 @click.option("--out-codomain", type=click.Path(), default=None)
@@ -366,7 +381,8 @@ def boundary_cmd(rank, depth, visual_base, cylinder_spec, probe_expansion,
 @click.option("--flatness", default="1+2^-k", show_default=True)
 @click.option("--center", default="0,0", show_default=True)
 @click.option("--scales", required=True, help="2^-a..2^-b or comma list")
-@click.option("--radius", type=float, default=1.0, show_default=True)
+@click.option("--radius", type=float, default=1.0, show_default=True,
+              callback=finite_option)
 @click.option("--models", required=True, help="comma list of model kinds")
 @click.option("--rule", default="lambda/64", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -395,12 +411,14 @@ def scan_cmd(space_name, r_spec, levels, flatness, center, scales, radius,
             lines.append(f"{fmt(row.lam)},{kind},{fmt(res.lower)},"
                          f"{fmt(res.upper)},{row.points},{fmt(secs)}")
     write_text_atomic("\n".join(lines) + "\n", out)
+    reused = sum(len(row.reused) for row in report.rows)
+    memo = f"(reused {reused} of {len(report.rows) * len(cfg.models)} GH solves)"
     if report.verdict is not None:
         v = report.verdict
         click.echo(f"scan verdict: {v.best_model} ({v.trend}), "
-                   f"final gap {fmt(v.final_gap)} -> {out}")
+                   f"final gap {fmt(v.final_gap)} -> {out} {memo}")
     else:
-        click.echo(f"scan: {len(report.rows)} rows -> {out}")
+        click.echo(f"scan: {len(report.rows)} rows -> {out} {memo}")
 
 
 # ---------------------------------------------------------------------------

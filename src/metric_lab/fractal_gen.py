@@ -22,7 +22,7 @@ MODEL_KINDS = ("plane", "half", "quarter", "t", "l", "d", "line")
 
 
 def _mesh_steps(h: float) -> int:
-    if h <= 0:
+    if not h > 0:  # also refuses nan
         raise ResolutionError(f"mesh must be positive, got {h}")
     M = round(1.0 / h)
     if M < 1 or abs(1.0 / h - M) > 1e-9 * max(M, 1):
@@ -33,6 +33,8 @@ def _mesh_steps(h: float) -> int:
 def _check_resolution(radius_phys: float, h: float) -> None:
     """The check every generator's sample_ball and model_tangent_space run
     before sampling."""
+    if not (math.isfinite(radius_phys) and math.isfinite(h)):
+        raise DomainError(f"radius {radius_phys} and mesh {h} must be finite")
     if h > radius_phys:
         raise ResolutionError(
             f"mesh {h} cannot resolve a window of radius {radius_phys}")

@@ -358,9 +358,11 @@ def gh_exact_small(X: FiniteMetricSpace, Y: FiniteMetricSpace, *,
     partner in the child's L already reaches it (max over rows of the row
     minimum, likewise columns), as no completion below can do better.  Each
     level holds O(nx*ny) floats; the budget counts slots entered.  The first
-    descent is a greedy dive on L whose leaf is the first incumbent; only when
-    the budget runs out does gh_bounds run, restarts included, and the better
-    witness (the only one if no leaf was reached) is kept.
+    descent is a greedy dive on L whose leaf is the first incumbent, and the
+    search stops as soon as an incumbent meets the lower bound; only when the
+    budget runs out does gh_bounds run, restarts included, and the better
+    witness (the only one if no leaf was reached) is kept.  The result is
+    exact whenever the search finished or its upper meets the lower bound.
     """
     if X.n == 0 or Y.n == 0:
         raise DomainError("GH distance of an empty space")
@@ -375,6 +377,7 @@ def gh_exact_small(X: FiniteMetricSpace, Y: FiniteMetricSpace, *,
 
     nodes = 0
     exhausted = False
+    closed = False  # the incumbent meets the lower bound: nothing left to find
     I_buf = np.empty(nx + ny + 1, dtype=int)
     J_buf = np.empty(nx + ny + 1, dtype=int)
     # colX[x] is DX[:, x] as a column, rowY[y] is DY[:, y] as a row (views):
@@ -387,7 +390,7 @@ def gh_exact_small(X: FiniteMetricSpace, Y: FiniteMetricSpace, *,
         return np.maximum(out, L, out=out)
 
     def dfs(slot: int, k: int, cur: float, L, rest):
-        nonlocal best_dis, bestI, bestJ, nodes, exhausted
+        nonlocal best_dis, bestI, bestJ, nodes, exhausted, closed
         if slot == nx:  # every X point has an image; cover the remaining Y
             covered = set(J_buf[:k].tolist())
             rest = [y for y in ys_order if y not in covered]
@@ -397,6 +400,7 @@ def gh_exact_small(X: FiniteMetricSpace, Y: FiniteMetricSpace, *,
                 best_dis = cur
                 bestI = I_buf[:k].copy()
                 bestJ = J_buf[:k].copy()
+                closed = best_dis / 2.0 <= lower + 1e-15
             return
         nodes += 1
         if nodes > budget:
@@ -430,7 +434,7 @@ def gh_exact_small(X: FiniteMetricSpace, Y: FiniteMetricSpace, *,
             pair = (x, c) if on_x else (c, y)
             I_buf[k], J_buf[k] = pair
             dfs(slot + 1, k + 1, d, child(L, *pair), rest)
-            if exhausted:
+            if exhausted or closed:
                 return
 
     if base_pair is not None:
@@ -450,7 +454,8 @@ def gh_exact_small(X: FiniteMetricSpace, Y: FiniteMetricSpace, *,
             best_dis, bestI, bestJ = dis, I, J
     witness = Correspondence(tuple(zip(bestI.tolist(), bestJ.tolist())))
     value = best_dis / 2.0
-    return GhResult(lower=lower, upper=value, exact=None if exhausted else value,
+    closed = not exhausted or value <= lower + 1e-15
+    return GhResult(lower=lower, upper=value, exact=value if closed else None,
                     witness=witness)
 
 

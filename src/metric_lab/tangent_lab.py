@@ -8,6 +8,8 @@ tangent, never a certificate.
 """
 from __future__ import annotations
 
+import hashlib
+import math
 import time
 from dataclasses import dataclass
 
@@ -48,8 +50,11 @@ class ScanConfig:
 
     def __post_init__(self):
         scales = tuple(float(s) for s in self.scales)
-        if not scales or any(s <= 0 for s in scales):
-            raise DomainError("scales must be positive")
+        if not scales or not all(0 < s < math.inf for s in scales):  # refuses nan
+            raise DomainError("scales must be positive and finite")
+        if not 0 < float(self.window_radius) < math.inf:
+            raise DomainError(
+                f"window radius must be positive and finite, got {self.window_radius}")
         if any(a <= b for a, b in zip(scales, scales[1:])):
             raise DomainError("scales must be strictly decreasing")
         object.__setattr__(self, "scales", scales)
@@ -144,6 +149,7 @@ class ScanRow:
     points: int
     results: dict          # model kind -> GhResult
     seconds: dict          # model kind -> wall-clock seconds
+    reused: tuple = ()     # model kinds whose result an earlier row solved
 
 
 @dataclass(frozen=True)
@@ -168,13 +174,24 @@ class ScanReport:
 def tangent_scan(cfg: ScanConfig) -> ScanReport:
     """Extract a window per scale and bound its pointed GH distance to every
     requested model window of equal radius and matching relative resolution,
-    by pointed_gh_bounds at its defaults, seeded by cfg.seed."""
+    by pointed_gh_bounds at its defaults, seeded by cfg.seed.
+
+    Solves are memoised for this call only, keyed on the model window, the
+    window's base, the shape and sha256 of its distance matrix and the
+    position seed correspondence: with cfg.seed fixed for the call, every
+    input of the solve, so a hit is the earlier GhResult itself and its row lists the model in ScanRow.reused.
+    Hits happen only at exactly self-similar centres (a square's corner, a
+    cone point), where every rescaled window is the same finite space.  A
+    row's seconds cover the seed and the solve, or for a hit the lookup."""
     model_cache: dict = {}
+    solved: dict = {}
     rows = []
     for lam in cfg.scales:
         h = cfg.h_of(lam)
         W = extract_window(cfg.generator, cfg.center, lam, cfg.window_radius, h)
-        results, seconds = {}, {}
+        dist = np.ascontiguousarray(W.space.dist)
+        window_key = (W.base, dist.shape, hashlib.sha256(dist).digest())
+        results, seconds, reused = {}, {}, []
         for kind in cfg.models:
             h_eff = h / lam
             ck = (kind, cfg.window_radius, round(h_eff, 12))
@@ -182,11 +199,17 @@ def tangent_scan(cfg: ScanConfig) -> ScanReport:
             if M is None:
                 M = model_cache[ck] = model_tangent_space(kind, cfg.window_radius, h_eff)
             t0 = time.perf_counter()
-            res = pointed_gh_bounds(W, M, extra_seeds=[nearest_position_seed(W, M)],
-                                    seed=cfg.seed)
+            seed = nearest_position_seed(W, M)
+            key = (ck, *window_key, seed.pairs if seed is not None else None)
+            res = solved.get(key)
+            if res is None:
+                res = solved[key] = pointed_gh_bounds(W, M, extra_seeds=[seed],
+                                                      seed=cfg.seed)
+            else:
+                reused.append(kind)
             seconds[kind] = time.perf_counter() - t0
             results[kind] = res
-        rows.append(ScanRow(lam, W.space.n, results, seconds))
+        rows.append(ScanRow(lam, W.space.n, results, seconds, tuple(reused)))
     report = ScanReport(tuple(rows), cfg.window_radius, cfg.models)
     if len(rows) >= 3:
         report = ScanReport(report.rows, report.radius, report.models,

@@ -7,8 +7,9 @@ recomputes every candidate cost (warm-started by the library's gh_bounds),
 a hand-rolled heap Dijkstra with its own graph construction for intrinsic
 metrics, a plain Floyd-Warshall, a frozen copy of the Euclidean
 model-window sampler, and a frozen metric-axiom check that scans every
-triangle slab, and a frozen copy of the boundary expansion probe that
-translates both points of every pair and compares scalar visual distances.
+triangle slab, a frozen copy of the boundary expansion probe that
+translates both points of every pair and compares scalar visual distances,
+and a frozen blow-up scan loop that solves every window against every model.
 """
 from __future__ import annotations
 
@@ -28,14 +29,17 @@ from metric_lab.boundary_free_group import (
     visual_distance,
 )
 from metric_lab.errors import DomainError
+from metric_lab.fractal_gen import model_tangent_space
 from metric_lab.gh_solver import (
     Correspondence,
     GhResult,
     _eccentricity_order,
     _pair_distortion,
     gh_bounds,
+    pointed_gh_bounds,
 )
 from metric_lab.metric_core import AxiomViolation
+from metric_lab.tangent_lab import extract_window, nearest_position_seed
 
 
 # ---------------------------------------------------------------------------
@@ -483,3 +487,28 @@ def reference_expansion_probe(p: BoundaryPoint, m: int, samples="all",
     arr = np.asarray(ratios)
     return ExpansionStats(float(arr.min()), float(arr.max()), float(arr.mean()),
                           len(ratios))
+
+
+# ---------------------------------------------------------------------------
+# Blow-up scan
+# ---------------------------------------------------------------------------
+
+def reference_tangent_scan(cfg) -> list:
+    """Frozen scan loop without a memo: one pointed_gh_bounds solve per scale
+    and model.  Returns [(lam, points, {model kind: GhResult})] per scale."""
+    model_cache: dict = {}
+    rows = []
+    for lam in cfg.scales:
+        h = cfg.h_of(lam)
+        W = extract_window(cfg.generator, cfg.center, lam, cfg.window_radius, h)
+        results = {}
+        for kind in cfg.models:
+            h_eff = h / lam
+            ck = (kind, cfg.window_radius, round(h_eff, 12))
+            M = model_cache.get(ck)
+            if M is None:
+                M = model_cache[ck] = model_tangent_space(kind, cfg.window_radius, h_eff)
+            results[kind] = pointed_gh_bounds(
+                W, M, extra_seeds=[nearest_position_seed(W, M)], seed=cfg.seed)
+        rows.append((lam, W.space.n, results))
+    return rows

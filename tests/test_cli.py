@@ -1,7 +1,9 @@
 """CLI tests: exit codes, file artifacts, determinism of the reproduce runner."""
 
+import hashlib
 import json
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -30,6 +32,11 @@ class TestParsers:
     def test_scale_range(self):
         assert parse_scales("2^-3..2^-5") == [2.0 ** -3, 2.0 ** -4, 2.0 ** -5]
         assert parse_scales("0.5,0.25") == [0.5, 0.25]
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400", "1/1e-320", "2^2000"])
+    def test_non_finite_numbers_are_refused(self, text):
+        with pytest.raises(click.UsageError):
+            parse_number(text)
 
     def test_center_forms(self):
         assert parse_center("0.5,0") == (0.5, 0.0)
@@ -101,6 +108,18 @@ class TestGen:
                                       "--h", "2", "--out", str(out)])
         assert result.exit_code == 1
         assert "ResolutionError" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--kind", "model-quarter", "--radius", "nan"],
+                                      ["--kind", "model-quarter", "--radius", "inf"],
+                                      ["--kind", "model-quarter", "--h", "nan"],
+                                      ["--kind", "slit-carpet", "--h", "1/1e-320"],
+                                      ["--kind", "rickman-rug", "--epsilon", "nan"]])
+    def test_non_finite_geometry_is_exit_two(self, runner, tmp_path, argv):
+        out = tmp_path / "x.json"
+        result = runner.invoke(main, ["gen", *argv, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "Error:" in result.output
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["--kind", "snowflake", "--window", "0.1"],
@@ -274,6 +293,32 @@ class TestScan:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "lambda,model,lower,upper,points,seconds"
         assert len(lines) == 1 + 3 * 2
+
+    def test_memo_keeps_the_csv_bytes_and_reports_reuse(self, runner, tmp_path,
+                                                        monkeypatch):
+        # the acceptance manifest's corner-scan, checksum recorded before the memo
+        monkeypatch.setenv("METRIC_LAB_DETERMINISTIC", "1")
+        out = tmp_path / "scan.csv"
+        result = runner.invoke(main, ["scan", "--space", "square", "--center", "0,0",
+                                      "--scales", "2^-3..2^-5", "--radius", "1",
+                                      "--models", "quarter,half", "--rule", "lambda/8",
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert result.output.rstrip().endswith("(reused 4 of 6 GH solves)")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "972f41491f92f7a65f9d9960cac50c27d43bdaebbfe8ff95e977d8de7edc406b")
+
+    @pytest.mark.parametrize("option,value", [
+        ("--radius", "nan"), ("--radius", "inf"), ("--center", "nan,0"),
+        ("--scales", "0.5,nan"), ("--scales", "0.5,1e400"), ("--scales", "2^2000..2^1999")])
+    def test_non_finite_geometry_is_exit_two(self, runner, tmp_path, option, value):
+        out = tmp_path / "scan.csv"
+        argv = {"--space": "square", "--center": "0,0", "--scales": "2^-3..2^-5",
+                "--models": "quarter", "--out": str(out), option: value}
+        result = runner.invoke(main, ["scan", *(t for kv in argv.items() for t in kv)])
+        assert result.exit_code == 2, result.output
+        assert "Error:" in result.output
+        assert not out.exists()
 
     @pytest.mark.parametrize("center,scales,rule", [
         pytest.param("0,0", "2^-x..2^-5", "lambda/8", id="0,0-2^-x..2^-5"),

@@ -17,6 +17,7 @@ from metric_lab.fractal_gen import (
     FlatSnowflakeGenerator,
     SlitSchedule,
     default_wu_schedule,
+    make_generator,
     model_tangent_space,
     phi_half_disk_sample,
     pillow_carpet_space,
@@ -326,6 +327,24 @@ class TestProductRug:
 
 
 class TestModelTangents:
+    @pytest.mark.parametrize("R,h", [(math.nan, 0.25), (math.inf, 0.25), (1.0, math.nan)])
+    def test_non_finite_radius_or_mesh_is_refused(self, R, h):
+        with pytest.raises(DomainError, match="finite"):
+            model_tangent_space("quarter", R, h)
+
+    @pytest.mark.parametrize("gen", [FlatSnowflakeGenerator(), make_generator("square"),
+                                     make_generator("slit-carpet",
+                                                    sched=SlitSchedule((0.5,)))])
+    @pytest.mark.parametrize("R,h", [(math.nan, 0.125), (math.inf, 0.125), (1.0, math.nan)])
+    def test_generators_refuse_non_finite_geometry(self, gen, R, h):
+        center = ("vertex", 2, 3) if isinstance(gen, FlatSnowflakeGenerator) else (0.5, 0.5)
+        with pytest.raises(DomainError, match="finite"):
+            gen.sample_ball(center, R, h)
+
+    def test_nan_mesh_does_not_divide_the_square(self):
+        with pytest.raises(ResolutionError):
+            slit_carpet_space(SlitSchedule((0.5,)), math.nan)
+
     def test_quarter_boundary_ray_distance_is_exact(self):
         w = model_tangent_space("quarter", 1.0, 1 / 8)
         i = w.space.labels.index((1.0, 0.0))

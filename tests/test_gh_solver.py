@@ -141,6 +141,25 @@ class TestExactSmall:
         assert res.exact is None and len(calls) == 1
         assert distortion_of_correspondence(X, Y, res.witness) / 2.0 == res.upper
 
+    def test_search_stops_once_the_incumbent_meets_the_lower_bound(self, monkeypatch):
+        # a pointed 3 x 8 pair whose optimum equals its lower bound: the search
+        # closes within 30 nodes, where a full search would run out of budget
+        rng = np.random.default_rng(117)
+        nx, ny = (int(v) for v in rng.integers(3, 9, size=2))
+        X, Y = random_space(rng, nx), random_space(rng, ny)
+        monkeypatch.setattr(gh_solver, "gh_bounds", None)  # the exhaustion pass
+        res = gh_exact_small(X, Y, budget=30, base_pair=(0, 0))
+        assert res.exact == res.upper == res.lower
+        assert res.exact == pytest.approx(gh_exhaustive(X, Y, base_pair=(0, 0)), abs=1e-12)
+        assert distortion_of_correspondence(X, Y, res.witness) / 2.0 == res.upper
+
+    def test_exhausted_search_meeting_the_lower_bound_is_exact(self):
+        # the exhaustion pass finds the identity; its zero meets the lower bound
+        pts = np.random.default_rng(5).random((21, 2))[:20]
+        X = FiniteMetricSpace(np.linalg.norm(pts[:, None] - pts[None, :], axis=-1))
+        res = gh_distance(X, X)
+        assert (res.lower, res.upper, res.exact) == (0.0, 0.0, 0.0)
+
     def test_budget_out_before_any_leaf_takes_the_restart_witness(self):
         rng = np.random.default_rng(7)
         X, Y = random_space(rng, 7), random_space(rng, 7)

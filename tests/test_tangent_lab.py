@@ -1,8 +1,11 @@
 """Tests for window extraction, blow-up scans and tangent verdicts."""
 
+import math
+
 import numpy as np
 import pytest
 
+from metric_lab import tangent_lab
 from metric_lab.errors import DomainError, ResolutionError
 from metric_lab.fractal_gen import (
     FlatSnowflakeGenerator,
@@ -11,6 +14,7 @@ from metric_lab.fractal_gen import (
     unit_square_generator,
 )
 from metric_lab.gh_solver import GhResult
+from metric_lab.metric_core import FiniteMetricSpace
 from metric_lab.tangent_lab import (
     ScaledGenerator,
     ScanConfig,
@@ -21,6 +25,8 @@ from metric_lab.tangent_lab import (
     nearest_position_seed,
     tangent_scan,
 )
+
+from .oracles import reference_tangent_scan
 
 
 def synthetic_report(columns):
@@ -137,6 +143,15 @@ class TestScan:
                        scales=(0.5, 0.25), window_radius=1.0, models=("plane",),
                        rule=lambda lam: 0.01)  # h/lam grows as lam shrinks
 
+    @pytest.mark.parametrize("scales,radius", [((0.5, math.nan), 1.0), ((math.inf, 0.5), 1.0),
+                                               ((0.5, 0.25), math.nan),
+                                               ((0.5, 0.25), math.inf),
+                                               ((0.5, 0.25), 0.0)])
+    def test_scales_and_radius_must_be_finite(self, scales, radius):
+        with pytest.raises(DomainError, match="finite"):
+            ScanConfig(generator=unit_square_generator(), center=(0, 0),
+                       scales=scales, window_radius=radius, models=("plane",))
+
     @pytest.mark.parametrize("rule", ["lambda/0", "lambda/-8", "lambda/inf", "lambda/nan",
                                       "foo"])
     def test_rule_needs_a_finite_positive_divisor(self, rule):
@@ -144,6 +159,96 @@ class TestScan:
             ScanConfig(generator=unit_square_generator(), center=(0, 0),
                        scales=(0.5, 0.25), window_radius=1.0, models=("plane",),
                        rule=rule)
+
+
+def corner_config(scales=(2.0 ** -3, 2.0 ** -4, 2.0 ** -5), generator=None):
+    return ScanConfig(generator=generator or unit_square_generator(), center=(0.0, 0.0),
+                      scales=scales, window_radius=1.0, models=("quarter", "half"),
+                      rule="lambda/4")
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Count the pointed GH solves a scan makes."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    real = tangent_lab.pointed_gh_bounds
+    monkeypatch.setattr(tangent_lab, "pointed_gh_bounds", counting)
+    return calls
+
+
+class RescaledTemplate:
+    """Fake generator: one fixed window, scaled to every requested scale (so
+    every rescaled window has the same matrix), with a base and labels that
+    may change from call to call."""
+
+    def __init__(self, bases, swap_labels=(False,)):
+        # diameter below 1: any point can be the base of a radius-1 window
+        self.template = model_tangent_space("quarter", 0.5, 1 / 8).space
+        self.bases, self.swap, self.calls = bases, swap_labels, 0
+
+    def sample_ball(self, center, radius_phys, h):
+        i, self.calls = self.calls, self.calls + 1
+        labels = [(l[1], l[0]) if self.swap[i % len(self.swap)] else l
+                  for l in self.template.labels]
+        labels = tuple((x * radius_phys, y * radius_phys) for x, y in labels)
+        space = FiniteMetricSpace(self.template.dist * radius_phys, labels)
+        return space, self.bases[i % len(self.bases)]
+
+
+class TestScanMemo:
+    @pytest.mark.parametrize("scales", [(2.0 ** -3, 2.0 ** -4, 2.0 ** -5), (2.0, 1.0, 0.5)])
+    def test_rows_equal_the_frozen_scan_loop(self, scales):
+        # the second schedule clips the first window at the square's far sides
+        cfg = corner_config(scales)
+        report = tangent_scan(cfg)
+        want = reference_tangent_scan(cfg)
+        assert len(report.rows) == len(want)
+        for row, (lam, points, results) in zip(report.rows, want):
+            assert (row.lam, row.points) == (lam, points)
+            for kind in cfg.models:
+                got, ref = row.results[kind], results[kind]
+                assert (got.lower, got.upper, got.exact) == (ref.lower, ref.upper, ref.exact)
+                assert got.witness.pairs == ref.witness.pairs
+
+    def test_self_similar_corner_solves_each_model_once(self, solves):
+        report = tangent_scan(corner_config())
+        assert len(solves) == 2
+        assert [row.reused for row in report.rows] == [(), ("quarter", "half"),
+                                                       ("quarter", "half")]
+        for row in report.rows[1:]:
+            for kind in ("quarter", "half"):
+                assert row.results[kind] is report.rows[0].results[kind]
+
+    def test_clipped_window_is_solved_on_its_own(self, solves):
+        report = tangent_scan(corner_config((2.0, 1.0, 0.5)))
+        assert len(solves) == 4
+        assert [row.reused for row in report.rows] == [(), (), ("quarter", "half")]
+
+    def test_memo_lives_for_one_call(self, solves):
+        tangent_scan(corner_config())
+        tangent_scan(corner_config())
+        assert len(solves) == 4
+
+    @pytest.mark.parametrize("bases,swap,last_reused", [
+        ((0, 1, 2), (False,), ()),                                 # a new base per row
+        ((0,), (False, True, False), ("quarter", "half"))])      # mirrored labels in row 1
+    def test_same_matrix_with_another_base_or_seed_is_solved_again(self, solves, bases,
+                                                                   swap, last_reused):
+        cfg = corner_config(generator=RescaledTemplate(bases, swap))
+        report = tangent_scan(cfg)
+        twin = RescaledTemplate(bases, swap)
+        windows = [extract_window(twin, (0, 0), lam, 1.0, lam / 4) for lam in cfg.scales]
+        M = model_tangent_space("quarter", 1.0, 1 / 4)
+        keys = [(w.base, nearest_position_seed(w, M).pairs) for w in windows]
+        assert all(np.array_equal(w.space.dist, windows[0].space.dist) for w in windows)
+        assert keys[1] not in (keys[0], keys[2])
+        assert [row.reused for row in report.rows] == [(), (), last_reused]
+        assert len(solves) == 6 - len(last_reused)
 
 
 class TestClassify:
