@@ -57,10 +57,6 @@ class SlitSchedule:
             raise ScheduleError(f"slit fractions must lie in (0, 1), got {r}")
         object.__setattr__(self, "r", r)
 
-    @property
-    def levels(self) -> int:
-        return len(self.r)
-
     @classmethod
     def harmonic(cls, levels: int) -> "SlitSchedule":
         """The square-summability-violating preset: the i-th generation
@@ -113,8 +109,8 @@ def slit_carpet_graph(sched: SlitSchedule, h: float, pillows: bool = False) -> G
         if side is not None:
             for (y0, y1) in by_col.get(ix, ()):
                 if y0 < iy < y1:
-                    return b.node((pos[0], pos[1], side), pos)
-        return b.node(pos, pos)
+                    return b.node(pos + (side,))
+        return b.node(pos)
 
     for ix in range(M + 1):
         for iy in range(M + 1):
@@ -134,9 +130,8 @@ def slit_carpet_graph(sched: SlitSchedule, h: float, pillows: bool = False) -> G
             def pnode(sheet, u, v):
                 if v == 0:
                     return key(col, y0 + u, "L" if sheet == "A" else "R")
-                pos = (col * h, (y0 + u) * h)
                 tag = "G" if (u == 0 or u == m or v == m) else sheet
-                return b.node(pos + ("P", slit_id, tag, u, v), pos)
+                return b.node((col * h, (y0 + u) * h, "P", slit_id, tag, u, v))
 
             for sheet in ("A", "B"):
                 for u in range(m + 1):
@@ -260,8 +255,6 @@ class FlatSnowflakeGenerator:
     The schedule keeps l_k <= 1.5 < 2, so the curve stays inside the standard
     construction's non-crossing envelope.
     """
-
-    kind = "flat-snowflake"
 
     def __init__(self, flatness=None, window=(0.0, 1.0)):
         self.l_of = _flatness_fn(flatness) if flatness is not None else (
@@ -497,21 +490,16 @@ def _wu_interval_of(v: float, sched: WuSchedule, N: int):
     return None
 
 
-_VALIDATED_SCHEDULES: set = set()
-
-
-def _validate_once(sched: WuSchedule, N: int) -> None:
-    key = (sched.alpha, sched.c, sched.s, N)
-    if key not in _VALIDATED_SCHEDULES:
-        sched.validate(N)
-        _VALIDATED_SCHEDULES.add(key)
-
-
 def wu_line_metric(x: float, y: float, sched: WuSchedule, truncation: int) -> float:
     """The five-branch distorted metric on the line: plain Euclidean outside
     the intervals I_n (n <= truncation), profile-distorted inside, and sums
-    of boundary hops across intervals."""
-    _validate_once(sched, truncation)
+    of boundary hops across intervals.  The schedule is validated first."""
+    sched.validate(truncation)
+    return _wu_metric(x, y, sched, truncation)
+
+
+def _wu_metric(x: float, y: float, sched: WuSchedule, truncation: int) -> float:
+    """wu_line_metric for a schedule already validated at this truncation."""
     if x == y:
         return 0.0
     x, y = (x, y) if x < y else (y, x)
@@ -557,7 +545,8 @@ def product_rug_space(line_metric, extent=(-1.0, 1.0),
         delta = lambda u, v: abs(u - v) ** eps
     elif isinstance(line_metric, tuple) and line_metric and line_metric[0] == "wu":
         _, sched, N = line_metric
-        delta = lambda u, v: wu_line_metric(u, v, sched, N)
+        sched.validate(N)
+        delta = lambda u, v: _wu_metric(u, v, sched, N)
     elif callable(line_metric):
         delta = line_metric
     else:
@@ -624,8 +613,8 @@ def _build_t_graph(K: int, h: float) -> GraphBuilder:
     def node(ix, iy, lip=None):
         pos = (ix * h, iy * h)
         if iy == 0 and ix >= 1 and lip is not None:
-            return b.node((pos[0], pos[1], lip), pos)
-        return b.node(pos, pos)
+            return b.node(pos + (lip,))
+        return b.node(pos)
 
     for ix in range(-K, K + 1):
         for iy in range(-K, K + 1):
@@ -642,20 +631,15 @@ def _build_t_graph(K: int, h: float) -> GraphBuilder:
     return b
 
 
-def _t_graph(K: int, h: float) -> GridGraph:
-    return _build_t_graph(K, h).build()
-
-
-def _l_graph(K: int, h: float) -> GridGraph:
+def _build_l_graph(K: int, h: float) -> GraphBuilder:
     b = _build_t_graph(K, h)
 
     def hnode(s, t):
         if t == 0:  # the seam: the boundary cycle of T, arc length matched
             if s == 0:
-                return b.node((0.0, 0.0), (0.0, 0.0))
-            lip = "U" if s > 0 else "D"
-            return b.node((abs(s) * h, 0.0, lip), (abs(s) * h, 0.0))
-        return b.node((s * h, t * h, "H"), (s * h, t * h))
+                return b.node((0.0, 0.0))
+            return b.node((abs(s) * h, 0.0, "U" if s > 0 else "D"))
+        return b.node((s * h, t * h, "H"))
 
     for s in range(-K, K + 1):
         for t in range(0, K + 1):
@@ -663,17 +647,17 @@ def _l_graph(K: int, h: float) -> GridGraph:
                 b.edge(hnode(s, t), hnode(s + 1, t), h)
             if t < K:
                 b.edge(hnode(s, t), hnode(s, t + 1), h)
-    return b.build()
+    return b
 
 
-def _d_graph(K: int, h: float) -> GridGraph:
+def _build_d_graph(K: int, h: float) -> GraphBuilder:
     b = GraphBuilder()
 
     def node(sheet, ix, iy):
         pos = (ix * h, iy * h)
         if ix == 0 or iy == 0:
-            return b.node(pos, pos)  # glued boundary, shared by both sheets
-        return b.node(pos + (sheet,), pos)
+            return b.node(pos)  # glued boundary, shared by both sheets
+        return b.node(pos + (sheet,))
 
     for sheet in ("A", "B"):
         for ix in range(0, K + 1):
@@ -682,10 +666,10 @@ def _d_graph(K: int, h: float) -> GridGraph:
                     b.edge(node(sheet, ix, iy), node(sheet, ix + 1, iy), h)
                 if iy < K:
                     b.edge(node(sheet, ix, iy), node(sheet, ix, iy + 1), h)
-    return b.build()
+    return b
 
 
-_GRAPH_MODELS = {"t": _t_graph, "l": _l_graph, "d": _d_graph}
+_GRAPH_MODELS = {"t": _build_t_graph, "l": _build_l_graph, "d": _build_d_graph}
 
 
 def _graph_ball(graph: GridGraph, key, R: float):
@@ -719,7 +703,7 @@ def model_tangent_space(kind: str, R: float, h: float) -> PointedWindow:
         space, base = _grid_ball(pred, (0.0, 0.0), R, h, one_dim)
     elif kind in _GRAPH_MODELS:
         K = math.ceil(3.0 * R / h) + 1  # half-width 3R: geodesics stay off the edge
-        space, base = _graph_ball(_GRAPH_MODELS[kind](K, h), (0.0, 0.0), R)
+        space, base = _graph_ball(_GRAPH_MODELS[kind](K, h).build(), (0.0, 0.0), R)
     else:
         raise DomainError(f"unknown model tangent kind {kind!r}; "
                           f"expected one of {MODEL_KINDS}")
@@ -735,8 +719,7 @@ class _EuclideanRegionGenerator:
     a Euclidean model tangent); the intrinsic metric of a convex region is the
     Euclidean restriction, exact per pair."""
 
-    def __init__(self, kind, pred, one_dim=False):
-        self.kind = kind
+    def __init__(self, pred, one_dim=False):
         self._pred = pred
         self._one_dim = one_dim
 
@@ -749,26 +732,18 @@ class SlitCarpetGenerator:
     """Windows of a slit (or pillow) carpet in its intrinsic metric."""
 
     def __init__(self, sched: SlitSchedule, pillows: bool = False):
-        self.kind = "pillow-carpet" if pillows else "slit-carpet"
         self.sched = sched
         self.pillows = pillows
-        self._cache: dict = {}
-
-    def _graph(self, h: float) -> GridGraph:
-        g = self._cache.get(h)
-        if g is None:
-            g = self._cache[h] = slit_carpet_graph(self.sched, h, self.pillows)
-        return g
 
     def sample_ball(self, center, radius_phys: float, h: float):
         _check_resolution(radius_phys, h)
-        _slit_table(self.sched, _mesh_steps(h))
-        return _graph_ball(self._graph(h), tuple(center), radius_phys)
+        graph = slit_carpet_graph(self.sched, h, self.pillows)
+        return _graph_ball(graph, tuple(center), radius_phys)
 
 
 def unit_square_generator() -> _EuclideanRegionGenerator:
     return _EuclideanRegionGenerator(
-        "square", lambda x, y: -TOL <= x <= 1 + TOL and -TOL <= y <= 1 + TOL)
+        lambda x, y: -TOL <= x <= 1 + TOL and -TOL <= y <= 1 + TOL)
 
 
 def make_generator(name: str, **params):
@@ -777,7 +752,7 @@ def make_generator(name: str, **params):
     if name == "square":
         return unit_square_generator()
     if name in _EUCLID_MODELS:
-        return _EuclideanRegionGenerator(f"model-{name}", *_EUCLID_MODELS[name])
+        return _EuclideanRegionGenerator(*_EUCLID_MODELS[name])
     if name == "flat-snowflake":
         return FlatSnowflakeGenerator(params.get("flatness"),
                                       params.get("window", (0.0, 1.0)))

@@ -141,8 +141,7 @@ def _value_set_mismatch(DX, DY) -> float:
 def _lower_bound(X: FiniteMetricSpace, Y: FiniteMetricSpace, base_pair=None) -> float:
     """Certified lower bound; both solvers call it first, so it refuses a base
     pair outside either space."""
-    lb = abs(X.diameter() - Y.diameter()) / 2.0
-    lb = max(lb, _value_set_mismatch(X.dist, Y.dist) / 2.0)
+    lb = _value_set_mismatch(X.dist, Y.dist) / 2.0  # covers the diameter gap
     if base_pair is not None:
         b1, b2 = base_pair
         for side, b, n in (("X", b1, X.n), ("Y", b2, Y.n)):
@@ -276,8 +275,8 @@ def gh_bounds(X: FiniteMetricSpace, Y: FiniteMetricSpace, *,
               extra_seeds=(), base_pair=None) -> GhResult:
     """Certified lower bound and local-search upper bound; exact always absent.
 
-    The lower bound is the larger of the half diameter gap and half the
-    Hausdorff mismatch of realized distance values.  The upper bound is half
+    The lower bound is half the Hausdorff mismatch of realized distance
+    values (which covers the diameter gap).  The upper bound is half
     the distortion of the best full correspondence found from deterministic
     seeds (identity when sizes agree, eccentricity-rank and signed-coordinate
     matchings, caller-provided seeds) plus seeded random restarts, each
@@ -358,11 +357,13 @@ def gh_exact_small(X: FiniteMetricSpace, Y: FiniteMetricSpace, *,
     partner in the child's L already reaches it (max over rows of the row
     minimum, likewise columns), as no completion below can do better.  Each
     level holds O(nx*ny) floats; the budget counts slots entered.  The first
-    descent is a greedy dive on L whose leaf is the first incumbent, and the
-    search stops as soon as an incumbent meets the lower bound; only when the
-    budget runs out does gh_bounds run, restarts included, and the better
-    witness (the only one if no leaf was reached) is kept.  The result is
-    exact whenever the search finished or its upper meets the lower bound.
+    incumbent is the identity when sizes agree and the bases coincide (or
+    the pair is unpointed), otherwise the leaf of the first descent, a
+    greedy dive on L.  The search stops as soon as an incumbent meets the
+    lower bound; only when the budget runs out does gh_bounds run at its
+    defaults, and the better witness (the only one if no leaf was reached)
+    is kept.  The result is exact whenever the search finished or its upper
+    meets the lower bound.
     """
     if X.n == 0 or Y.n == 0:
         raise DomainError("GH distance of an empty space")
@@ -370,14 +371,17 @@ def gh_exact_small(X: FiniteMetricSpace, Y: FiniteMetricSpace, *,
     nx, ny = X.n, Y.n
 
     lower = _lower_bound(X, Y, base_pair)
-    best_dis, bestI, bestJ = np.inf, None, None  # the first leaf reached
+    best_dis, bestI, bestJ = np.inf, None, None
+    if nx == ny and (base_pair is None or base_pair[0] == base_pair[1]):
+        bestI = bestJ = np.arange(nx)  # the identity, as in gh_bounds' seeds
+        best_dis = float(np.abs(DX - DY).max())
 
     xs = _eccentricity_order(DX).tolist()
     ys_order = _eccentricity_order(DY).tolist()
 
     nodes = 0
     exhausted = False
-    closed = False  # the incumbent meets the lower bound: nothing left to find
+    closed = best_dis / 2.0 <= lower + 1e-15  # nothing left to find
     I_buf = np.empty(nx + ny + 1, dtype=int)
     J_buf = np.empty(nx + ny + 1, dtype=int)
     # colX[x] is DX[:, x] as a column, rowY[y] is DY[:, y] as a row (views):
@@ -441,13 +445,14 @@ def gh_exact_small(X: FiniteMetricSpace, Y: FiniteMetricSpace, *,
         b1, b2 = int(base_pair[0]), int(base_pair[1])
         I_buf[0], J_buf[0] = b1, b2
         cur0 = float(np.abs(DX[b1, b1] - DY[b2, b2]))
-        dfs(0, 1, cur0, np.abs(colX[b1] - rowY[b2]), None)
+        root = (1, cur0, np.abs(colX[b1] - rowY[b2]))
     else:
-        dfs(0, 0, 0.0, np.zeros((nx, ny)), None)
+        root = (0, 0.0, np.zeros((nx, ny)))
+    if not closed:  # else the identity already meets the lower bound
+        dfs(0, *root, None)
 
     if exhausted:
-        full = gh_bounds(X, Y, seed=seed, restarts=min(40, 8 + 2 * max(nx, ny)),
-                         base_pair=base_pair)
+        full = gh_bounds(X, Y, seed=seed, base_pair=base_pair)
         I, J = full.witness.arrays()
         dis = _pair_distortion(DX, DY, I, J)
         if dis < best_dis:

@@ -18,14 +18,14 @@ from .metric_core import FiniteMetricSpace
 
 
 class GridGraph:
-    """Immutable weighted graph with node positions and hashable node keys."""
+    """Immutable weighted graph on hashable node keys; every generator's key
+    begins with the node's planar position."""
 
-    def __init__(self, keys, positions, edges):
+    def __init__(self, keys, edges):
         self.keys = tuple(keys)
         self.index = {k: i for i, k in enumerate(self.keys)}
         if len(self.index) != len(self.keys):
             raise DomainError("duplicate node keys in grid graph")
-        self.positions = np.asarray(positions, dtype=float)
         n = len(self.keys)
         seen = {}
         for u, v, w in edges:
@@ -68,26 +68,17 @@ class GridGraph:
 
 
 class GraphBuilder:
-    """Accumulates nodes (key + position) and edges, then freezes a GridGraph."""
+    """Accumulates node keys and edges, then freezes a GridGraph."""
 
     def __init__(self):
         self._index: dict = {}
-        self._positions: list = []
         self._edges: list = []
 
-    def node(self, key, pos) -> int:
-        idx = self._index.get(key)
-        if idx is None:
-            idx = len(self._positions)
-            self._index[key] = idx
-            self._positions.append(pos)
-        return idx
+    def node(self, key) -> int:
+        return self._index.setdefault(key, len(self._index))
 
     def edge(self, u: int, v: int, w: float) -> None:
         self._edges.append((u, v, w))
 
     def build(self) -> GridGraph:
-        keys = [None] * len(self._positions)
-        for k, i in self._index.items():
-            keys[i] = k
-        return GridGraph(keys, self._positions, self._edges)
+        return GridGraph(self._index, self._edges)  # keys in insertion (index) order

@@ -80,7 +80,7 @@ def extract_window(gen, p, lam: float, R: float, h: float) -> PointedWindow:
     return PointedWindow(rescale(space, lam), base, lam, R)
 
 
-def _label_positions(space: FiniteMetricSpace):
+def _label_coordinates(space: FiniteMetricSpace):
     pos = np.empty((space.n, 2))
     tags = []
     for i, label in enumerate(space.labels):
@@ -102,7 +102,7 @@ _LIP_OFFSETS = {"L": (-1, 0), "R": (1, 0), "U": (0, 1), "D": (0, -1)}
 
 
 def _seed_coordinates(W: PointedWindow):
-    pos, tags = _label_positions(W.space)
+    pos, tags = _label_coordinates(W.space)
     if pos is None:
         return None
     planar = (pos - pos[W.base]) / W.scale
@@ -128,8 +128,9 @@ def _seed_coordinates(W: PointedWindow):
 
 
 def nearest_position_seed(W1: PointedWindow, W2: PointedWindow):
-    """Correspondence matching nearest label positions, normalized to each
-    window's base and scale; None when labels carry no coordinates."""
+    """Correspondence matching every point to the nearest label position of
+    the other window, both normalized to their window's base and scale; None
+    when labels carry no coordinates."""
     q1 = _seed_coordinates(W1)
     q2 = _seed_coordinates(W2)
     if q1 is None or q2 is None:
@@ -183,7 +184,7 @@ def tangent_scan(cfg: ScanConfig) -> ScanReport:
     Hits happen only at exactly self-similar centres (a square's corner, a
     cone point), where every rescaled window is the same finite space.  A
     row's seconds cover the seed and the solve, or for a hit the lookup."""
-    model_cache: dict = {}
+    model_windows: dict = {}
     solved: dict = {}
     rows = []
     for lam in cfg.scales:
@@ -195,9 +196,9 @@ def tangent_scan(cfg: ScanConfig) -> ScanReport:
         for kind in cfg.models:
             h_eff = h / lam
             ck = (kind, cfg.window_radius, round(h_eff, 12))
-            M = model_cache.get(ck)
+            M = model_windows.get(ck)
             if M is None:
-                M = model_cache[ck] = model_tangent_space(kind, cfg.window_radius, h_eff)
+                M = model_windows[ck] = model_tangent_space(kind, cfg.window_radius, h_eff)
             t0 = time.perf_counter()
             seed = nearest_position_seed(W, M)
             key = (ck, *window_key, seed.pairs if seed is not None else None)
@@ -253,7 +254,6 @@ class ScaledGenerator:
     def __init__(self, gen, c: float):
         if c <= 0:
             raise DomainError("metric factor must be positive")
-        self.kind = f"{gen.kind}*{c}"
         self._gen = gen
         self._c = c
 

@@ -296,6 +296,16 @@ class TestWuLine:
         with pytest.raises(ScheduleError):
             good.validate(99)  # truncation beyond provided terms
 
+    def test_metric_and_rug_validate_the_schedule(self):
+        good = default_wu_schedule(4)
+        bad = WuSchedule((0.5, 0.4), good.c[:2], good.s[:2])  # alpha drops
+        with pytest.raises(ScheduleError):
+            wu_line_metric(0.1, 0.2, bad, 2)
+        with pytest.raises(ScheduleError):
+            product_rug_space(("wu", bad, 2))
+        with pytest.raises(ScheduleError):
+            product_rug_space(("wu", good, 99))  # truncation beyond provided terms
+
 
 class TestProductRug:
     def test_rickman_near_one_is_almost_euclidean(self):

@@ -17,6 +17,7 @@ from metric_lab.gh_solver import (
     GhResult,
     _local_search,
     _pairs_from_maps,
+    _value_set_mismatch,
     correspondence_from_map,
     distortion_of_correspondence,
     gh_bounds,
@@ -160,11 +161,21 @@ class TestExactSmall:
         res = gh_distance(X, X)
         assert (res.lower, res.upper, res.exact) == (0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("base_pair", [None, (3, 3)])
+    def test_identity_is_the_first_incumbent(self, monkeypatch, base_pair):
+        # the search alone closes X against itself, no exhaustion pass needed
+        pts = np.random.default_rng(5).random((21, 2))[:20]
+        X = FiniteMetricSpace(np.linalg.norm(pts[:, None] - pts[None, :], axis=-1))
+        monkeypatch.setattr(gh_solver, "gh_bounds", None)
+        res = gh_exact_small(X, X, base_pair=base_pair)
+        assert (res.lower, res.upper, res.exact) == (0.0, 0.0, 0.0)
+        assert distortion_of_correspondence(X, X, res.witness) == 0.0
+
     def test_budget_out_before_any_leaf_takes_the_restart_witness(self):
         rng = np.random.default_rng(7)
         X, Y = random_space(rng, 7), random_space(rng, 7)
         res = gh_exact_small(X, Y, budget=1)  # the dive needs 7 X slots
-        full = gh_bounds(X, Y, restarts=min(40, 8 + 2 * 7))
+        full = gh_bounds(X, Y)
         assert res.exact is None
         assert res.upper == full.upper and res.lower == full.lower
         assert res.witness.pairs == full.witness.pairs
@@ -222,8 +233,7 @@ class TestExactAgainstFrozenReference:
             X, Y = random_space(rng, nx), random_space(rng, ny)
             base_pair = (0, 0) if trial % 2 else None
             exact = gh_exact_small(X, Y, base_pair=base_pair).exact
-            full = gh_bounds(X, Y, restarts=min(40, 8 + 2 * max(nx, ny)),
-                             base_pair=base_pair)
+            full = gh_bounds(X, Y, base_pair=base_pair)
             for budget in (10, 30, 100, 500):
                 res = gh_exact_small(X, Y, budget=budget, base_pair=base_pair)
                 assert res.exact is None or res.exact == exact
@@ -250,6 +260,19 @@ class TestBounds:
         res = gh_bounds(a, b)
         assert res.lower >= 1.0
         assert res.upper >= res.lower
+
+    @pytest.mark.parametrize("pointed", [False, True])
+    def test_value_set_mismatch_covers_the_diameter_gap(self, pointed):
+        # the lower bound has no separate diameter term: the value-set
+        # mismatch reaches the diameter gap bit for bit
+        rng = np.random.default_rng(31 + pointed)
+        for _ in range(200):
+            X = random_space(rng, int(rng.integers(1, 9)), scale=float(rng.uniform(0.1, 3)))
+            Y = random_space(rng, int(rng.integers(1, 9)), scale=float(rng.uniform(0.1, 3)))
+            gap = abs(X.diameter() - Y.diameter())
+            assert _value_set_mismatch(X.dist, Y.dist) >= gap
+            base_pair = (int(rng.integers(X.n)), int(rng.integers(Y.n))) if pointed else None
+            assert gh_bounds(X, Y, restarts=0, base_pair=base_pair).lower >= gap / 2.0
 
     def test_sandwich_against_exact(self):
         rng = np.random.default_rng(5)

@@ -9,5 +9,5 @@ class TestGridGraph:
     @pytest.mark.parametrize("edges", [[(0, 1, 1.0), (0, 1, 2.0)],
                                        [(1, 0, 2.0), (0, 1, 1.0)]])
     def test_duplicate_edge_keeps_the_smaller_weight(self, edges):
-        g = GridGraph(["a", "b"], [(0.0, 0.0), (1.0, 0.0)], edges)
+        g = GridGraph(["a", "b"], edges)
         assert g.distance(0, 1) == 1.0
