@@ -102,7 +102,7 @@ def slit_carpet_graph(sched: SlitSchedule, h: float, pillows: bool = False) -> G
     for (_, col, y0, y1) in slits:
         by_col.setdefault(col, []).append((y0, y1))
 
-    b = GraphBuilder()
+    b = GraphBuilder(h)
 
     def key(ix, iy, side=None):
         pos = (ix * h, iy * h)
@@ -115,13 +115,13 @@ def slit_carpet_graph(sched: SlitSchedule, h: float, pillows: bool = False) -> G
     for ix in range(M + 1):
         for iy in range(M + 1):
             if ix < M:
-                b.edge(key(ix, iy, "R"), key(ix + 1, iy, "L"), h)
+                b.edge(key(ix, iy, "R"), key(ix + 1, iy, "L"))
             if iy < M:
                 if any(y0 <= iy < y1 for (y0, y1) in by_col.get(ix, ())):
-                    b.edge(key(ix, iy, "L"), key(ix, iy + 1, "L"), h)
-                    b.edge(key(ix, iy, "R"), key(ix, iy + 1, "R"), h)
+                    b.edge(key(ix, iy, "L"), key(ix, iy + 1, "L"))
+                    b.edge(key(ix, iy, "R"), key(ix, iy + 1, "R"))
                 else:
-                    b.edge(key(ix, iy), key(ix, iy + 1), h)
+                    b.edge(key(ix, iy), key(ix, iy + 1))
 
     if pillows:
         for slit_id, (_, col, y0, y1) in enumerate(slits):
@@ -137,17 +137,17 @@ def slit_carpet_graph(sched: SlitSchedule, h: float, pillows: bool = False) -> G
                 for u in range(m + 1):
                     for v in range(m + 1):
                         if u < m:
-                            b.edge(pnode(sheet, u, v), pnode(sheet, u + 1, v), h)
+                            b.edge(pnode(sheet, u, v), pnode(sheet, u + 1, v))
                         if v < m:
-                            b.edge(pnode(sheet, u, v), pnode(sheet, u, v + 1), h)
+                            b.edge(pnode(sheet, u, v), pnode(sheet, u, v + 1))
     return b.build()
 
 
 def slit_carpet_space(sched: SlitSchedule, h: float) -> FiniteMetricSpace:
     """All grid nodes of the slit carpet with the shortest-path metric.
 
-    Cost is quadratic in the node count; for fine meshes prefer
-    slit_carpet_graph plus GridGraph.space_on over a window.
+    Cost is quadratic in the node count; for fine meshes prefer a window,
+    SlitCarpetGenerator.sample_ball, whose searches stop at twice its radius.
     """
     return slit_carpet_graph(sched, h).space()
 
@@ -581,13 +581,24 @@ _EUCLID_MODELS = {
 }
 
 
-def _grid_ball(pred, center, R: float, h: float, one_dim: bool):
-    """Nodes of the h-grid inside the region pred within distance R of the
-    center node, Euclidean metric: (space, base index)."""
-    cx, cy = float(center[0]), float(center[1])
+def _grid_node(center, h: float):
+    """Grid indices (ix, iy) of a planar center, which must lie within 1e-9
+    of a node of the h-grid; both window kinds snap their center with it."""
+    try:
+        cx, cy = float(center[0]), float(center[1])
+    except (TypeError, ValueError, IndexError):
+        raise DomainError(f"center {center!r} is not a planar position") from None
     icx, icy = round(cx / h), round(cy / h)
     if abs(icx * h - cx) > 1e-9 or abs(icy * h - cy) > 1e-9:
         raise DomainError(f"center {center} is not a node of the h={h} grid")
+    return icx, icy
+
+
+def _grid_ball(pred, center, R: float, h: float, one_dim: bool):
+    """Nodes of the h-grid inside the region pred within distance R of the
+    center node, Euclidean metric: (space, base index)."""
+    icx, icy = _grid_node(center, h)
+    cx, cy = float(center[0]), float(center[1])
     K = math.floor((R + TOL) / h)
     pts, base = [], None
     ys = (icy,) if one_dim else range(icy - K, icy + K + 1)
@@ -608,7 +619,7 @@ def _grid_ball(pred, center, R: float, h: float, one_dim: bool):
 
 
 def _build_t_graph(K: int, h: float) -> GraphBuilder:
-    b = GraphBuilder()
+    b = GraphBuilder(h)
 
     def node(ix, iy, lip=None):
         pos = (ix * h, iy * h)
@@ -620,14 +631,14 @@ def _build_t_graph(K: int, h: float) -> GraphBuilder:
         for iy in range(-K, K + 1):
             if ix < K:
                 if iy == 0 and ix >= 0:  # along the cut: one chain per lip
-                    b.edge(node(ix, 0, "U"), node(ix + 1, 0, "U"), h)
-                    b.edge(node(ix, 0, "D"), node(ix + 1, 0, "D"), h)
+                    b.edge(node(ix, 0, "U"), node(ix + 1, 0, "U"))
+                    b.edge(node(ix, 0, "D"), node(ix + 1, 0, "D"))
                 else:
-                    b.edge(node(ix, iy), node(ix + 1, iy), h)
+                    b.edge(node(ix, iy), node(ix + 1, iy))
             if iy < K:
                 up = node(ix, iy + 1, "D" if iy + 1 == 0 else None)
                 lo = node(ix, iy, "U" if iy == 0 else None)
-                b.edge(lo, up, h)
+                b.edge(lo, up)
     return b
 
 
@@ -644,14 +655,14 @@ def _build_l_graph(K: int, h: float) -> GraphBuilder:
     for s in range(-K, K + 1):
         for t in range(0, K + 1):
             if s < K and t >= 1:
-                b.edge(hnode(s, t), hnode(s + 1, t), h)
+                b.edge(hnode(s, t), hnode(s + 1, t))
             if t < K:
-                b.edge(hnode(s, t), hnode(s, t + 1), h)
+                b.edge(hnode(s, t), hnode(s, t + 1))
     return b
 
 
 def _build_d_graph(K: int, h: float) -> GraphBuilder:
-    b = GraphBuilder()
+    b = GraphBuilder(h)
 
     def node(sheet, ix, iy):
         pos = (ix * h, iy * h)
@@ -663,24 +674,27 @@ def _build_d_graph(K: int, h: float) -> GraphBuilder:
         for ix in range(0, K + 1):
             for iy in range(0, K + 1):
                 if ix < K:
-                    b.edge(node(sheet, ix, iy), node(sheet, ix + 1, iy), h)
+                    b.edge(node(sheet, ix, iy), node(sheet, ix + 1, iy))
                 if iy < K:
-                    b.edge(node(sheet, ix, iy), node(sheet, ix, iy + 1), h)
+                    b.edge(node(sheet, ix, iy), node(sheet, ix, iy + 1))
     return b
 
 
 _GRAPH_MODELS = {"t": _build_t_graph, "l": _build_l_graph, "d": _build_d_graph}
 
 
-def _graph_ball(graph: GridGraph, key, R: float):
-    """Nodes within shortest-path distance R of the node key, with the metric
-    of the whole graph: (space, base index)."""
+def _graph_ball(graph: GridGraph, center, R: float):
+    """Nodes within shortest-path distance R of the center node, with the
+    metric of the whole graph: (space, base index).  The center's position
+    is snapped to the graph's h-grid; further entries are its key's tags.
+    Window nodes are joined through the base, so searches to 2R suffice."""
+    ix, iy = _grid_node(center, graph.h)
+    key = (ix * graph.h, iy * graph.h) + tuple(center[2:])
     if key not in graph.index:
-        raise DomainError(f"center {key} is not a node of the grid graph")
+        raise DomainError(f"center {tuple(center)} is not a node of the grid graph")
     base = graph.index[key]
-    row = graph.distances_from([base])[0]
-    sel = np.nonzero(row <= R + TOL)[0]
-    return graph.space_on(sel), int(np.nonzero(sel == base)[0][0])
+    sel = np.nonzero(graph.distances_from([base], R + TOL)[0] <= R + TOL)[0]
+    return graph.space_on(sel, 2 * (R + TOL)), int(np.nonzero(sel == base)[0][0])
 
 
 def model_tangent_space(kind: str, R: float, h: float) -> PointedWindow:
@@ -690,9 +704,10 @@ def model_tangent_space(kind: str, R: float, h: float) -> PointedWindow:
     (seam origins), or the 1-d line.
 
     Euclidean kinds are exact restrictions; t, l, d are grid graphs with the
-    shortest-path metric, built with enough padding that windowed geodesics
-    are unaffected by the boundary.  A mesh h > R raises ResolutionError, as
-    in every generator's sample_ball.
+    shortest-path metric, padded to half-width 2R: a geodesic between two
+    window points is at most 2R long and stays within 2R of the base, so
+    cutting the graph there never lengthens it.  A mesh h > R raises ResolutionError, as in
+    every generator's sample_ball.
     """
     kind = kind.lower()
     if R <= 0 or h <= 0:
@@ -702,7 +717,7 @@ def model_tangent_space(kind: str, R: float, h: float) -> PointedWindow:
         pred, one_dim = _EUCLID_MODELS[kind]
         space, base = _grid_ball(pred, (0.0, 0.0), R, h, one_dim)
     elif kind in _GRAPH_MODELS:
-        K = math.ceil(3.0 * R / h) + 1  # half-width 3R: geodesics stay off the edge
+        K = math.ceil(2.0 * R / h) + 1  # half-width 2R: window geodesics stay off the edge
         space, base = _graph_ball(_GRAPH_MODELS[kind](K, h).build(), (0.0, 0.0), R)
     else:
         raise DomainError(f"unknown model tangent kind {kind!r}; "
@@ -738,7 +753,7 @@ class SlitCarpetGenerator:
     def sample_ball(self, center, radius_phys: float, h: float):
         _check_resolution(radius_phys, h)
         graph = slit_carpet_graph(self.sched, h, self.pillows)
-        return _graph_ball(graph, tuple(center), radius_phys)
+        return _graph_ball(graph, center, radius_phys)
 
 
 def unit_square_generator() -> _EuclideanRegionGenerator:

@@ -3,9 +3,12 @@
 Spaces that the lab cannot write down in closed form are realized as
 4-neighbor grid graphs with step h and measured with shortest paths; the
 graph metric overestimates Euclidean lengths by up to a factor sqrt(2), a
-slack every desk-scale tolerance in the test suite quotes.  Every
-distance request is one scipy Dijkstra call; an edge given twice keeps its
-smaller weight.
+slack every desk-scale tolerance in the test suite quotes.  A grid graph is
+its node keys, its undirected edges and the one length h of every edge; an
+edge given twice counts once.  Every distance request is one scipy Dijkstra
+call, optionally bounded by a distance limit.  With one edge length, a path
+of k edges sums to the same float in either direction, so distance matrices
+are exactly symmetric.
 """
 from __future__ import annotations
 
@@ -18,49 +21,42 @@ from .metric_core import FiniteMetricSpace
 
 
 class GridGraph:
-    """Immutable weighted graph on hashable node keys; every generator's key
-    begins with the node's planar position."""
+    """Immutable graph on hashable node keys whose every edge has length h;
+    every generator's key begins with the node's planar position."""
 
-    def __init__(self, keys, edges):
+    def __init__(self, keys, edges, h: float):
         self.keys = tuple(keys)
         self.index = {k: i for i, k in enumerate(self.keys)}
         if len(self.index) != len(self.keys):
             raise DomainError("duplicate node keys in grid graph")
+        self.h = float(h)
         n = len(self.keys)
-        seen = {}
-        for u, v, w in edges:
-            if u == v:
-                continue
-            pair = (u, v) if u < v else (v, u)
-            seen[pair] = min(w, seen.get(pair, w))
-        rows, cols, data = [], [], []
-        for (u, v), w in seen.items():
-            rows += [u, v]
-            cols += [v, u]
-            data += [w, w]
-        self.adjacency = csr_matrix((data, (rows, cols)), shape=(n, n))
+        pairs = {(u, v) if u < v else (v, u) for u, v in edges}  # csr would sum duplicates
+        uv = np.array(list(pairs), dtype=int).reshape(-1, 2)
+        self.adjacency = csr_matrix((np.full(len(uv), self.h), (uv[:, 0], uv[:, 1])),
+                                    shape=(n, n))
 
     @property
     def n(self) -> int:
         return len(self.keys)
 
-    def distances_from(self, sources) -> np.ndarray:
+    def distances_from(self, sources, limit: float = np.inf) -> np.ndarray:
         """Shortest-path rows for the given source node ids, one scipy
-        Dijkstra pass over the undirected adjacency."""
+        Dijkstra pass over the undirected adjacency; nodes farther than
+        limit read inf."""
         sources = np.atleast_1d(np.asarray(sources, dtype=int))
-        return dijkstra(self.adjacency, directed=False, indices=sources)
+        return dijkstra(self.adjacency, directed=False, indices=sources, limit=limit)
 
     def distance(self, u: int, v: int) -> float:
         return float(self.distances_from([u])[0, v])
 
-    def space_on(self, node_ids) -> FiniteMetricSpace:
-        """Metric subspace on the given nodes; paths run through the full graph."""
+    def space_on(self, node_ids, limit: float = np.inf) -> FiniteMetricSpace:
+        """Metric subspace on the given nodes; paths run through the full
+        graph, searched up to limit, which must cover every pair."""
         node_ids = np.asarray(node_ids, dtype=int)
-        rows = self.distances_from(node_ids)
-        d = rows[:, node_ids]
-        d = np.minimum(d, d.T)  # exact up to float noise; symmetrize it away
+        d = self.distances_from(node_ids, limit)[:, node_ids]
         if d.size and not np.all(np.isfinite(d)):
-            raise DomainError("requested nodes are not mutually connected")
+            raise DomainError(f"requested nodes are not mutually connected within {limit}")
         return FiniteMetricSpace(d, tuple(self.keys[i] for i in node_ids))
 
     def space(self) -> FiniteMetricSpace:
@@ -68,17 +64,18 @@ class GridGraph:
 
 
 class GraphBuilder:
-    """Accumulates node keys and edges, then freezes a GridGraph."""
+    """Accumulates node keys and edges of length h, then freezes a GridGraph."""
 
-    def __init__(self):
+    def __init__(self, h: float):
+        self.h = h
         self._index: dict = {}
         self._edges: list = []
 
     def node(self, key) -> int:
         return self._index.setdefault(key, len(self._index))
 
-    def edge(self, u: int, v: int, w: float) -> None:
-        self._edges.append((u, v, w))
+    def edge(self, u: int, v: int) -> None:
+        self._edges.append((u, v))
 
     def build(self) -> GridGraph:
-        return GridGraph(self._index, self._edges)  # keys in insertion (index) order
+        return GridGraph(self._index, self._edges, self.h)  # keys in insertion (index) order

@@ -182,7 +182,7 @@ def restrict_ball(m: FiniteMetricSpace, p: int, R: float) -> PointedWindow:
     """Closed ball of radius R around point p, as a pointed window at scale 1."""
     if not (0 <= p < m.n):
         raise DomainError(f"index {p} out of range for {m.n} points")
-    if R <= 0:
+    if not R > 0:  # also refuses nan
         raise DomainError(f"radius must be positive, got {R}")
     keep = np.nonzero(m.dist[p] <= R + TOL)[0]
     base = int(np.nonzero(keep == p)[0][0])
@@ -190,8 +190,18 @@ def restrict_ball(m: FiniteMetricSpace, p: int, R: float) -> PointedWindow:
 
 
 def epsilon_net(m: FiniteMetricSpace, eps: float, start: int = 0) -> list[int]:
-    """Greedy (farthest-point insertion) eps-net; deterministic, lowest-index ties."""
-    return _farthest_first(m.dist, eps, start) if m.n else []
+    """Greedy (farthest-point insertion) eps-net; deterministic, lowest-index ties.
+
+    eps must be nonnegative (a negative or nan eps would grow the net
+    forever) and start an index of the space.
+    """
+    if not eps >= 0:
+        raise DomainError(f"net radius must be nonnegative, got {eps}")
+    if not m.n:
+        return []
+    if not (0 <= start < m.n):
+        raise DomainError(f"start index {start} out of range for {m.n} points")
+    return _farthest_first(m.dist, eps, start)
 
 
 def _farthest_first(dist: np.ndarray, eps: float, start: int) -> list[int]:
@@ -222,7 +232,7 @@ def geometry_stats(m: FiniteMetricSpace, scales) -> GeometryStats:
     if m.n == 0:
         raise DomainError("geometry_stats of an empty space")
     scales = [float(s) for s in scales]
-    if any(s <= 0 for s in scales):
+    if any(not s > 0 for s in scales):  # also refuses nan
         raise DomainError("scales must be positive")
     if any(a <= b for a, b in zip(scales, scales[1:])):
         raise DomainError("scales must be strictly descending")

@@ -6,8 +6,9 @@ bound's local search, a frozen copy of the exact branch and bound that
 recomputes every candidate cost (warm-started by the library's gh_bounds),
 a hand-rolled heap Dijkstra with its own graph construction for intrinsic
 metrics, a plain Floyd-Warshall, a frozen copy of the Euclidean
-model-window sampler, and a frozen metric-axiom check that scans every
-triangle slab, a frozen copy of the boundary expansion probe that
+model-window sampler, a frozen unbounded, symmetrised graph-window search
+(over model graphs padded to 3R), a frozen metric-axiom check that scans
+every triangle slab, a frozen copy of the boundary expansion probe that
 translates both points of every pair and compares scalar visual distances,
 and a frozen blow-up scan loop that solves every window against every model.
 """
@@ -19,6 +20,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from scipy.sparse.csgraph import dijkstra
 
 from metric_lab.boundary_free_group import (
     BoundaryPoint,
@@ -29,7 +31,7 @@ from metric_lab.boundary_free_group import (
     visual_distance,
 )
 from metric_lab.errors import DomainError
-from metric_lab.fractal_gen import model_tangent_space
+from metric_lab.fractal_gen import _GRAPH_MODELS, model_tangent_space
 from metric_lab.gh_solver import (
     Correspondence,
     GhResult,
@@ -402,6 +404,30 @@ def reference_euclid_window(pred, R: float, h: float, one_dim: bool = False):
     arr = np.array(pts)
     d = np.linalg.norm(arr[:, None, :] - arr[None, :, :], axis=-1)
     return tuple((float(x), float(y)) for x, y in pts), d, base
+
+
+# ---------------------------------------------------------------------------
+# Graph windows
+# ---------------------------------------------------------------------------
+
+def reference_graph_window(graph, key, R: float):
+    """Frozen graph window around the node key: one unbounded scipy Dijkstra
+    from it selects the nodes within R + TOL, unbounded Dijkstra rows from
+    every selected node over the whole graph give the matrix, which is then
+    symmetrised: (labels, dist, base)."""
+    base = graph.index[key]
+    row = dijkstra(graph.adjacency, directed=False, indices=[base])[0]
+    sel = np.nonzero(row <= R + _TOL)[0]
+    d = dijkstra(graph.adjacency, directed=False, indices=sel)[:, sel]
+    d = np.minimum(d, d.T)
+    return tuple(graph.keys[i] for i in sel), d, int(np.nonzero(sel == base)[0][0])
+
+
+def reference_model_graph_window(kind: str, R: float, h: float):
+    """Frozen t/l/d model window: reference_graph_window at the origin of
+    the model graph padded to half-width 3R."""
+    K = math.ceil(3.0 * R / h) + 1
+    return reference_graph_window(_GRAPH_MODELS[kind](K, h).build(), (0.0, 0.0), R)
 
 
 # ---------------------------------------------------------------------------

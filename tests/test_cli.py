@@ -308,6 +308,18 @@ class TestScan:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "972f41491f92f7a65f9d9960cac50c27d43bdaebbfe8ff95e977d8de7edc406b")
 
+    def test_carpet_scan_on_a_non_dyadic_mesh(self, runner, tmp_path):
+        # h = lambda/10 = 1/80, ...: 24 * (1/80) != 0.3 in floats, yet (0.3, 0)
+        # is a node of every mesh, as it is for the square
+        out = tmp_path / "scan.csv"
+        result = runner.invoke(main, ["scan", "--space", "slit-carpet", "--r", "0.5",
+                                      "--levels", "1", "--center", "0.3,0",
+                                      "--scales", "2^-3..2^-5", "--radius", "1",
+                                      "--models", "half", "--rule", "lambda/10",
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert len(out.read_text().strip().splitlines()) == 1 + 3
+
     @pytest.mark.parametrize("option,value", [
         ("--radius", "nan"), ("--radius", "inf"), ("--center", "nan,0"),
         ("--scales", "0.5,nan"), ("--scales", "0.5,1e400"), ("--scales", "2^2000..2^1999")])

@@ -38,6 +38,8 @@ from .oracles import (
     REFERENCE_EUCLID_MODELS,
     dijkstra_dict,
     reference_euclid_window,
+    reference_graph_window,
+    reference_model_graph_window,
     single_slit_grid_adjacency,
 )
 
@@ -103,6 +105,74 @@ class TestSlitCarpet:
             SlitSchedule((1.0,))
         with pytest.raises(ScheduleError):
             SlitSchedule((0.5, -0.2))
+
+
+class TestGraphWindows:
+    """Every graph window equals the frozen unbounded, symmetrised search,
+    bit for bit and in the same order."""
+
+    @pytest.mark.parametrize("R,h", [(1.0, 1 / 8), (1.5, 1 / 8), (1.0, 1 / 16),
+                                     (0.75, 1 / 16)])
+    @pytest.mark.parametrize("kind", ["t", "l", "d"])
+    def test_model_windows_match_frozen_reference(self, kind, R, h):
+        labels, dist, base = reference_model_graph_window(kind, R, h)
+        w = model_tangent_space(kind, R, h)
+        assert w.space.labels == labels
+        assert np.array_equal(w.space.dist, dist)
+        assert w.base == base
+        assert np.array_equal(w.space.dist, w.space.dist.T)
+
+    @pytest.mark.parametrize("center", [(0.0, 0.0), (0.375, 0.5)])
+    @pytest.mark.parametrize("pillows", [False, True])
+    def test_carpet_windows_match_frozen_reference(self, pillows, center):
+        h, R = 1 / 32, 0.25
+        sched = SlitSchedule.harmonic(2)
+        gen = make_generator("pillow-carpet" if pillows else "slit-carpet", sched=sched)
+        sp, base = gen.sample_ball(center, R, h)
+        labels, dist, ref_base = reference_graph_window(
+            slit_carpet_graph(sched, h, pillows), center, R)
+        assert sp.labels == labels
+        assert np.array_equal(sp.dist, dist)
+        assert base == ref_base
+        assert np.array_equal(sp.dist, sp.dist.T)
+
+    @pytest.mark.parametrize("space", [slit_carpet_space, pillow_carpet_space])
+    def test_whole_carpets_are_exactly_symmetric(self, space):
+        d = space(SlitSchedule.harmonic(2), 1 / 16).dist
+        assert np.array_equal(d, d.T)
+
+    def test_single_slit_window_matches_independent_dijkstra(self):
+        M, R = 16, 0.3
+        gen = make_generator("slit-carpet", sched=SlitSchedule((0.5,)))
+        sp, base = gen.sample_ball((0.375, 0.5), R, 1 / M)
+        adj, step = single_slit_grid_adjacency(M, 0.5)
+        nodes = [(round(l[0] * M), round(l[1] * M)) + tuple(l[2:]) for l in sp.labels]
+        assert nodes[base] == (6, 8)
+        rows = {u: dijkstra_dict(adj, u) for u in nodes}
+        assert {v for v, dv in rows[(6, 8)].items() if dv <= R + 1e-9} == set(nodes)
+        oracle = np.array([[rows[u][v] for v in nodes] for u in nodes])
+        assert np.allclose(sp.dist, oracle, rtol=0, atol=1e-12)
+
+    def test_non_dyadic_mesh_snaps_the_center(self):
+        # 24 * (1/80) != 0.3 in floats; the center is still a grid node
+        gen = make_generator("slit-carpet", sched=SlitSchedule((0.5,)))
+        sp, base = gen.sample_ball((0.3, 0.0), 0.125, 1 / 80)
+        assert sp.labels[base] == (24 * (1 / 80), 0.0)
+        assert sp.dist[base].max() <= 0.125 + 1e-9
+
+    @pytest.mark.parametrize("center", [(0.5, 0.5), (0.3 + 1 / 160, 0.0)])
+    def test_center_off_the_carpet_graph_is_refused(self, center):
+        # a slit-interior point exists only as its two lips; a point between
+        # grid nodes is no node at all
+        gen = make_generator("slit-carpet", sched=SlitSchedule((0.5,)))
+        with pytest.raises(DomainError, match="not a node"):
+            gen.sample_ball(center, 0.125, 1 / 80)
+
+    @pytest.mark.parametrize("space", ["square", "slit-carpet"])
+    def test_non_planar_center_is_a_domain_error(self, space):
+        gen = make_generator(space, sched=SlitSchedule((0.5,)))
+        with pytest.raises(DomainError, match="planar position"):
+            gen.sample_ball(("vertex", 3, 17), 0.125, 1 / 16)
 
 
 class TestPillowCarpet:

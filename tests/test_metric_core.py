@@ -1,6 +1,7 @@
 """Tests for distance-matrix validation, rescaling, balls and coarse stats."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
+from metric_lab import metric_core
 from metric_lab.errors import DomainError, MalformedMatrixError
 from metric_lab.fractal_gen import SlitSchedule, slit_carpet_space
 from metric_lab.metric_core import (
@@ -201,6 +203,11 @@ class TestRestrictBall:
         assert w.space.labels == (0.0, 1.0)
         assert w.base == 0
 
+    @pytest.mark.parametrize("R", [0.0, -1.0, math.nan])
+    def test_radius_must_be_positive(self, R):
+        with pytest.raises(DomainError, match="radius"):
+            restrict_ball(line_space([0, 1, 2]), 0, R)
+
     def test_commutes_with_rescale(self):
         m = line_space([0.0, 0.4, 1.1, 2.2, 3.9])
         lam, R = 2.0, 1.2
@@ -239,6 +246,11 @@ class TestGeometryStats:
         with pytest.raises(DomainError):
             geometry_stats(m, [0.25, 0.5])
 
+    @pytest.mark.parametrize("scales", [[math.nan], [0.5, math.nan], [0.0]])
+    def test_scales_must_be_positive(self, scales):
+        with pytest.raises(DomainError, match="positive"):
+            geometry_stats(line_space([0, 1, 2]), scales)
+
     def test_doubling_monotone_under_net_subsampling(self):
         m = line_space(np.linspace(0, 1, 65))
         scales = [0.5, 0.25]
@@ -247,6 +259,28 @@ class TestGeometryStats:
         sub = m.submatrix(net)
         assert (geometry_stats(sub, scales).doubling_estimate
                 <= geometry_stats(m, scales).doubling_estimate)
+
+
+class TestEpsilonNet:
+    def test_line_net(self):
+        assert epsilon_net(line_space([0, 1, 2, 3]), 1.5) == [0, 3]
+        assert epsilon_net(line_space([0, 1, 2, 3]), 1.5, start=2) == [2, 0]
+        assert epsilon_net(FiniteMetricSpace(np.zeros((0, 0))), 1.0) == []
+
+    @pytest.mark.parametrize("eps", [-1.0, math.nan])
+    def test_negative_or_nan_radius_is_refused(self, eps, monkeypatch):
+        # the insertion loop never ends at such a radius; the stand-in makes
+        # a missing check fail instead of hang
+        def loop(*args):
+            raise AssertionError("farthest-point loop entered")
+        monkeypatch.setattr(metric_core, "_farthest_first", loop)
+        with pytest.raises(DomainError, match="net radius"):
+            epsilon_net(line_space([0, 1, 2]), eps)
+
+    @pytest.mark.parametrize("start", [-1, 3, 9])
+    def test_start_outside_the_space_is_refused(self, start):
+        with pytest.raises(DomainError, match="start index"):
+            epsilon_net(line_space([0, 1, 2]), 1.5, start=start)
 
 
 class TestJsonFormat:
