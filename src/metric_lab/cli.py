@@ -4,6 +4,10 @@ Exit codes: 0 ok, 1 domain error from the inner modules, 2 usage or parse
 error.  All numeric output is formatted to 12 significant digits so repeated
 runs of one spec produce identical bytes; wall-clock columns are zeroed when
 METRIC_LAB_DETERMINISTIC is set (the reproduce runner sets it).
+
+scipy loads on first use: `gen` and `scan` need it, while `gh`, `qs` and
+`boundary` never do and start without it.  That is why `tangent_lab`, which
+imports scipy, is imported inside `scan` and its `--rule` parser only.
 """
 from __future__ import annotations
 
@@ -19,7 +23,6 @@ from . import boundary_free_group as bfg
 from . import fractal_gen as fg
 from . import metric_core as mc
 from . import qs_analysis as qs
-from . import tangent_lab as tl
 from .errors import MetricLabError
 from .gh_solver import EXACT_BUDGET, gh_distance
 from .metric_core import write_json_atomic, write_text_atomic
@@ -41,7 +44,7 @@ def _round12(obj):
 
 def parse_number(text: str) -> float:
     """Plain floats plus the fraction and dyadic-power notations 1/64, 2^-5;
-    nan, inf and overflow are refused."""
+    nan, inf, overflow and non-real powers such as -2^0.5 are refused."""
     text = text.strip()
     try:
         if "/" in text:
@@ -54,6 +57,8 @@ def parse_number(text: str) -> float:
             value = float(text)
     except (ValueError, ZeroDivisionError, OverflowError) as e:
         raise click.UsageError(f"cannot parse number {text!r}: {e}")
+    if isinstance(value, complex):  # a negative base to a fractional power
+        raise click.UsageError(f"number {text!r} is not real")
     if not math.isfinite(value):
         raise click.UsageError(f"number {text!r} is not finite")
     return value
@@ -113,6 +118,8 @@ def parse_center(text: str):
 
 def parse_rule(text: str) -> str:
     """A resolution rule "lambda/K" whose K must be a positive number."""
+    from . import tangent_lab as tl
+
     try:
         tl.resolution_rule(text)
     except (ValueError, MetricLabError):
@@ -391,6 +398,8 @@ def boundary_cmd(rank, depth, visual_base, cylinder_spec, probe_expansion,
 def scan_cmd(space_name, r_spec, levels, flatness, center, scales, radius,
              models, rule, seed, out):
     """Blow-up scan: per-scale pointed GH bounds against model tangents."""
+    from . import tangent_lab as tl
+
     params = {}
     if space_name == "slit-carpet":
         params["sched"] = _slit_schedule(r_spec, levels)
@@ -447,6 +456,7 @@ def reproduce_cmd(manifest, out_index):
     spec = _load_json(manifest)
     experiments = spec.get("experiments", [])
     index = {"experiments": [], "ok": True}
+    previous = os.environ.get("METRIC_LAB_DETERMINISTIC")
     os.environ["METRIC_LAB_DETERMINISTIC"] = "1"
     try:
         for exp in experiments:
@@ -462,7 +472,10 @@ def reproduce_cmd(manifest, out_index):
                 index["ok"] = False
             index["experiments"].append(entry)
     finally:
-        os.environ.pop("METRIC_LAB_DETERMINISTIC", None)
+        if previous is None:
+            os.environ.pop("METRIC_LAB_DETERMINISTIC", None)
+        else:
+            os.environ["METRIC_LAB_DETERMINISTIC"] = previous
     write_json_atomic(index, out_index)
     status = "ok" if index["ok"] else "FAILED"
     click.echo(f"reproduce {status}: {len(experiments)} experiments -> {out_index}")

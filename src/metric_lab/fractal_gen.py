@@ -214,6 +214,8 @@ def _segments_intersect(P: np.ndarray) -> bool:
 
 def _stage_polyline(window, l_of, stage: int) -> np.ndarray:
     """Vertices of the stage-`stage` construction over the window [a, b]."""
+    if stage < 0:
+        raise DomainError(f"snowflake stage must be non-negative, got {stage}")
     P = np.array([[window[0], 0.0], [window[1], 0.0]])
     for k in range(1, stage + 1):
         P = _refine_polyline(P, l_of(k))

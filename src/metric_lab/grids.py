@@ -13,8 +13,6 @@ are exactly symmetric.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .errors import DomainError
 from .metric_core import FiniteMetricSpace
@@ -25,6 +23,8 @@ class GridGraph:
     every generator's key begins with the node's planar position."""
 
     def __init__(self, keys, edges, h: float):
+        from scipy.sparse import csr_matrix  # scipy loads on first use, not at import
+
         self.keys = tuple(keys)
         self.index = {k: i for i, k in enumerate(self.keys)}
         if len(self.index) != len(self.keys):
@@ -44,6 +44,8 @@ class GridGraph:
         """Shortest-path rows for the given source node ids, one scipy
         Dijkstra pass over the undirected adjacency; nodes farther than
         limit read inf."""
+        from scipy.sparse.csgraph import dijkstra
+
         sources = np.atleast_1d(np.asarray(sources, dtype=int))
         return dijkstra(self.adjacency, directed=False, indices=sources, limit=limit)
 

@@ -13,7 +13,6 @@ import tempfile
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import DomainError, MalformedMatrixError
 
@@ -123,6 +122,8 @@ def validate_metric(m: FiniteMetricSpace) -> list[AxiomViolation]:
     evaluates exactly only the slabs the certified bound cannot rule out, so
     it reports the same witness and magnitude as a scan of all n slabs.
     """
+    from scipy.spatial.distance import cdist  # scipy loads on first use, not at import
+
     d = m.dist
     n = m.n
     out: list[AxiomViolation] = []

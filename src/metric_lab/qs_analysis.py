@@ -146,12 +146,15 @@ def distortion_envelope(f: SampledMap, triple_budget=TRIPLE_BUDGET_DEFAULT,
     """Envelope of image-to-source triple ratios of f.
 
     "all" enumerates every ordered triple (x, y, z) with x != z; an integer
-    budget draws that many seeded uniform triples instead.  A budget at least
-    the number of ordered triples falls back to full enumeration.
+    budget, at least 1, draws that many seeded uniform triples instead.  A
+    budget at least the number of ordered triples falls back to full
+    enumeration.
     """
     n = f.domain.n
     if n < 3:
         raise DomainError("need at least 3 points to sample triples")
+    if triple_budget != "all" and int(triple_budget) < 1:
+        raise DomainError(f"triple budget must be positive, got {triple_budget}")
     if triple_budget != "all" and int(triple_budget) >= n * n * (n - 1):
         triple_budget = "all"
     if triple_budget == "all":

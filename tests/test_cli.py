@@ -2,12 +2,16 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import metric_lab
 from metric_lab.cli import GEN_KINDS, main, parse_center, parse_number, parse_scales
 from metric_lab.fractal_gen import MODEL_KINDS
 from metric_lab.metric_core import read_space
@@ -36,6 +40,12 @@ class TestParsers:
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400", "1/1e-320", "2^2000"])
     def test_non_finite_numbers_are_refused(self, text):
         with pytest.raises(click.UsageError):
+            parse_number(text)
+
+    @pytest.mark.parametrize("text", ["-2^0.5", "-0.5^-0.5", "1/-2^0.5"])
+    def test_non_real_powers_are_refused(self, text):
+        # (-2.0) ** 0.5 is complex; math.isfinite used to raise TypeError on it
+        with pytest.raises(click.UsageError, match="not real"):
             parse_number(text)
 
     def test_center_forms(self):
@@ -82,6 +92,22 @@ class TestGen:
         assert result.exit_code == 2
         assert "--points" in result.output
         assert not any(p.exists() for p in outs)
+
+    def test_non_real_mesh_is_exit_two(self, runner, tmp_path):
+        out = tmp_path / "q.json"
+        result = runner.invoke(main, ["gen", "--kind", "model-quarter", "--h", "-2^0.5",
+                                      "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "not real" in result.output
+        assert not out.exists()
+
+    def test_negative_snowflake_stage_is_domain_failure(self, runner, tmp_path):
+        out = tmp_path / "s.json"
+        result = runner.invoke(main, ["gen", "--kind", "snowflake", "--stage", "-1",
+                                      "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert "DomainError" in result.output
+        assert not out.exists()
 
     def test_resolution_error_is_domain_failure(self, runner, tmp_path):
         result = runner.invoke(main, ["gen", "--kind", "slit-carpet",
@@ -215,6 +241,17 @@ class TestQs:
                                       "--budget", "abc", "--out", str(tmp_path / "e.csv")])
         assert result.exit_code == 2
         assert "--budget" in result.output
+        assert not (tmp_path / "e.csv").exists()
+
+    def test_budget_below_one_is_domain_failure(self, runner, tmp_path):
+        write_small_space(tmp_path / "d.json")
+        (tmp_path / "m.json").write_text(json.dumps({"assignment": [0, 1, 2]}))
+        result = runner.invoke(main, ["qs", "--domain", str(tmp_path / "d.json"),
+                                      "--codomain", str(tmp_path / "d.json"),
+                                      "--map", str(tmp_path / "m.json"),
+                                      "--budget", "-3", "--out", str(tmp_path / "e.csv")])
+        assert result.exit_code == 1, result.output
+        assert "DomainError" in result.output
         assert not (tmp_path / "e.csv").exists()
 
 
@@ -438,6 +475,68 @@ class TestReproduce:
         assert not payload["ok"]
         assert [e["ok"] for e in payload["experiments"]] == [False, True]
         assert (tmp_path / "ok.json").exists()
+
+    @pytest.mark.parametrize("before", ["keep", None])
+    def test_caller_deterministic_setting_is_restored(self, tmp_path, monkeypatch,
+                                                      before):
+        if before is None:
+            monkeypatch.delenv("METRIC_LAB_DETERMINISTIC", raising=False)
+        else:
+            monkeypatch.setenv("METRIC_LAB_DETERMINISTIC", before)
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps({"experiments": []}))
+        main.main(args=["reproduce", str(mpath), "--out-index", str(tmp_path / "i.json")],
+                  standalone_mode=False)
+        assert os.environ.get("METRIC_LAB_DETERMINISTIC") == before
+
+
+# The commands that never call scipy must not load it: import scipy.spatial
+# alone costs more than numpy and click together.  A fresh interpreter runs
+# each step and reports the scipy modules loaded so far.
+STARTUP_PROBE = """
+import json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+loaded = {}
+import metric_lab
+loaded["import metric_lab"] = scipy_modules()
+import metric_lab.cli
+loaded["import metric_lab.cli"] = scipy_modules()
+for argv in json.loads(sys.argv[1]):
+    metric_lab.cli.main.main(args=argv, standalone_mode=False)
+    loaded[argv[0]] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+class TestStartup:
+    def test_import_gh_qs_and_boundary_load_no_scipy(self, tmp_path):
+        write_small_space(tmp_path / "x.json")
+        (tmp_path / "m.json").write_text(json.dumps({"assignment": [0, 1, 2]}))
+        steps = [
+            ["gh", "--x", str(tmp_path / "x.json"), "--y", str(tmp_path / "x.json"),
+             "--out", str(tmp_path / "gh.json")],
+            ["qs", "--domain", str(tmp_path / "x.json"), "--codomain",
+             str(tmp_path / "x.json"), "--map", str(tmp_path / "m.json"),
+             "--out", str(tmp_path / "env.csv")],
+            ["boundary", "--rank", "2", "--depth", "5", "--cylinder", "a:2",
+             "--probe-expansion", "--out", str(tmp_path / "b.json")],
+            # the probe sees scipy once a command does load it
+            ["gen", "--kind", "model-quarter", "--radius", "1", "--h", "1/4",
+             "--out", str(tmp_path / "q.json")],
+        ]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(metric_lab.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE, json.dumps(steps)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+        for step in ("import metric_lab", "import metric_lab.cli", "gh", "qs", "boundary"):
+            assert loaded[step] == [], f"{step} loaded {loaded[step][:5]}"
+        assert "scipy" in loaded["gen"]
+        for name in ("gh.json", "env.csv", "b.json", "q.json"):
+            assert (tmp_path / name).exists()
 
 
 class TestGhPointed:

@@ -241,6 +241,13 @@ class TestSnowflake:
         sp = snowflake_polyline(3)
         assert validate_metric(sp) == []
 
+    def test_negative_stage_rejected(self):
+        # range(1, 0) is empty, so stage -1 used to pass as a 2-point stage 0
+        with pytest.raises(DomainError, match="stage"):
+            snowflake_polyline(-1)
+        with pytest.raises(DomainError, match="stage"):
+            FlatSnowflakeGenerator().vertex_position(-1, 0)
+
     def test_stage_beyond_the_sweep_limit_raises_before_building(self):
         t0 = time.perf_counter()
         with pytest.raises(ConstructionError, match="4097"):

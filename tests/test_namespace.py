@@ -1,0 +1,96 @@
+"""The lazy package namespace exports what the eager one did, object for object."""
+
+import importlib
+
+import pytest
+
+import metric_lab
+
+# A frozen copy of the names the package exported when its __init__ imported
+# every module eagerly, by the module that defines each.
+EXPORTED = {
+    "errors": [
+        "AlphabetError", "ConstructionError", "DegenerateEnvelopeError",
+        "DomainError", "InsufficientDepthError", "MalformedMatrixError",
+        "MetricLabError", "ResolutionError", "ScheduleError",
+    ],
+    "metric_core": [
+        "TOL", "AxiomViolation", "FiniteMetricSpace", "GeometryStats",
+        "PointedWindow", "epsilon_net", "geometry_stats", "read_space", "rescale",
+        "restrict_ball", "space_from_json", "space_to_json", "validate_metric",
+        "write_space",
+    ],
+    "gh_solver": [
+        "Correspondence", "GhResult", "correspondence_from_map",
+        "distortion_of_correspondence", "gh_bounds", "gh_distance",
+        "gh_exact_small", "map_distortion", "pointed_gh_bounds",
+    ],
+    "fractal_gen": [
+        "MODEL_KINDS", "FlatSnowflakeGenerator", "SlitCarpetGenerator",
+        "SlitPlanePoint", "SlitSchedule", "WuSchedule", "default_wu_schedule",
+        "make_generator", "model_tangent_space", "phi_half_disk_sample",
+        "pillow_carpet_space", "product_rug_space", "slit_carpet_graph",
+        "slit_carpet_space", "slit_plane_distance", "snowflake_polyline",
+        "square_map_phi", "unit_square_generator", "wu_L", "wu_line_metric",
+    ],
+    "boundary_free_group": [
+        "BoundaryPoint", "Cylinder", "ExpansionStats", "ReducedWord",
+        "boundary_point", "cylinder_ball", "enumerate_words", "expanding_cover",
+        "expansion_factor_probe", "gromov_product_prefix", "is_saturated",
+        "reduce_word", "translate_boundary", "visual_distance",
+    ],
+    "qs_analysis": [
+        "DistortionEnvelope", "SampledMap", "check_eta", "diam_ratio_check",
+        "distortion_envelope", "envelope_compose", "envelope_from_samples",
+        "envelope_invert", "qc_constant_probe",
+    ],
+    "tangent_lab": [
+        "ScaledGenerator", "ScanConfig", "ScanReport", "Verdict",
+        "classify_tangent", "extract_window", "nearest_position_seed",
+        "tangent_scan",
+    ],
+}
+DEFINED_IN = [(module, name) for module, names in EXPORTED.items() for name in names]
+EXPORTED_NAMES = [name for _, name in DEFINED_IN]
+
+
+def test_all_lists_exactly_the_exported_names():
+    assert sorted(metric_lab.__all__) == sorted(EXPORTED_NAMES)
+    assert len(metric_lab.__all__) == len(set(metric_lab.__all__))
+
+
+@pytest.mark.parametrize("module,name", DEFINED_IN)
+def test_each_name_resolves_to_its_defining_module_object(module, name):
+    want = getattr(importlib.import_module(f"metric_lab.{module}"), name)
+    assert getattr(metric_lab, name) is want
+    namespace: dict = {}
+    exec(f"from metric_lab import {name}", namespace)
+    assert namespace[name] is want
+
+
+def test_star_import_binds_every_exported_name():
+    namespace: dict = {}
+    exec("from metric_lab import *", namespace)
+    assert set(EXPORTED_NAMES) <= set(namespace)
+
+
+def test_dir_lists_the_exports_and_the_version():
+    listing = dir(metric_lab)
+    assert set(EXPORTED_NAMES) <= set(listing)
+    assert "__version__" in listing
+    assert metric_lab.__version__ == "0.1.0"
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTED) + ["grids"])
+def test_submodules_resolve_as_attributes(module):
+    assert getattr(metric_lab, module) is importlib.import_module(f"metric_lab.{module}")
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "cdist", "np", "_EXPORT"])
+def test_unknown_attribute_raises_attribute_error(name):
+    with pytest.raises(AttributeError, match=name):
+        getattr(metric_lab, name)
+    assert not hasattr(metric_lab, name)
+    with pytest.raises(ImportError):
+        exec(f"from metric_lab import {name}", {})
+

@@ -61,6 +61,12 @@ class TestEnvelope:
         with pytest.raises(DomainError):
             SampledMap(m, m, np.array([0, 0, 1]))
 
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_budget_below_one_rejected(self, snowflake30, budget):
+        # -3 used to escape as numpy's "negative dimensions are not allowed"
+        with pytest.raises(DomainError, match="budget"):
+            distortion_envelope(snowflake30, budget)
+
     def test_budget_sampling_is_dominated_by_full_envelope(self, snowflake30):
         full = distortion_envelope(snowflake30, "all")
         sub = distortion_envelope(snowflake30, 2000, seed=1)
