@@ -275,7 +275,7 @@ def _check_metric(*spaces):
 @click.option("--y", "y_path", required=True, type=click.Path())
 @click.option("--exact/--no-exact", default=None,
               help="force or forbid the exact search (default: auto by size)")
-@click.option("--budget", type=int, default=EXACT_BUDGET, show_default=True)
+@click.option("--budget", type=click.IntRange(min=0), default=EXACT_BUDGET, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--base-x", type=int, default=None, help="pointed: base index in X")
 @click.option("--base-y", type=int, default=None, help="pointed: base index in Y")

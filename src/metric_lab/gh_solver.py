@@ -13,6 +13,7 @@ adding pairs, so the minimum over this family is the true minimum.
 """
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -41,6 +42,10 @@ class Correspondence:
     def check_full(self, nx: int, ny: int) -> None:
         I, J = self.arrays()
         for side, covered, total in (("X", I, nx), ("Y", J, ny)):
+            outside = covered[(covered < 0) | (covered >= total)]
+            if len(outside):
+                raise DomainError(f"correspondence index {outside[0]} outside "
+                                  f"0..{total - 1} of {side}")
             missing = np.setdiff1d(np.arange(total), covered)
             if len(missing):
                 raise DomainError(f"correspondence does not cover {side} index {missing[0]}")
@@ -145,12 +150,20 @@ def _lower_bound(X: FiniteMetricSpace, Y: FiniteMetricSpace, base_pair=None) -> 
     if base_pair is not None:
         b1, b2 = base_pair
         for side, b, n in (("X", b1, X.n), ("Y", b2, Y.n)):
+            if not isinstance(b, (int, np.integer)):
+                raise DomainError(f"base index {b!r} of {side} is not an integer")
             if not 0 <= b < n:
                 raise DomainError(f"base index {b} outside 0..{n - 1} of {side}")
         a = np.unique(X.dist[b1])
         b = np.unique(Y.dist[b2])
         lb = max(lb, max(_directed_value_gap(a, b), _directed_value_gap(b, a)) / 2.0)
     return lb
+
+
+def _check_nonnegative(**counts) -> None:
+    for name, value in counts.items():
+        if value < 0:
+            raise DomainError(f"{name} {value} is negative")
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +294,15 @@ def gh_bounds(X: FiniteMetricSpace, Y: FiniteMetricSpace, *,
     seeds (identity when sizes agree, eccentricity-rank and signed-coordinate
     matchings, caller-provided seeds) plus seeded random restarts, each
     polished by a worst-pair repair search.  Fixed seed, deterministic output.
+    A caller's Correspondence seed must cover both sides once the base pair
+    is added, and restarts must not be negative; otherwise DomainError.
     A repair move on a seed of k pairs costs an O((nx+ny)*k) candidate scan
     plus an O(k^2) argmax over the kept matrix (about k^2 + 2*(nx+ny)*k
     floats); seeds with k^2 > _MAX_PAIR_BUDGET are only evaluated, in chunks.
     """
     if X.n == 0 or Y.n == 0:
         raise DomainError("GH bounds of an empty space")
+    _check_nonnegative(restarts=restarts)
     DX, DY = X.dist, Y.dist
     nx, ny = X.n, Y.n
     lower = _lower_bound(X, Y, base_pair)
@@ -319,8 +335,9 @@ def gh_bounds(X: FiniteMetricSpace, Y: FiniteMetricSpace, *,
             I, J = item.arrays()
             if base_pair is not None and not any(
                     (int(i), int(j)) == tuple(base_pair) for i, j in zip(I, J)):
-                I = np.append(I, base_pair[0])
-                J = np.append(J, base_pair[1])
+                item = Correspondence(tuple(item.pairs) + (tuple(base_pair),))
+                I, J = item.arrays()
+            item.check_full(nx, ny)
         else:
             f, g = item
             I, J = _pairs_from_maps(nx, ny, np.asarray(f, int), np.asarray(g, int), base_pair)
@@ -352,28 +369,36 @@ def gh_exact_small(X: FiniteMetricSpace, Y: FiniteMetricSpace, *,
     lower-index tie break.  One nx x ny matrix L holds each pair's worst
     mismatch against the pairs fixed so far, so a slot's candidate costs are
     a row or a column of L and fixing a pair is one elementwise maximum.
-    Candidates run in cost order until the cost reaches the incumbent.  On X
-    slots a forward check also skips a candidate when some point's cheapest
-    partner in the child's L already reaches it (max over rows of the row
-    minimum, likewise columns), as no completion below can do better.  Each
-    level holds O(nx*ny) floats; the budget counts slots entered.  The first
-    incumbent is the identity when sizes agree and the bases coincide (or
-    the pair is unpointed), otherwise the leaf of the first descent, a
-    greedy dive on L.  The search stops as soon as an incumbent meets the
-    lower bound; only when the budget runs out does gh_bounds run at its
-    defaults, and the better witness (the only one if no leaf was reached)
-    is kept.  The result is exact whenever the search finished or its upper
-    meets the lower bound.
+    Fixing (x, y) raises L to at least P[x, y] = |DX[:, x, None] -
+    DY[None, :, y]|.  The table P of all (nx*ny)^2 entries is built once per
+    call, after the identity check, when nx*ny is at most _EXACT_AUTO_PAIRS
+    (1.28 MB there); above that each entry is computed when needed, with the
+    same floats.  Candidates run in cost order (numpy's stable argsort on X
+    slots, Python's stable sort on the at most nx candidates of a Y slot, so
+    ties go to the lower index either way) until the cost reaches the
+    incumbent.  On X slots a forward check also skips a candidate when some
+    point's cheapest partner in the child's L already reaches it (max over
+    rows of the row minimum, likewise columns), as no completion below can
+    do better.  Each level holds O(nx*ny) floats; the budget counts slots
+    entered.  The first incumbent is the identity when sizes agree and the
+    bases coincide (or the pair is unpointed), otherwise the leaf of the
+    first descent, a greedy dive on L.  The search stops as soon as an
+    incumbent meets the lower bound; only when the budget runs out does
+    gh_bounds run at its defaults, and the better witness (the only one if
+    no leaf was reached) is kept.  The result is exact whenever the search
+    finished or its upper meets the lower bound.  A negative budget raises
+    DomainError.
     """
     if X.n == 0 or Y.n == 0:
         raise DomainError("GH distance of an empty space")
+    _check_nonnegative(budget=budget)
     DX, DY = X.dist, Y.dist
     nx, ny = X.n, Y.n
 
     lower = _lower_bound(X, Y, base_pair)
     best_dis, bestI, bestJ = np.inf, None, None
     if nx == ny and (base_pair is None or base_pair[0] == base_pair[1]):
-        bestI = bestJ = np.arange(nx)  # the identity, as in gh_bounds' seeds
+        bestI = bestJ = list(range(nx))  # the identity, as in gh_bounds' seeds
         best_dis = float(np.abs(DX - DY).max())
 
     xs = _eccentricity_order(DX).tolist()
@@ -382,28 +407,29 @@ def gh_exact_small(X: FiniteMetricSpace, Y: FiniteMetricSpace, *,
     nodes = 0
     exhausted = False
     closed = best_dis / 2.0 <= lower + 1e-15  # nothing left to find
-    I_buf = np.empty(nx + ny + 1, dtype=int)
-    J_buf = np.empty(nx + ny + 1, dtype=int)
+    I_buf = [0] * (nx + ny + 1)
+    J_buf = [0] * (nx + ny + 1)
     # colX[x] is DX[:, x] as a column, rowY[y] is DY[:, y] as a row (views):
-    # fixing the pair (x, y) raises L to at least |colX[x] - rowY[y]|
+    # fixing the pair (x, y) raises L to at least P[x, y] = |colX[x] - rowY[y]|
     colX, rowY = DX.T[:, :, None], DY.T[:, None, :]
-
-    def child(L, x: int, y: int):
-        out = np.subtract(colX[x], rowY[y])
-        np.abs(out, out=out)
-        return np.maximum(out, L, out=out)
+    if closed or nx * ny > _EXACT_AUTO_PAIRS:  # no search, or too large a table
+        def pairs(index):
+            """P[x, ys] for index = (x, ys), computed when there is no table."""
+            x, ys = index
+            return np.abs(colX[x] - rowY[ys])
+    else:  # the table P, (nx*ny)^2 floats
+        pairs = np.abs(colX[:, None] - rowY[None]).__getitem__
 
     def dfs(slot: int, k: int, cur: float, L, rest):
         nonlocal best_dis, bestI, bestJ, nodes, exhausted, closed
         if slot == nx:  # every X point has an image; cover the remaining Y
-            covered = set(J_buf[:k].tolist())
+            covered = set(J_buf[:k])
             rest = [y for y in ys_order if y not in covered]
         on_x = slot < nx
         if not on_x and slot - nx == len(rest):
             if cur < best_dis:
                 best_dis = cur
-                bestI = I_buf[:k].copy()
-                bestJ = J_buf[:k].copy()
+                bestI, bestJ = I_buf[:k], J_buf[:k]
                 closed = best_dis / 2.0 <= lower + 1e-15
             return
         nodes += 1
@@ -413,51 +439,50 @@ def gh_exact_small(X: FiniteMetricSpace, Y: FiniteMetricSpace, *,
         if on_x:
             x = xs[slot]
             cost = L[x]
-        else:
-            y = rest[slot - nx]
-            cost = L[:, y]
-        order = cost.argsort(kind="stable")
-        costs = cost[order]
-        if on_x:
+            order = cost.argsort(kind="stable")
+            costs = cost[order]
             # forward check: the child L of every live candidate at once,
-            # shape (candidates, nx, ny), freed before recursing
+            # shape (candidates, nx, ny), freed before recursing; indexing
+            # the table with the array live copies, so T may be overwritten
             live = order[:costs.searchsorted(best_dis)]
-            T = np.abs(colX[x][None] - rowY[live])
+            T = pairs((x, live))
             np.maximum(T, L, out=T)
             bound = np.maximum(T.min(axis=2).max(axis=1), T.min(axis=1).max(axis=1))
             del T
-            bound = bound.tolist()
+            order, costs, bound = order.tolist(), costs.tolist(), bound.tolist()
         else:
-            bound = [-np.inf] * len(order)
-        for c, cc, b in zip(order.tolist(), costs.tolist(), bound):
-            d = max(cur, cc)
+            y = rest[slot - nx]
+            col = L[:, y].tolist()
+            order = sorted(range(nx), key=col.__getitem__)
+            costs = map(col.__getitem__, order)
+            bound = itertools.repeat(-np.inf)
+        for c, cc, b in zip(order, costs, bound):
+            d = cc if cc > cur else cur
             if d >= best_dis:
                 break  # candidates sorted: the rest only get worse
             if b >= best_dis:
                 continue
             pair = (x, c) if on_x else (c, y)
             I_buf[k], J_buf[k] = pair
-            dfs(slot + 1, k + 1, d, child(L, *pair), rest)
+            dfs(slot + 1, k + 1, d, np.maximum(pairs(pair), L), rest)
             if exhausted or closed:
                 return
 
-    if base_pair is not None:
-        b1, b2 = int(base_pair[0]), int(base_pair[1])
-        I_buf[0], J_buf[0] = b1, b2
-        cur0 = float(np.abs(DX[b1, b1] - DY[b2, b2]))
-        root = (1, cur0, np.abs(colX[b1] - rowY[b2]))
-    else:
-        root = (0, 0.0, np.zeros((nx, ny)))
     if not closed:  # else the identity already meets the lower bound
-        dfs(0, *root, None)
+        if base_pair is None:
+            dfs(0, 0, 0.0, np.zeros((nx, ny)), None)
+        else:
+            b1, b2 = int(base_pair[0]), int(base_pair[1])
+            I_buf[0], J_buf[0] = b1, b2
+            dfs(0, 1, float(np.abs(DX[b1, b1] - DY[b2, b2])), pairs((b1, b2)), None)
 
     if exhausted:
         full = gh_bounds(X, Y, seed=seed, base_pair=base_pair)
         I, J = full.witness.arrays()
         dis = _pair_distortion(DX, DY, I, J)
         if dis < best_dis:
-            best_dis, bestI, bestJ = dis, I, J
-    witness = Correspondence(tuple(zip(bestI.tolist(), bestJ.tolist())))
+            best_dis, bestI, bestJ = dis, I.tolist(), J.tolist()
+    witness = Correspondence(tuple(zip(bestI, bestJ)))
     value = best_dis / 2.0
     closed = not exhausted or value <= lower + 1e-15
     return GhResult(lower=lower, upper=value, exact=value if closed else None,
@@ -470,9 +495,11 @@ def gh_distance(X: FiniteMetricSpace, Y: FiniteMetricSpace, *, method: str = "au
     """GH bounds of X and Y, pointed when base_pair = (bx, by) is given, from the
     solver that method names: "exact" is gh_exact_small (seed, budget),
     "bounds" is gh_bounds (seed, restarts, extra_seeds), and "auto" is the
-    exact search iff nx*ny <= _EXACT_AUTO_PAIRS.  Others raise DomainError."""
+    exact search iff nx*ny <= _EXACT_AUTO_PAIRS.  Others raise DomainError,
+    as does a negative budget or restart count."""
     if method not in ("auto", "exact", "bounds"):
         raise DomainError(f"unknown GH method {method!r}")
+    _check_nonnegative(budget=budget, restarts=restarts)
     if method == "exact" or (method == "auto" and X.n * Y.n <= _EXACT_AUTO_PAIRS):
         return gh_exact_small(X, Y, budget=budget, base_pair=base_pair, seed=seed)
     return gh_bounds(X, Y, seed=seed, restarts=restarts, extra_seeds=extra_seeds,

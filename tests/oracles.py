@@ -4,6 +4,7 @@ These deliberately avoid the library's own search code: exhaustive
 enumeration for GH distances, a recompute-everything copy of the GH upper
 bound's local search, a frozen copy of the exact branch and bound that
 recomputes every candidate cost (warm-started by the library's gh_bounds),
+a frozen copy of the exact search's slot loop before its pair-mismatch table,
 a hand-rolled heap Dijkstra with its own graph construction for intrinsic
 metrics, a plain Floyd-Warshall, a frozen copy of the Euclidean
 model-window sampler, a frozen unbounded, symmetrised graph-window search
@@ -36,6 +37,7 @@ from metric_lab.gh_solver import (
     Correspondence,
     GhResult,
     _eccentricity_order,
+    _lower_bound,
     _pair_distortion,
     gh_bounds,
     pointed_gh_bounds,
@@ -300,6 +302,114 @@ def reference_exact_small(X, Y, *,
         return GhResult(lower=lower, upper=best_dis / 2.0, exact=None, witness=witness)
     value = best_dis / 2.0
     return GhResult(lower=min(lower, value), upper=value, exact=value, witness=witness)
+
+
+def reference_exact_search(X, Y, *, budget: int = 200_000, base_pair=None,
+                           seed: int = 0) -> GhResult:
+    """Frozen copy of the library's exact search as it stood before the
+    pair-mismatch table: the child L is rebuilt from colX and rowY with three
+    numpy calls, the forward check rebuilds |colX[x] - rowY[live]|, every slot
+    orders its candidates with a stable numpy argsort, and the pair buffers
+    are numpy arrays.  Same nodes in the same order, so an exhausted result
+    (which depends on that order) must match it bit for bit.
+    """
+    if X.n == 0 or Y.n == 0:
+        raise DomainError("GH distance of an empty space")
+    DX, DY = X.dist, Y.dist
+    nx, ny = X.n, Y.n
+
+    lower = _lower_bound(X, Y, base_pair)
+    best_dis, bestI, bestJ = np.inf, None, None
+    if nx == ny and (base_pair is None or base_pair[0] == base_pair[1]):
+        bestI = bestJ = np.arange(nx)  # the identity, as in gh_bounds' seeds
+        best_dis = float(np.abs(DX - DY).max())
+
+    xs = _eccentricity_order(DX).tolist()
+    ys_order = _eccentricity_order(DY).tolist()
+
+    nodes = 0
+    exhausted = False
+    closed = best_dis / 2.0 <= lower + 1e-15  # nothing left to find
+    I_buf = np.empty(nx + ny + 1, dtype=int)
+    J_buf = np.empty(nx + ny + 1, dtype=int)
+    # colX[x] is DX[:, x] as a column, rowY[y] is DY[:, y] as a row (views):
+    # fixing the pair (x, y) raises L to at least |colX[x] - rowY[y]|
+    colX, rowY = DX.T[:, :, None], DY.T[:, None, :]
+
+    def child(L, x: int, y: int):
+        out = np.subtract(colX[x], rowY[y])
+        np.abs(out, out=out)
+        return np.maximum(out, L, out=out)
+
+    def dfs(slot: int, k: int, cur: float, L, rest):
+        nonlocal best_dis, bestI, bestJ, nodes, exhausted, closed
+        if slot == nx:  # every X point has an image; cover the remaining Y
+            covered = set(J_buf[:k].tolist())
+            rest = [y for y in ys_order if y not in covered]
+        on_x = slot < nx
+        if not on_x and slot - nx == len(rest):
+            if cur < best_dis:
+                best_dis = cur
+                bestI = I_buf[:k].copy()
+                bestJ = J_buf[:k].copy()
+                closed = best_dis / 2.0 <= lower + 1e-15
+            return
+        nodes += 1
+        if nodes > budget:
+            exhausted = True
+            return
+        if on_x:
+            x = xs[slot]
+            cost = L[x]
+        else:
+            y = rest[slot - nx]
+            cost = L[:, y]
+        order = cost.argsort(kind="stable")
+        costs = cost[order]
+        if on_x:
+            # forward check: the child L of every live candidate at once,
+            # shape (candidates, nx, ny), freed before recursing
+            live = order[:costs.searchsorted(best_dis)]
+            T = np.abs(colX[x][None] - rowY[live])
+            np.maximum(T, L, out=T)
+            bound = np.maximum(T.min(axis=2).max(axis=1), T.min(axis=1).max(axis=1))
+            del T
+            bound = bound.tolist()
+        else:
+            bound = [-np.inf] * len(order)
+        for c, cc, b in zip(order.tolist(), costs.tolist(), bound):
+            d = max(cur, cc)
+            if d >= best_dis:
+                break  # candidates sorted: the rest only get worse
+            if b >= best_dis:
+                continue
+            pair = (x, c) if on_x else (c, y)
+            I_buf[k], J_buf[k] = pair
+            dfs(slot + 1, k + 1, d, child(L, *pair), rest)
+            if exhausted or closed:
+                return
+
+    if base_pair is not None:
+        b1, b2 = int(base_pair[0]), int(base_pair[1])
+        I_buf[0], J_buf[0] = b1, b2
+        cur0 = float(np.abs(DX[b1, b1] - DY[b2, b2]))
+        root = (1, cur0, np.abs(colX[b1] - rowY[b2]))
+    else:
+        root = (0, 0.0, np.zeros((nx, ny)))
+    if not closed:  # else the identity already meets the lower bound
+        dfs(0, *root, None)
+
+    if exhausted:
+        full = gh_bounds(X, Y, seed=seed, base_pair=base_pair)
+        I, J = full.witness.arrays()
+        dis = _pair_distortion(DX, DY, I, J)
+        if dis < best_dis:
+            best_dis, bestI, bestJ = dis, I, J
+    witness = Correspondence(tuple(zip(bestI.tolist(), bestJ.tolist())))
+    value = best_dis / 2.0
+    closed = not exhausted or value <= lower + 1e-15
+    return GhResult(lower=lower, upper=value, exact=value if closed else None,
+                    witness=witness)
 
 
 # ---------------------------------------------------------------------------

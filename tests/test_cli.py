@@ -201,6 +201,16 @@ class TestGh:
         assert f"outside 0..2 of {side}" in result.output
         assert not out.exists()
 
+    def test_negative_budget_is_exit_two(self, runner, tmp_path):
+        a = tmp_path / "a.json"
+        write_small_space(a)
+        out = tmp_path / "gh.json"
+        result = runner.invoke(main, ["gh", "--x", str(a), "--y", str(a), "--exact",
+                                      "--budget", "-5", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "--budget" in result.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("ny,verdict", [(20, "gh exact 0"), (21, "gh lower")])
     def test_auto_runs_the_exact_search_iff_nx_ny_at_most_400(self, runner, tmp_path,
                                                               ny, verdict):

@@ -1,6 +1,7 @@
 """Tests for the GH solver against exhaustive enumeration and forced values."""
 
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,13 +27,20 @@ from metric_lab.gh_solver import (
     map_distortion,
     pointed_gh_bounds,
 )
-from metric_lab.metric_core import FiniteMetricSpace, PointedWindow, rescale, restrict_ball
+from metric_lab.metric_core import (
+    FiniteMetricSpace,
+    PointedWindow,
+    epsilon_net,
+    rescale,
+    restrict_ball,
+)
 from metric_lab.tangent_lab import extract_window, nearest_position_seed
 
 from .oracles import (
     count_full_correspondences,
     gh_exhaustive,
     minimal_full_correspondences,
+    reference_exact_search,
     reference_exact_small,
     reference_local_search,
 )
@@ -70,6 +78,17 @@ class TestDistortion:
         X, Y = two_point_space(1), two_point_space(2)
         with pytest.raises(DomainError, match="Y index 1"):
             distortion_of_correspondence(X, Y, Correspondence(((0, 0), (1, 0))))
+
+    @pytest.mark.parametrize("pairs,message", [
+        (((-1, 0), (0, 1), (1, 2)), "index -1 outside 0..2 of X"),
+        (((0, 0), (1, 1), (2, 2), (5, 0)), "index 5 outside 0..2 of X"),
+        (((0, 0), (1, 1), (2, -1)), "index -1 outside 0..2 of Y")])
+    def test_index_outside_a_side_is_refused(self, pairs, message):
+        # -1 used to wrap to the last point (distortion 2.0), 5 to escape as
+        # numpy's IndexError
+        X = FiniteMetricSpace([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+        with pytest.raises(DomainError, match=message):
+            distortion_of_correspondence(X, X, Correspondence(pairs))
 
 
 class TestExactSmall:
@@ -243,6 +262,74 @@ class TestExactAgainstFrozenReference:
         assert exhausted >= 6
 
 
+def benchmark_nets():
+    """The exact workload's three pointed eps-nets: the square corner window
+    at lambda = 1/8 (mesh 1/64) against the half and t model tangents (mesh 1/8)."""
+    corner = extract_window(unit_square_generator(), (0.0, 0.0), 1 / 8, 1.0, 1 / 64)
+    out = []
+    for kind, eps in (("half", 0.45), ("half", 0.35), ("t", 0.45)):
+        M = model_tangent_space(kind, 1.0, 1 / 8)
+        out.append(tuple(W.space.submatrix(epsilon_net(W.space, eps, start=W.base))
+                         for W in (corner, M)))
+    return out
+
+
+def assert_same_search(X, Y, **options):
+    res = gh_exact_small(X, Y, **options)
+    ref = reference_exact_search(X, Y, **options)
+    assert (res.lower, res.upper, res.exact) == (ref.lower, ref.upper, ref.exact)
+    assert res.witness.pairs == ref.witness.pairs
+    return res
+
+
+class TestExactAgainstFrozenSearch:
+    """The pair-mismatch table and the Python sort on Y slots visit the same
+    nodes in the same order; an exhausted result depends on that order, so
+    these equalities pin it."""
+
+    @pytest.mark.parametrize("budget", [10, 1_000, 50_000, 200_000])
+    def test_benchmark_nets(self, budget):
+        results = [assert_same_search(X, Y, budget=budget, base_pair=(0, 0))
+                   for X, Y in benchmark_nets()]
+        if budget >= 1_000:  # the two larger nets exhaust even 200 000 nodes
+            assert [r.exact is None for r in results] == [False, True, True]
+
+    @pytest.mark.parametrize("batch", range(4))
+    def test_random_small_pairs(self, batch):
+        for trial in range(25 * batch, 25 * batch + 25):
+            rng = np.random.default_rng(4100 + trial)
+            nx, ny = (int(v) for v in rng.integers(3, 9, size=2))
+            X, Y = random_space(rng, nx), random_space(rng, ny)
+            base_pair = (int(rng.integers(nx)), int(rng.integers(ny))) if trial % 2 else None
+            assert_same_search(X, Y, base_pair=base_pair)
+
+    @pytest.mark.parametrize("trial", [2, 4, 7, 10, 11, 12, 17, 21, 23, 25])
+    def test_skinny_pairs_that_exhaust_the_budget(self, trial):
+        rng = np.random.default_rng(2026 + trial)
+        nx, ny = int(rng.integers(3, 6)), int(rng.integers(16, 19))
+        X, Y = random_space(rng, nx), random_space(rng, ny)
+        res = assert_same_search(X, Y, budget=20_000,
+                                 base_pair=(0, 0) if trial % 2 else None)
+        assert res.exact is None
+
+    def test_no_table_above_the_auto_exact_limit(self):
+        # 17 x 29 = 493 pairs > 400: a table would hold 493^2 floats (1.9 MB)
+        X = model_tangent_space("quarter", 1.0, 0.25).space
+        Y = model_tangent_space("half", 1.0, 0.25).space
+        assert X.n * Y.n > gh_solver._EXACT_AUTO_PAIRS
+        gh_exact_small(X, Y, budget=10)  # warm up lazily built state
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            res = gh_exact_small(X, Y, budget=2000)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert res.upper == pytest.approx(0.4332, abs=1e-4)
+        assert distortion_of_correspondence(X, Y, res.witness) / 2.0 == res.upper
+
+
 class TestBounds:
     def test_identical_spaces_collapse_to_zero(self):
         rng = np.random.default_rng(3)
@@ -283,6 +370,21 @@ class TestBounds:
             exact = gh_exact_small(X, Y).exact
             assert bounds.lower <= exact + 1e-12
             assert exact <= bounds.upper + 1e-12
+
+    def test_seed_that_misses_a_point_is_refused(self):
+        # the seed misses X 2 and Y 2: taken as it stood it certified upper 0
+        # where the exact value is 0.5
+        X = FiniteMetricSpace([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+        Y = FiniteMetricSpace([[0, 1, 2], [1, 0, 2], [2, 2, 0]])
+        seed = Correspondence(((0, 0), (1, 1)))
+        assert gh_exact_small(X, Y).exact == 0.5
+        with pytest.raises(DomainError, match="does not cover X index 2"):
+            gh_bounds(X, Y, extra_seeds=[seed])
+        with pytest.raises(DomainError, match="does not cover X index 2"):
+            gh_distance(X, Y, method="bounds", extra_seeds=[seed])
+        # the base pair completes a seed before the check
+        full = gh_bounds(X, Y, extra_seeds=[seed], base_pair=(2, 2))
+        assert distortion_of_correspondence(X, Y, full.witness) / 2.0 == full.upper
 
     def test_inverted_bounds_rejected_without_exact(self):
         with pytest.raises(DomainError, match="inconsistent"):
@@ -440,6 +542,33 @@ class TestDispatch:
     def test_base_pair_out_of_range_is_refused(self, solver, base_pair, message):
         with pytest.raises(DomainError, match=message):
             solver(line_space(3), line_space(4), base_pair=base_pair)
+
+    @pytest.mark.parametrize("solver", [gh_bounds, gh_exact_small])
+    @pytest.mark.parametrize("base_pair,message", [
+        ((1.5, 0), "base index 1.5 of X is not an integer"),
+        ((0, 2.0), "base index 2.0 of Y is not an integer")])
+    def test_non_integer_base_index_is_refused(self, solver, base_pair, message):
+        with pytest.raises(DomainError, match=message):
+            solver(line_space(3), line_space(4), base_pair=base_pair)
+
+    @pytest.mark.parametrize("solver,options", [
+        (gh_distance, {"method": "exact", "budget": -5}),
+        (gh_distance, {"method": "bounds", "budget": -1}),
+        (gh_distance, {"restarts": -1}),
+        (gh_exact_small, {"budget": -1}),
+        (gh_bounds, {"restarts": -3})])
+    def test_negative_budget_or_restarts_is_refused(self, solver, options):
+        (name, value), = ((k, v) for k, v in options.items() if k != "method")
+        with pytest.raises(DomainError, match=f"{name} {value} is negative"):
+            solver(line_space(3), line_space(4), **options)
+
+    def test_zero_budget_enters_no_slot_and_falls_back_to_gh_bounds(self):
+        rng = np.random.default_rng(7)
+        X, Y = random_space(rng, 7), random_space(rng, 6)
+        res, full = gh_distance(X, Y, budget=0), gh_bounds(X, Y)
+        assert res.exact is None
+        assert (res.lower, res.upper) == (full.lower, full.upper)
+        assert res.witness.pairs == full.witness.pairs
 
 
 class TestMapDistortion:
