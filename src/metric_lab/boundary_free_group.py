@@ -300,8 +300,7 @@ class CoverElement:
     contraction: ReducedWord  # inverse of the cylinder prefix
 
 
-def expanding_cover(m: int, depth: int, rank: int,
-                    a: float = DEFAULT_BASE) -> list[CoverElement]:
+def expanding_cover(m: int, depth: int, rank: int) -> list[CoverElement]:
     """All length-m prefixes as disjoint cylinders covering the whole boundary."""
     if m > depth:
         raise DomainError(f"cover depth {m} exceeds truncation depth {depth}")

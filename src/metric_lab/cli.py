@@ -64,13 +64,6 @@ def parse_number(text: str) -> float:
     return value
 
 
-def finite_option(ctx, param, value):
-    """Click callback: a float option must be finite (exit 2 otherwise)."""
-    if not math.isfinite(value):
-        raise click.BadParameter(f"must be finite, got {value}")
-    return value
-
-
 def parse_scales(text: str):
     """Either a comma list of numbers or the dyadic range 2^-a..2^-b."""
     text = text.strip()
@@ -207,21 +200,19 @@ GEN_KINDS = ("slit-carpet", "pillow-carpet", "snowflake", "rickman-rug",
 @click.option("--flatness", default="standard", show_default=True,
               help="'standard', '1+2^-k', or a comma list")
 @click.option("--window", default="0,1", show_default=True)
-@click.option("--epsilon", type=float, default=0.5, show_default=True,
-              callback=finite_option)
+@click.option("--epsilon", "epsilon_spec", default="0.5", show_default=True)
 @click.option("--extent", default="-1,1", show_default=True)
 @click.option("--truncation", type=int, default=6, show_default=True)
-@click.option("--radius", type=float, default=1.0, show_default=True,
-              callback=finite_option)
+@click.option("--radius", "radius_spec", default="1.0", show_default=True)
 @click.option("--points", type=click.IntRange(min=0), default=30, show_default=True)
 @click.option("--out", required=True, type=click.Path())
 @click.option("--out-codomain", type=click.Path(), default=None)
 @click.option("--out-map", type=click.Path(), default=None)
 @_domain_guard
-def gen_cmd(kind, r_spec, levels, h_spec, stage, flatness, window, epsilon,
-            extent, truncation, radius, points, out, out_codomain, out_map):
+def gen_cmd(kind, r_spec, levels, h_spec, stage, flatness, window, epsilon_spec,
+            extent, truncation, radius_spec, points, out, out_codomain, out_map):
     """Generate a space and write it as JSON (validated before writing)."""
-    h = parse_number(h_spec)
+    h, epsilon, radius = map(parse_number, (h_spec, epsilon_spec, radius_spec))
     if kind in ("slit-carpet", "pillow-carpet"):
         sched = _slit_schedule(r_spec, levels)
         space = (fg.pillow_carpet_space if kind == "pillow-carpet"
@@ -388,18 +379,18 @@ def boundary_cmd(rank, depth, visual_base, cylinder_spec, probe_expansion,
 @click.option("--flatness", default="1+2^-k", show_default=True)
 @click.option("--center", default="0,0", show_default=True)
 @click.option("--scales", required=True, help="2^-a..2^-b or comma list")
-@click.option("--radius", type=float, default=1.0, show_default=True,
-              callback=finite_option)
+@click.option("--radius", "radius_spec", default="1.0", show_default=True)
 @click.option("--models", required=True, help="comma list of model kinds")
 @click.option("--rule", default="lambda/64", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", required=True, type=click.Path())
 @_domain_guard
-def scan_cmd(space_name, r_spec, levels, flatness, center, scales, radius,
+def scan_cmd(space_name, r_spec, levels, flatness, center, scales, radius_spec,
              models, rule, seed, out):
     """Blow-up scan: per-scale pointed GH bounds against model tangents."""
     from . import tangent_lab as tl
 
+    radius = parse_number(radius_spec)
     params = {}
     if space_name == "slit-carpet":
         params["sched"] = _slit_schedule(r_spec, levels)

@@ -60,7 +60,10 @@ class SlitSchedule:
     @classmethod
     def harmonic(cls, levels: int) -> "SlitSchedule":
         """The square-summability-violating preset: the i-th generation
-        (1-based) gets fraction 1/sqrt(i+1), staying strictly below 1."""
+        (1-based) gets fraction 1/sqrt(i+1), staying strictly below 1.
+        A negative level count raises ScheduleError; 0 is the plain grid."""
+        if levels < 0:
+            raise ScheduleError(f"slit generations must be non-negative, got {levels}")
         return cls(tuple(1.0 / math.sqrt(i + 2) for i in range(levels)))
 
 
@@ -438,6 +441,8 @@ class WuSchedule:
     s: tuple
 
     def validate(self, N: int) -> None:
+        if N < 0:
+            raise ScheduleError(f"schedule truncation {N} is negative")
         if min(len(self.alpha), len(self.c), len(self.s)) < N:
             raise ScheduleError(f"schedule truncation {N} exceeds provided terms")
         sl_prev = math.inf
@@ -466,7 +471,8 @@ class WuSchedule:
 
 def default_wu_schedule(N: int) -> WuSchedule:
     """A valid schedule with L -> infinity: alpha_n = n/(n+1), c_n = 2^(-n^2),
-    s_n small enough for disjointness and decreasing s_n L_n."""
+    s_n small enough for disjointness and decreasing s_n L_n; N outside 0..25
+    raises ScheduleError."""
     if N > 25:
         raise ScheduleError("default schedule underflows past N = 25")
     alpha = tuple(n / (n + 1.0) for n in range(1, N + 1))
@@ -533,13 +539,16 @@ def _wu_metric(x: float, y: float, sched: WuSchedule, truncation: int) -> float:
 
 def product_rug_space(line_metric, extent=(-1.0, 1.0),
                       h: float = 0.25) -> FiniteMetricSpace:
-    """Grid sample of (R x R, sqrt(delta^2 + |.|^2)) for a distorted line
-    metric delta: ("rickman", eps) for the power metric |.|^eps, ("wu",
-    schedule, truncation) for Wu's line, or any callable of two reals.
+    """Grid sample of (R x R, sqrt(delta^2 + |.|^2)) at mesh h for a
+    distorted line metric delta, one of the tuples ("rickman", eps) for the
+    power metric |.|^eps and ("wu", schedule, truncation) for Wu's line.
+    A mesh that is not positive and finite raises DomainError.
     """
     lo, hi = float(extent[0]), float(extent[1])
     if not hi > lo:
         raise DomainError(f"extent must be increasing, got {extent}")
+    if not 0.0 < h < math.inf:  # also refuses nan
+        raise DomainError(f"rug mesh must be positive and finite, got {h}")
     if isinstance(line_metric, tuple) and line_metric and line_metric[0] == "rickman":
         eps = float(line_metric[1])
         if not (0.0 < eps < 1.0):
@@ -549,8 +558,6 @@ def product_rug_space(line_metric, extent=(-1.0, 1.0),
         _, sched, N = line_metric
         sched.validate(N)
         delta = lambda u, v: _wu_metric(u, v, sched, N)
-    elif callable(line_metric):
-        delta = line_metric
     else:
         raise DomainError(f"unrecognized line metric {line_metric!r}")
 

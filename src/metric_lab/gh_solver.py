@@ -131,6 +131,11 @@ def _values_with_zero(D) -> np.ndarray:
     return np.unique(np.concatenate(([0.0], D[np.triu_indices(D.shape[0], 1)])))
 
 
+def _value_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """Hausdorff distance between two sorted value sets."""
+    return max(_directed_value_gap(a, b), _directed_value_gap(b, a))
+
+
 def _value_set_mismatch(DX, DY) -> float:
     """Hausdorff mismatch of realized distance values (0 included on both sides).
 
@@ -138,9 +143,7 @@ def _value_set_mismatch(DX, DY) -> float:
     to a realized Y-distance (possibly 0, when two points share a partner)
     within D, and symmetrically; so half of this mismatch bounds d_GH below.
     """
-    a = _values_with_zero(DX)
-    b = _values_with_zero(DY)
-    return max(_directed_value_gap(a, b), _directed_value_gap(b, a))
+    return _value_gap(_values_with_zero(DX), _values_with_zero(DY))
 
 
 def _lower_bound(X: FiniteMetricSpace, Y: FiniteMetricSpace, base_pair=None) -> float:
@@ -154,9 +157,7 @@ def _lower_bound(X: FiniteMetricSpace, Y: FiniteMetricSpace, base_pair=None) -> 
                 raise DomainError(f"base index {b!r} of {side} is not an integer")
             if not 0 <= b < n:
                 raise DomainError(f"base index {b} outside 0..{n - 1} of {side}")
-        a = np.unique(X.dist[b1])
-        b = np.unique(Y.dist[b2])
-        lb = max(lb, max(_directed_value_gap(a, b), _directed_value_gap(b, a)) / 2.0)
+        lb = max(lb, _value_gap(np.unique(X.dist[b1]), np.unique(Y.dist[b2])) / 2.0)
     return lb
 
 
@@ -192,11 +193,9 @@ def _rank_match(keys_x: np.ndarray, keys_y: np.ndarray):
     ox = np.argsort(keys_x, kind="stable")
     oy = np.argsort(keys_y, kind="stable")
     f = np.empty(nx, dtype=int)
-    pos = np.round(np.linspace(0, ny - 1, nx)).astype(int) if nx > 1 else np.zeros(1, int)
-    f[ox] = oy[pos]
+    f[ox] = oy[np.round(np.linspace(0, ny - 1, nx)).astype(int)]
     g = np.empty(ny, dtype=int)
-    pos = np.round(np.linspace(0, nx - 1, ny)).astype(int) if ny > 1 else np.zeros(1, int)
-    g[oy] = ox[pos]
+    g[oy] = ox[np.round(np.linspace(0, nx - 1, ny)).astype(int)]
     return f, g
 
 
@@ -291,11 +290,12 @@ def gh_bounds(X: FiniteMetricSpace, Y: FiniteMetricSpace, *,
     The lower bound is half the Hausdorff mismatch of realized distance
     values (which covers the diameter gap).  The upper bound is half
     the distortion of the best full correspondence found from deterministic
-    seeds (identity when sizes agree, eccentricity-rank and signed-coordinate
-    matchings, caller-provided seeds) plus seeded random restarts, each
-    polished by a worst-pair repair search.  Fixed seed, deterministic output.
-    A caller's Correspondence seed must cover both sides once the base pair
-    is added, and restarts must not be negative; otherwise DomainError.
+    seeds (extra_seeds, each a Correspondence or a skipped None, then identity
+    when sizes agree, eccentricity-rank and signed-coordinate matchings) plus
+    seeded random restarts, each polished by a worst-pair repair search.
+    Fixed seed, deterministic output.  An extra seed must cover both sides
+    once the base pair is added, and restarts must not be negative;
+    otherwise DomainError.
     A repair move on a seed of k pairs costs an O((nx+ny)*k) candidate scan
     plus an O(k^2) argmax over the kept matrix (about k^2 + 2*(nx+ny)*k
     floats); seeds with k^2 > _MAX_PAIR_BUDGET are only evaluated, in chunks.
@@ -327,20 +327,20 @@ def gh_bounds(X: FiniteMetricSpace, Y: FiniteMetricSpace, *,
         for _ in range(max(0, restarts - len(seeds))):
             seeds.append((rng.integers(0, ny, size=nx), rng.integers(0, nx, size=ny)))
 
-    best = (np.inf, None, None)
-    for item in list(extra_seeds) + seeds:
+    given = []
+    for item in extra_seeds:
         if item is None:
             continue
-        if isinstance(item, Correspondence):
-            I, J = item.arrays()
-            if base_pair is not None and not any(
-                    (int(i), int(j)) == tuple(base_pair) for i, j in zip(I, J)):
-                item = Correspondence(tuple(item.pairs) + (tuple(base_pair),))
-                I, J = item.arrays()
-            item.check_full(nx, ny)
-        else:
-            f, g = item
-            I, J = _pairs_from_maps(nx, ny, np.asarray(f, int), np.asarray(g, int), base_pair)
+        if not isinstance(item, Correspondence):
+            raise DomainError(f"a {type(item).__name__} seed is not a Correspondence or None")
+        if base_pair is not None and tuple(base_pair) not in item.pairs:
+            item = Correspondence(tuple(item.pairs) + (tuple(base_pair),))
+        item.check_full(nx, ny)
+        given.append(item.arrays())
+
+    best = (np.inf, None, None)
+    for I, J in itertools.chain(given, (_pairs_from_maps(nx, ny, f, g, base_pair)
+                                        for f, g in seeds)):
         k = len(I)
         moves = _LOCAL_MOVES if k * k <= _MAX_PAIR_BUDGET else 0
         dis, I, J = _local_search(DX, DY, I, J, base_pair, moves)
@@ -476,13 +476,11 @@ def gh_exact_small(X: FiniteMetricSpace, Y: FiniteMetricSpace, *,
             I_buf[0], J_buf[0] = b1, b2
             dfs(0, 1, float(np.abs(DX[b1, b1] - DY[b2, b2])), pairs((b1, b2)), None)
 
-    if exhausted:
+    witness = None if bestI is None else Correspondence(tuple(zip(bestI, bestJ)))
+    if exhausted:  # gh_bounds' upper is its witness's distortion halved: doubling is exact
         full = gh_bounds(X, Y, seed=seed, base_pair=base_pair)
-        I, J = full.witness.arrays()
-        dis = _pair_distortion(DX, DY, I, J)
-        if dis < best_dis:
-            best_dis, bestI, bestJ = dis, I.tolist(), J.tolist()
-    witness = Correspondence(tuple(zip(bestI, bestJ)))
+        if 2.0 * full.upper < best_dis:
+            best_dis, witness = 2.0 * full.upper, full.witness
     value = best_dis / 2.0
     closed = not exhausted or value <= lower + 1e-15
     return GhResult(lower=lower, upper=value, exact=value if closed else None,

@@ -5,6 +5,7 @@ enumeration for GH distances, a recompute-everything copy of the GH upper
 bound's local search, a frozen copy of the exact branch and bound that
 recomputes every candidate cost (warm-started by the library's gh_bounds),
 a frozen copy of the exact search's slot loop before its pair-mismatch table,
+a frozen copy of the certified GH lower bound that both exact copies use,
 a hand-rolled heap Dijkstra with its own graph construction for intrinsic
 metrics, a plain Floyd-Warshall, a frozen copy of the Euclidean
 model-window sampler, a frozen unbounded, symmetrised graph-window search
@@ -37,7 +38,6 @@ from metric_lab.gh_solver import (
     Correspondence,
     GhResult,
     _eccentricity_order,
-    _lower_bound,
     _pair_distortion,
     gh_bounds,
     pointed_gh_bounds,
@@ -194,6 +194,34 @@ def count_full_correspondences(nx: int, ny: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Frozen GH lower bound
+# ---------------------------------------------------------------------------
+
+def _reference_directed_gap(a, b) -> float:
+    """sup over values of a of the distance to the nearest value of b; both sorted."""
+    pos = np.searchsorted(b, a)
+    left = np.where(pos > 0, a - b[np.maximum(pos - 1, 0)], np.inf)
+    right = np.where(pos < len(b), b[np.minimum(pos, len(b) - 1)] - a, np.inf)
+    return float(np.minimum(left, right).max())
+
+
+def reference_lower_bound(X, Y, base_pair=None) -> float:
+    """Frozen copy of the library's certified lower bound: half the Hausdorff
+    mismatch of the realized distance values (0 included on both sides), and
+    when pointed, at least half the mismatch of the two base rows' values."""
+    def values(D):
+        return np.unique(np.concatenate(([0.0], D[np.triu_indices(D.shape[0], 1)])))
+
+    a, b = values(X.dist), values(Y.dist)
+    lb = max(_reference_directed_gap(a, b), _reference_directed_gap(b, a)) / 2.0
+    if base_pair is not None:
+        a = np.unique(X.dist[base_pair[0]])
+        b = np.unique(Y.dist[base_pair[1]])
+        lb = max(lb, max(_reference_directed_gap(a, b), _reference_directed_gap(b, a)) / 2.0)
+    return lb
+
+
+# ---------------------------------------------------------------------------
 # Frozen exact GH branch and bound
 # ---------------------------------------------------------------------------
 
@@ -216,7 +244,7 @@ def reference_exact_small(X, Y, *,
 
     warm = gh_bounds(X, Y, seed=seed, restarts=min(40, 8 + 2 * max(nx, ny)),
                      base_pair=base_pair)
-    lower = warm.lower
+    lower = reference_lower_bound(X, Y, base_pair)
     bestI, bestJ = warm.witness.arrays()
     best_dis = _pair_distortion(DX, DY, bestI, bestJ)
 
@@ -318,7 +346,7 @@ def reference_exact_search(X, Y, *, budget: int = 200_000, base_pair=None,
     DX, DY = X.dist, Y.dist
     nx, ny = X.n, Y.n
 
-    lower = _lower_bound(X, Y, base_pair)
+    lower = reference_lower_bound(X, Y, base_pair)
     best_dis, bestI, bestJ = np.inf, None, None
     if nx == ny and (base_pair is None or base_pair[0] == base_pair[1]):
         bestI = bestJ = np.arange(nx)  # the identity, as in gh_bounds' seeds

@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import metric_lab
-from metric_lab.cli import GEN_KINDS, main, parse_center, parse_number, parse_scales
+from metric_lab.cli import GEN_KINDS, fmt, main, parse_center, parse_number, parse_scales
 from metric_lab.fractal_gen import MODEL_KINDS
 from metric_lab.metric_core import read_space
 
@@ -108,6 +108,48 @@ class TestGen:
         assert result.exit_code == 1, result.output
         assert "DomainError" in result.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv,error", [
+        (["--kind", "slit-carpet", "--levels", "-2"], "ScheduleError"),
+        (["--kind", "pillow-carpet", "--levels", "-1"], "ScheduleError"),
+        (["--kind", "wu-rug", "--truncation", "-1"], "ScheduleError"),
+        (["--kind", "rickman-rug", "--h", "0"], "DomainError"),
+        (["--kind", "rickman-rug", "--h", "-1"], "DomainError"),
+        (["--kind", "wu-rug", "--h", "-1/8"], "DomainError")])
+    def test_negative_count_or_rug_mesh_is_domain_failure(self, runner, tmp_path,
+                                                          argv, error):
+        out = tmp_path / "x.json"
+        result = runner.invoke(main, ["gen", *argv, "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert error in result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,same", [
+        (["--kind", "rickman-rug", "--h", "1/4", "--epsilon"], ("1/2", "2^-1", "0.5")),
+        (["--kind", "model-quarter", "--h", "1/4", "--radius"], ("2^0", "4/4", "1"))])
+    def test_every_real_option_takes_fractions_and_powers(self, runner, tmp_path,
+                                                          argv, same):
+        written = set()
+        for text in same:
+            out = tmp_path / "x.json"
+            result = runner.invoke(main, ["gen", *argv, text, "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            written.add(out.read_bytes())
+        assert len(written) == 1
+
+    def test_snowflake_with_the_flat_schedule(self, runner, tmp_path):
+        from metric_lab.fractal_gen import snowflake_polyline
+        from metric_lab.metric_core import write_space
+
+        out, ref = tmp_path / "flat.json", tmp_path / "ref.json"
+        result = runner.invoke(main, ["gen", "--kind", "snowflake", "--stage", "3",
+                                      "--flatness", "1+2^-k", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        write_space(snowflake_polyline(3, lambda k: 1.0 + 2.0 ** -k, (0.0, 1.0)), str(ref))
+        assert out.read_bytes() == ref.read_bytes()
+        write_space(snowflake_polyline(3, "standard", (0.0, 1.0)), str(ref))
+        assert out.read_bytes() != ref.read_bytes()
 
     def test_resolution_error_is_domain_failure(self, runner, tmp_path):
         result = runner.invoke(main, ["gen", "--kind", "slit-carpet",
@@ -366,6 +408,25 @@ class TestScan:
                                       "--out", str(out)])
         assert result.exit_code == 0, result.output
         assert len(out.read_text().strip().splitlines()) == 1 + 3
+
+    def test_flat_snowflake_scan_csv_matches_the_library_scan(self, runner, tmp_path):
+        from metric_lab.fractal_gen import FlatSnowflakeGenerator
+        from metric_lab.tangent_lab import ScanConfig, tangent_scan
+
+        out = tmp_path / "scan.csv"
+        result = runner.invoke(main, ["scan", "--space", "flat-snowflake",
+                                      "--center", "vertex:3:17", "--scales", "2^-3..2^-4",
+                                      "--radius", "2/2", "--models", "line",
+                                      "--rule", "lambda/16", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        report = tangent_scan(ScanConfig(
+            generator=FlatSnowflakeGenerator(), center=("vertex", 3, 17),
+            scales=(2.0 ** -3, 2.0 ** -4), window_radius=1.0, models=("line",),
+            rule="lambda/16"))
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+        assert [(r[1], r[2], r[3], r[4]) for r in rows] == [
+            ("line", fmt(row.results["line"].lower), fmt(row.results["line"].upper),
+             str(row.points)) for row in report.rows]
 
     @pytest.mark.parametrize("option,value", [
         ("--radius", "nan"), ("--radius", "inf"), ("--center", "nan,0"),

@@ -45,6 +45,11 @@ from .oracles import (
 
 
 class TestSlitCarpet:
+    def test_harmonic_level_count_must_not_be_negative(self):
+        assert SlitSchedule.harmonic(0) == SlitSchedule(())
+        with pytest.raises(ScheduleError, match="-2"):
+            SlitSchedule.harmonic(-2)
+
     def test_zero_levels_is_plain_grid(self):
         sp = slit_carpet_space(SlitSchedule(()), 1 / 8)
         assert sp.n == 81
@@ -373,6 +378,13 @@ class TestWuLine:
         with pytest.raises(ScheduleError):
             good.validate(99)  # truncation beyond provided terms
 
+    def test_truncation_must_not_be_negative(self):
+        assert default_wu_schedule(0) == WuSchedule((), (), ())
+        with pytest.raises(ScheduleError, match="-1"):
+            default_wu_schedule(-1)
+        with pytest.raises(ScheduleError, match="-1"):
+            product_rug_space(("wu", default_wu_schedule(4), -1))
+
     def test_metric_and_rug_validate_the_schedule(self):
         good = default_wu_schedule(4)
         bad = WuSchedule((0.5, 0.4), good.c[:2], good.s[:2])  # alpha drops
@@ -411,6 +423,15 @@ class TestProductRug:
     def test_exponent_domain(self):
         with pytest.raises(DomainError):
             product_rug_space(("rickman", 1.0), (-1, 1), 0.5)
+
+    @pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf])
+    def test_mesh_must_be_positive_and_finite(self, h):
+        with pytest.raises(DomainError, match="mesh"):
+            product_rug_space(("rickman", 0.5), (-1, 1), h)
+
+    def test_line_metric_is_one_of_the_two_tuples(self):
+        with pytest.raises(DomainError, match="unrecognized line metric"):
+            product_rug_space(lambda u, v: abs(u - v), (-1, 1), 0.5)
 
 
 class TestModelTangents:

@@ -43,6 +43,7 @@ from .oracles import (
     reference_exact_search,
     reference_exact_small,
     reference_local_search,
+    reference_lower_bound,
 )
 
 
@@ -282,6 +283,31 @@ def assert_same_search(X, Y, **options):
     return res
 
 
+class TestLowerBoundAgainstFrozenCopy:
+    """Both exact oracles take their lower bound from the frozen copy, so the
+    library's lower bound is pinned to it here."""
+
+    def test_seeded_pointed_and_unpointed_pairs(self):
+        base_row_wins = 0
+        for trial in range(80):
+            rng = np.random.default_rng(5200 + trial)
+            nx, ny = (int(v) for v in rng.integers(1, 12, size=2))
+            X, Y = random_space(rng, nx), random_space(rng, ny)
+            if trial % 4 == 3:  # integer distances: many ties among the values
+                X, Y = line_space(nx), line_space(ny)
+            base_pair = (int(rng.integers(nx)), int(rng.integers(ny))) if trial % 2 else None
+            lower = gh_solver._lower_bound(X, Y, base_pair)
+            assert lower == reference_lower_bound(X, Y, base_pair)
+            base_row_wins += lower > reference_lower_bound(X, Y)
+        assert base_row_wins >= 5
+
+    def test_benchmark_nets(self):
+        for X, Y in benchmark_nets():
+            for base_pair in (None, (0, 0), (X.n - 1, 0)):
+                assert (gh_solver._lower_bound(X, Y, base_pair)
+                        == reference_lower_bound(X, Y, base_pair))
+
+
 class TestExactAgainstFrozenSearch:
     """The pair-mismatch table and the Python sort on Y slots visit the same
     nodes in the same order; an exhausted result depends on that order, so
@@ -385,6 +411,18 @@ class TestBounds:
         # the base pair completes a seed before the check
         full = gh_bounds(X, Y, extra_seeds=[seed], base_pair=(2, 2))
         assert distortion_of_correspondence(X, Y, full.witness) / 2.0 == full.upper
+
+    @pytest.mark.parametrize("seed", [
+        (np.array([0, 1]), np.array([0, 1, 2])),  # f too short: a broadcast error
+        (np.array([0, 1, -1]), np.array([0, 1, 2])),  # -1 became the key of (1, 2)
+        ((0, 0), (1, 1), (2, 2)),  # the pairs of a Correspondence, unwrapped
+    ], ids=["short-map", "negative-image", "bare-pairs"])
+    def test_seed_that_is_not_a_correspondence_is_refused(self, seed):
+        X = Y = line_space(3)
+        with pytest.raises(DomainError, match="Correspondence or None"):
+            gh_bounds(X, Y, extra_seeds=[seed])
+        with pytest.raises(DomainError, match="Correspondence or None"):
+            gh_distance(X, Y, method="bounds", extra_seeds=[None, seed])
 
     def test_inverted_bounds_rejected_without_exact(self):
         with pytest.raises(DomainError, match="inconsistent"):
@@ -496,6 +534,20 @@ class TestPointed:
         exact = pointed_gh_bounds(w1, w2, method="exact", restarts=3,
                                   extra_seeds=[None], budget=10 ** 6)
         assert exact.exact == pytest.approx(0.5, abs=1e-12)
+
+    def test_window_with_integer_labels_runs_without_a_position_seed(self):
+        # integer labels carry no coordinates: the position seed is None, and
+        # gh_bounds skips it, as a scan passes it on
+        rng = np.random.default_rng(47)
+        W1 = PointedWindow(random_space(rng, 24), 0, 1.0, 1.0)
+        W2 = PointedWindow(random_space(rng, 20), 3, 1.0, 1.0)
+        assert W1.space.labels[:3] == (0, 1, 2)
+        seed = nearest_position_seed(W1, W2)
+        assert seed is None
+        res = pointed_gh_bounds(W1, W2, extra_seeds=[seed], method="bounds")
+        ref = pointed_gh_bounds(W1, W2, method="bounds")
+        assert (res.lower, res.upper) == (ref.lower, ref.upper)
+        assert res.witness.pairs == ref.witness.pairs
 
     @pytest.mark.parametrize("method", ["auto", "exact", "bounds"])
     def test_keyword_no_solver_takes_is_refused(self, method):

@@ -291,6 +291,24 @@ class TestSeeds:
         seed = nearest_position_seed(w, w)
         assert all(i == j for i, j in seed.pairs)
 
+    def test_pillow_points_partner_their_own_slit_and_sheet(self):
+        # the window holds pillows of three slits, both sheets and their
+        # glued rims: every pillow point shares its planar position with lip
+        # nodes and with the other sheets, and only the lift keeps them apart
+        from metric_lab.fractal_gen import SlitSchedule
+
+        gen = make_generator("pillow-carpet", sched=SlitSchedule((0.5, 0.5)))
+        W = extract_window(gen, (0.5, 0.25), 0.5, 1.0, 1 / 16)
+        labels = W.space.labels
+        pillow = {l[3:5] for l in labels if len(l) > 2 and l[2] == "P"}
+        assert {slit for slit, _ in pillow} == {0, 1, 3}
+        assert {sheet for _, sheet in pillow} == {"A", "B", "G"}
+        seed = nearest_position_seed(W, W)
+        partners = [(labels[i], labels[j]) for i, j in seed.pairs if labels[i][2:3] == ("P",)]
+        assert len(partners) >= sum(len(l) > 2 and l[2] == "P" for l in labels)
+        for mine, theirs in partners:
+            assert theirs[2:5] == mine[2:5]
+
 
 class TestSlitCarpetScan:
     def test_slit_endpoint_scan_is_reported_not_asserted(self):
