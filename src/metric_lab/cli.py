@@ -110,12 +110,12 @@ def parse_center(text: str):
 
 
 def parse_rule(text: str) -> str:
-    """A resolution rule "lambda/K" whose K must be a positive number."""
+    """A resolution rule "lambda/K" whose K must be a positive finite number."""
     from . import tangent_lab as tl
 
     try:
         tl.resolution_rule(text)
-    except (ValueError, MetricLabError):
+    except MetricLabError:
         raise click.UsageError(
             f"--rule takes lambda/K with a positive number K, got {text!r}")
     return text
@@ -124,7 +124,7 @@ def parse_rule(text: str) -> str:
 def parse_models(text: str) -> tuple:
     """A comma list of model tangent kinds, each one of fractal_gen.MODEL_KINDS."""
     models = tuple(text.split(","))
-    unknown = [m for m in models if m.lower() not in fg.MODEL_KINDS]
+    unknown = [m for m in models if m not in fg.MODEL_KINDS]
     if unknown:
         raise click.UsageError(
             f"--models takes a comma list of {', '.join(fg.MODEL_KINDS)}, got {text!r}")
@@ -132,11 +132,9 @@ def parse_models(text: str) -> tuple:
 
 
 def parse_flatness(text: str):
-    if text == "standard":
-        return "standard"
-    if text == "1+2^-k":
-        return lambda k: 1.0 + 2.0 ** -k
-    return [parse_number(tok) for tok in text.split(",") if tok]
+    """A schedule name, passed on as is, or a comma list of numbers."""
+    return text if text in ("standard", "1+2^-k") else [
+        parse_number(tok) for tok in text.split(",") if tok]
 
 
 def _slit_schedule(r_spec: str, levels: int | None) -> fg.SlitSchedule:

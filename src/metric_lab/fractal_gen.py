@@ -21,12 +21,13 @@ from .metric_core import TOL, FiniteMetricSpace, PointedWindow
 MODEL_KINDS = ("plane", "half", "quarter", "t", "l", "d", "line")
 
 
-def _mesh_steps(h: float) -> int:
+def _mesh_steps(h: float, span: float = 1.0) -> int:
+    """Mesh steps across an interval of length span, which h must divide."""
     if not h > 0:  # also refuses nan
         raise ResolutionError(f"mesh must be positive, got {h}")
-    M = round(1.0 / h)
-    if M < 1 or abs(1.0 / h - M) > 1e-9 * max(M, 1):
-        raise ResolutionError(f"mesh {h} must divide the unit square exactly")
+    M = round(span / h)
+    if M < 1 or abs(span / h - M) > 1e-9 * max(M, 1):
+        raise ResolutionError(f"mesh {h} must divide an interval of length {span} exactly")
     return M
 
 
@@ -164,13 +165,18 @@ def pillow_carpet_space(sched: SlitSchedule, h: float) -> FiniteMetricSpace:
 # Snowflake polylines
 # ---------------------------------------------------------------------------
 
-def _flatness_fn(flatness):
-    if flatness == "standard":
-        return lambda k: 2.0
-    if callable(flatness):
-        return flatness
-    seq = [float(v) for v in flatness]
-    return lambda k: seq[k - 1]
+def _flatness_values(flatness, stages: int) -> list:
+    """l_1 .. l_stages of a schedule name or of a finite sequence of numbers."""
+    named = {"standard": [2.0] * stages,
+             "1+2^-k": [1.0 + 2.0 ** -k for k in range(1, stages + 1)]}
+    try:
+        seq = named[flatness] if isinstance(flatness, str) else [float(v) for v in flatness]
+    except (KeyError, TypeError, ValueError):
+        raise ScheduleError(f"flatness must be one of {tuple(named)} or a "
+                            f"sequence of numbers, got {flatness!r}") from None
+    if len(seq) < stages:
+        raise ScheduleError(f"flatness schedule has {len(seq)} values, {stages} stages needed")
+    return seq[:stages]
 
 
 def _refine_polyline(P: np.ndarray, l: float) -> np.ndarray:
@@ -215,13 +221,13 @@ def _segments_intersect(P: np.ndarray) -> bool:
     return False
 
 
-def _stage_polyline(window, l_of, stage: int) -> np.ndarray:
+def _stage_polyline(window, flatness, stage: int) -> np.ndarray:
     """Vertices of the stage-`stage` construction over the window [a, b]."""
     if stage < 0:
         raise DomainError(f"snowflake stage must be non-negative, got {stage}")
     P = np.array([[window[0], 0.0], [window[1], 0.0]])
-    for k in range(1, stage + 1):
-        P = _refine_polyline(P, l_of(k))
+    for l in _flatness_values(flatness, stage):
+        P = _refine_polyline(P, l)
     return P
 
 
@@ -229,9 +235,10 @@ def snowflake_polyline(stage: int, flatness="standard",
                        window=(0.0, 1.0)) -> FiniteMetricSpace:
     """Snowflake curve over [a, b] at the given stage, arc-length metric.
 
-    "standard" is the equilateral construction (flatness 2); a sequence or
-    callable supplies the per-stage flatness l_k: legs are l_k/2 times the
-    base, so l_k = 1 flattens the stage exactly and l_k < 1 is rejected.
+    The flatness l_k is a schedule name, "standard" (equilateral, l_k = 2) or
+    "1+2^-k", or a sequence of at least `stage` numbers (fewer raise
+    ScheduleError before any refinement): legs are l_k/2 times the base, so
+    l_k = 1 flattens the stage exactly and l_k < 1 is rejected.
     Stages whose segments cross are rejected by a pairwise sweep, which
     stops at 4097 vertices (stage 6); later stages raise ConstructionError.
     """
@@ -241,7 +248,7 @@ def snowflake_polyline(stage: int, flatness="standard",
     if 4 ** stage + 1 > 4097:  # before any O(n^2) array of the stage is built
         raise ConstructionError(f"stage-{stage} polyline has {4 ** stage + 1} vertices; "
                                 "the self-intersection sweep stops at 4097 (stage 6)")
-    P = _stage_polyline((a, b), _flatness_fn(flatness), stage)
+    P = _stage_polyline((a, b), flatness, stage)
     if _segments_intersect(P):
         raise ConstructionError(f"stage-{stage} polyline self-intersects")
     seg = np.linalg.norm(np.diff(P, axis=0), axis=1)
@@ -254,20 +261,21 @@ def snowflake_polyline(stage: int, flatness="standard",
 class FlatSnowflakeGenerator:
     """Flat snowflake curve as a subset of the plane, chordal metric.
 
-    The default flatness schedule l_k = 1 + 2^-k tends to 1, so bumps created
-    at late stages flatten out; blow-up windows are sampled by refining the
-    construction locally until every segment is below the requested mesh.
-    The schedule keeps l_k <= 1.5 < 2, so the curve stays inside the standard
-    construction's non-crossing envelope.
+    The default flatness schedule "1+2^-k" (l_k = 1 + 2^-k <= 1.5 < 2) tends
+    to 1, so bumps created at late stages flatten out while the curve stays
+    inside the standard construction's non-crossing envelope; blow-up windows
+    are sampled by refining the construction locally until every segment is
+    below the requested mesh.  A sequence too short for that depth raises
+    ScheduleError in sample_ball.
     """
 
-    def __init__(self, flatness=None, window=(0.0, 1.0)):
-        self.l_of = _flatness_fn(flatness) if flatness is not None else (
-            lambda k: 1.0 + 2.0 ** -k)
+    def __init__(self, flatness="1+2^-k", window=(0.0, 1.0)):
+        _flatness_values(flatness, 0)  # refuses an unknown name or a non-number
+        self.flatness = flatness
         self.window = (float(window[0]), float(window[1]))
 
     def stage_vertices(self, stage: int) -> np.ndarray:
-        return _stage_polyline(self.window, self.l_of, stage)
+        return _stage_polyline(self.window, self.flatness, stage)
 
     def vertex_position(self, stage: int, index: int):
         P = self.stage_vertices(stage)
@@ -289,8 +297,7 @@ class FlatSnowflakeGenerator:
         depth = max(1, math.ceil(math.log(span / h) / math.log(3.0)))
         pad = 2.0 * radius_phys
         P = [np.array([self.window[0], 0.0]), np.array([self.window[1], 0.0])]
-        for k in range(1, depth + 1):
-            l = self.l_of(k)
+        for l in _flatness_values(self.flatness, depth):
             out = [P[0]]
             for p, q in zip(P[:-1], P[1:]):
                 seglen = float(np.linalg.norm(q - p))
@@ -542,7 +549,8 @@ def product_rug_space(line_metric, extent=(-1.0, 1.0),
     """Grid sample of (R x R, sqrt(delta^2 + |.|^2)) at mesh h for a
     distorted line metric delta, one of the tuples ("rickman", eps) for the
     power metric |.|^eps and ("wu", schedule, truncation) for Wu's line.
-    A mesh that is not positive and finite raises DomainError.
+    A mesh that is not positive and finite raises DomainError, and one that
+    does not divide hi - lo ResolutionError; the grid is lo + h*i, i >= 0.
     """
     lo, hi = float(extent[0]), float(extent[1])
     if not hi > lo:
@@ -561,8 +569,8 @@ def product_rug_space(line_metric, extent=(-1.0, 1.0),
     else:
         raise DomainError(f"unrecognized line metric {line_metric!r}")
 
-    xs = np.arange(lo, hi + h / 2.0, h)
-    K = len(xs)
+    K = _mesh_steps(h, hi - lo) + 1
+    xs = lo + h * np.arange(K)
     dvals = np.zeros((K, K))
     for i in range(K):
         for j in range(i + 1, K):
@@ -718,7 +726,6 @@ def model_tangent_space(kind: str, R: float, h: float) -> PointedWindow:
     cutting the graph there never lengthens it.  A mesh h > R raises ResolutionError, as in
     every generator's sample_ball.
     """
-    kind = kind.lower()
     if R <= 0 or h <= 0:
         raise DomainError("window radius and mesh must be positive")
     _check_resolution(R, h)
@@ -772,14 +779,12 @@ def unit_square_generator() -> _EuclideanRegionGenerator:
 
 def make_generator(name: str, **params):
     """Registry used by the CLI and the scan front end."""
-    name = name.lower()
     if name == "square":
         return unit_square_generator()
     if name in _EUCLID_MODELS:
         return _EuclideanRegionGenerator(*_EUCLID_MODELS[name])
     if name == "flat-snowflake":
-        return FlatSnowflakeGenerator(params.get("flatness"),
-                                      params.get("window", (0.0, 1.0)))
+        return FlatSnowflakeGenerator(**params)
     if name == "slit-carpet":
         return SlitCarpetGenerator(params["sched"], pillows=False)
     if name == "pillow-carpet":

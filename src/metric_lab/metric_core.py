@@ -233,8 +233,8 @@ def geometry_stats(m: FiniteMetricSpace, scales) -> GeometryStats:
     if m.n == 0:
         raise DomainError("geometry_stats of an empty space")
     scales = [float(s) for s in scales]
-    if any(not s > 0 for s in scales):  # also refuses nan
-        raise DomainError("scales must be positive")
+    if not all(0 < s < np.inf for s in scales):  # also refuses nan
+        raise DomainError("scales must be positive and finite")
     if any(a <= b for a, b in zip(scales, scales[1:])):
         raise DomainError("scales must be strictly descending")
 

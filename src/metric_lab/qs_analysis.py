@@ -297,8 +297,8 @@ def qc_constant_probe(f: SampledMap, radii) -> list[QcRow]:
     and counted.
     """
     radii = [float(r) for r in radii]
-    if any(r <= 0 for r in radii):
-        raise DomainError("radii must be positive")
+    if not all(0 < r < np.inf for r in radii):  # also refuses nan
+        raise DomainError("radii must be positive and finite")
     if any(a <= b for a, b in zip(radii, radii[1:])):
         raise DomainError("radii must be strictly descending")
     DX, DY = f.domain.dist, f.codomain.dist

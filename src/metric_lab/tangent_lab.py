@@ -24,28 +24,28 @@ from .metric_core import FiniteMetricSpace, PointedWindow, rescale
 TREND_BAND = 1e-3  # least-squares slope below this magnitude counts as flat
 
 
-def resolution_rule(rule):
-    """Accept a callable lambda->h or a string "lambda/K"."""
-    if callable(rule):
-        return rule
-    if isinstance(rule, str) and rule.startswith("lambda/"):
-        k = float(rule.split("/", 1)[1])
-        if not 0 < k < float("inf"):  # also refuses nan
-            raise DomainError(f"bad resolution rule {rule!r}")
-        return lambda lam: lam / k
-    raise DomainError(f"unrecognized resolution rule {rule!r}")
+def resolution_rule(rule) -> float:
+    """K of the resolution rule "lambda/K" (mesh lambda / K), positive and finite."""
+    try:
+        K = float(rule.removeprefix("lambda/")) if rule.startswith("lambda/") else math.nan
+    except (AttributeError, ValueError):  # not a string, or K not a number
+        K = math.nan
+    if not 0 < K < math.inf:  # also refuses nan
+        raise DomainError(f"bad resolution rule {rule!r}; expected lambda/K, K > 0 finite")
+    return K
 
 
 @dataclass(frozen=True, eq=False)
 class ScanConfig:
-    """One blow-up experiment: generator, center, scale schedule, models."""
+    """One blow-up experiment: generator, center, scale schedule, models (names
+    of MODEL_KINDS) and the rule "lambda/K" (scale lambda at mesh lambda / K)."""
 
     generator: object
     center: object
     scales: tuple
     window_radius: float
     models: tuple
-    rule: object = "lambda/64"
+    rule: str = "lambda/64"
     seed: int = 0
 
     def __post_init__(self):
@@ -58,17 +58,13 @@ class ScanConfig:
         if any(a <= b for a, b in zip(scales, scales[1:])):
             raise DomainError("scales must be strictly decreasing")
         object.__setattr__(self, "scales", scales)
-        object.__setattr__(self, "models", tuple(str(m).lower() for m in self.models))
+        object.__setattr__(self, "models", tuple(self.models))
         if not self.models:
             raise DomainError("at least one model tangent is required")
-        h_of = resolution_rule(self.rule)
-        ratios = [h_of(s) / s for s in scales]
-        if any(b > a + 1e-12 for a, b in zip(ratios, ratios[1:])):
-            raise DomainError(
-                "resolution rule must refine relative to scale along the schedule")
+        resolution_rule(self.rule)
 
     def h_of(self, lam: float) -> float:
-        return resolution_rule(self.rule)(lam)
+        return lam / resolution_rule(self.rule)
 
 
 def extract_window(gen, p, lam: float, R: float, h: float) -> PointedWindow:
@@ -174,34 +170,31 @@ class ScanReport:
 
 def tangent_scan(cfg: ScanConfig) -> ScanReport:
     """Extract a window per scale and bound its pointed GH distance to every
-    requested model window of equal radius and matching relative resolution,
-    by pointed_gh_bounds at its defaults, seeded by cfg.seed.
+    model window of equal radius and relative mesh h/lambda = 1/K (one window
+    per kind, built at the first scale), by pointed_gh_bounds seeded by cfg.seed.
 
-    Solves are memoised for this call only, keyed on the model window, the
+    Solves are memoised for this call only, keyed on the model kind, the
     window's base, the shape and sha256 of its distance matrix and the
     position seed correspondence: with cfg.seed fixed for the call, every
-    input of the solve, so a hit is the earlier GhResult itself and its row lists the model in ScanRow.reused.
-    Hits happen only at exactly self-similar centres (a square's corner, a
-    cone point), where every rescaled window is the same finite space.  A
-    row's seconds cover the seed and the solve, or for a hit the lookup."""
-    model_windows: dict = {}
+    input of the solve, so a hit is the earlier GhResult itself and its row
+    lists the model in ScanRow.reused.  Hits happen only at exactly
+    self-similar centres (a square's corner, a cone point), where every
+    rescaled window is the same finite space.  A row's seconds cover the
+    seed and the solve, or for a hit the lookup."""
+    h_rel = cfg.h_of(cfg.scales[0]) / cfg.scales[0]
+    model_windows = {kind: model_tangent_space(kind, cfg.window_radius, h_rel)
+                     for kind in cfg.models}
     solved: dict = {}
     rows = []
     for lam in cfg.scales:
-        h = cfg.h_of(lam)
-        W = extract_window(cfg.generator, cfg.center, lam, cfg.window_radius, h)
+        W = extract_window(cfg.generator, cfg.center, lam, cfg.window_radius, cfg.h_of(lam))
         dist = np.ascontiguousarray(W.space.dist)
         window_key = (W.base, dist.shape, hashlib.sha256(dist).digest())
         results, seconds, reused = {}, {}, []
-        for kind in cfg.models:
-            h_eff = h / lam
-            ck = (kind, cfg.window_radius, round(h_eff, 12))
-            M = model_windows.get(ck)
-            if M is None:
-                M = model_windows[ck] = model_tangent_space(kind, cfg.window_radius, h_eff)
+        for kind, M in model_windows.items():
             t0 = time.perf_counter()
             seed = nearest_position_seed(W, M)
-            key = (ck, *window_key, seed.pairs if seed is not None else None)
+            key = (kind, *window_key, seed.pairs if seed is not None else None)
             res = solved.get(key)
             if res is None:
                 res = solved[key] = pointed_gh_bounds(W, M, extra_seeds=[seed],

@@ -115,7 +115,11 @@ class TestGen:
         (["--kind", "wu-rug", "--truncation", "-1"], "ScheduleError"),
         (["--kind", "rickman-rug", "--h", "0"], "DomainError"),
         (["--kind", "rickman-rug", "--h", "-1"], "DomainError"),
-        (["--kind", "wu-rug", "--h", "-1/8"], "DomainError")])
+        (["--kind", "wu-rug", "--h", "-1/8"], "DomainError"),
+        (["--kind", "snowflake", "--stage", "3", "--flatness", "1.5,1.5"], "ScheduleError"),
+        (["--kind", "rickman-rug", "--h", "0.3"], "ResolutionError"),
+        (["--kind", "rickman-rug", "--h", "10"], "ResolutionError"),
+        (["--kind", "wu-rug", "--h", "2/3", "--extent", "0,1"], "ResolutionError")])
     def test_negative_count_or_rug_mesh_is_domain_failure(self, runner, tmp_path,
                                                           argv, error):
         out = tmp_path / "x.json"
@@ -124,6 +128,16 @@ class TestGen:
         assert error in result.output
         assert isinstance(result.exception, SystemExit)  # no traceback
         assert not out.exists()
+
+    def test_flat_schedule_name_writes_the_bytes_of_its_values(self, runner, tmp_path):
+        written = set()
+        for flatness in ("1+2^-k", "1.5,1.25,1.125", "3/2,5/4,9/8"):
+            out = tmp_path / "s.json"
+            result = runner.invoke(main, ["gen", "--kind", "snowflake", "--stage", "3",
+                                          "--flatness", flatness, "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            written.add(out.read_bytes())
+        assert len(written) == 1
 
     @pytest.mark.parametrize("argv,same", [
         (["--kind", "rickman-rug", "--h", "1/4", "--epsilon"], ("1/2", "2^-1", "0.5")),
@@ -146,7 +160,7 @@ class TestGen:
         result = runner.invoke(main, ["gen", "--kind", "snowflake", "--stage", "3",
                                       "--flatness", "1+2^-k", "--out", str(out)])
         assert result.exit_code == 0, result.output
-        write_space(snowflake_polyline(3, lambda k: 1.0 + 2.0 ** -k, (0.0, 1.0)), str(ref))
+        write_space(snowflake_polyline(3, "1+2^-k", (0.0, 1.0)), str(ref))
         assert out.read_bytes() == ref.read_bytes()
         write_space(snowflake_polyline(3, "standard", (0.0, 1.0)), str(ref))
         assert out.read_bytes() != ref.read_bytes()
@@ -440,6 +454,16 @@ class TestScan:
         assert "Error:" in result.output
         assert not out.exists()
 
+    def test_short_flatness_schedule_is_domain_failure(self, runner, tmp_path):
+        out = tmp_path / "scan.csv"
+        result = runner.invoke(main, ["scan", "--space", "flat-snowflake", "--flatness", "1.5",
+                                      "--center", "0,0", "--scales", "2^-3..2^-4",
+                                      "--models", "line", "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert "ScheduleError" in result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert not out.exists()
+
     @pytest.mark.parametrize("center,scales,rule", [
         pytest.param("0,0", "2^-x..2^-5", "lambda/8", id="0,0-2^-x..2^-5"),
         pytest.param("vertex:3:x", "2^-3..2^-5", "lambda/8", id="vertex:3:x-2^-3..2^-5"),
@@ -460,7 +484,8 @@ class TestScan:
         ("quarter", "foo", "--rule"), ("quarter", "lambda/0", "--rule"),
         ("quarter", "lambda/-8", "--rule"), ("quarter", "lambda/inf", "--rule"),
         ("quarter", "lambda/nan", "--rule"), ("wedge", "lambda/8", "--models"),
-        ("half,wedge", "lambda/8", "--models"), ("half,", "lambda/8", "--models")])
+        ("half,wedge", "lambda/8", "--models"), ("half,", "lambda/8", "--models"),
+        ("Quarter", "lambda/8", "--models"), ("quarter,HALF", "lambda/8", "--models")])
     def test_unknown_rule_or_model_is_exit_two(self, runner, tmp_path, models, rule,
                                                option):
         out = tmp_path / "scan.csv"

@@ -253,6 +253,24 @@ class TestSnowflake:
         with pytest.raises(DomainError, match="stage"):
             FlatSnowflakeGenerator().vertex_position(-1, 0)
 
+    @pytest.mark.parametrize("flatness", [[1.5, 1.5], (), [2.0]])
+    def test_short_flatness_schedule_is_a_schedule_error(self, flatness):
+        # used to end in an IndexError from the schedule lookup
+        with pytest.raises(ScheduleError, match="3 stages"):
+            snowflake_polyline(3, flatness)
+
+    @pytest.mark.parametrize("flatness", ["Standard", "flat", lambda k: 2.0, [1.5, "x"]])
+    def test_flatness_is_a_name_or_numbers(self, flatness):
+        with pytest.raises(ScheduleError, match="flatness"):
+            snowflake_polyline(2, flatness)
+        with pytest.raises(ScheduleError, match="flatness"):
+            FlatSnowflakeGenerator(flatness)
+
+    def test_named_schedules_equal_their_values(self):
+        for name, values in (("standard", [2.0] * 3), ("1+2^-k", [1.5, 1.25, 1.125])):
+            a, b = snowflake_polyline(3, name), snowflake_polyline(3, values)
+            assert np.array_equal(a.dist, b.dist) and a.labels == b.labels
+
     def test_stage_beyond_the_sweep_limit_raises_before_building(self):
         t0 = time.perf_counter()
         with pytest.raises(ConstructionError, match="4097"):
@@ -287,6 +305,21 @@ class TestFlatSnowflakeGenerator:
         a, _ = gen.sample_ball(("vertex", 3, 17), 2.0 ** -4, 2.0 ** -8)
         b, _ = gen.sample_ball(("vertex", 3, 17), 2.0 ** -4, 2.0 ** -9)
         assert b.n >= a.n
+
+    def test_schedule_as_values_samples_the_same_window(self):
+        # 2^-4 at mesh 2^-9 refines to depth ceil(9 log 2 / log 3) = 6
+        flat = FlatSnowflakeGenerator([1.0 + 2.0 ** -k for k in range(1, 7)])
+        a, base_a = FlatSnowflakeGenerator().sample_ball(("vertex", 3, 17), 2.0 ** -4,
+                                                         2.0 ** -9)
+        b, base_b = flat.sample_ball(("vertex", 3, 17), 2.0 ** -4, 2.0 ** -9)
+        assert base_a == base_b and a.labels == b.labels
+        assert np.array_equal(a.dist, b.dist)
+
+    def test_schedule_shorter_than_the_depth_is_a_schedule_error(self):
+        gen = FlatSnowflakeGenerator([1.5, 1.25, 1.125, 1.0625, 1.03125])
+        gen.sample_ball((0.0, 0.0), 2.0 ** -3, 2.0 ** -3 / 16)  # depth 5
+        with pytest.raises(ScheduleError, match="6 stages"):
+            gen.sample_ball(("vertex", 3, 17), 2.0 ** -4, 2.0 ** -9)
 
     def test_resolution_check(self):
         gen = FlatSnowflakeGenerator()
@@ -429,9 +462,37 @@ class TestProductRug:
         with pytest.raises(DomainError, match="mesh"):
             product_rug_space(("rickman", 0.5), (-1, 1), h)
 
+    @pytest.mark.parametrize("h", [0.3, 10.0, 3.0, 2.0 / 3.0 + 1e-6])
+    def test_mesh_must_divide_the_extent(self, h):
+        # h = 0.3 used to sample a column at x = 1.1, h = 10 a 1-point rug
+        with pytest.raises(ResolutionError, match="divide"):
+            product_rug_space(("rickman", 0.5), (-1, 1), h)
+
+    @pytest.mark.parametrize("h,extent", [(1 / 8, (-1, 1)), (1 / 4, (-1, 1)),
+                                          (2.0 / 3.0, (-1, 1)), (1.0, (0, 3))])
+    def test_grid_runs_from_lo_to_hi(self, h, extent):
+        rug = product_rug_space(("rickman", 0.5), extent, h)
+        xs = sorted({x for x, _ in rug.labels})
+        assert xs[0] == extent[0] and xs[-1] == pytest.approx(extent[1], abs=1e-12)
+        assert len(xs) == round((extent[1] - extent[0]) / h) + 1
+        if h in (1 / 8, 1 / 4):  # dyadic: the bits of np.arange(lo, hi + h/2, h)
+            assert xs == list(np.arange(extent[0], extent[1] + h / 2, h))
+
     def test_line_metric_is_one_of_the_two_tuples(self):
         with pytest.raises(DomainError, match="unrecognized line metric"):
             product_rug_space(lambda u, v: abs(u - v), (-1, 1), 0.5)
+
+
+class TestOneSpellingOfNames:
+    @pytest.mark.parametrize("kind", ["Quarter", "HALF", "T"])
+    def test_mixed_case_model_kind_is_refused(self, kind):
+        with pytest.raises(DomainError, match="unknown model tangent kind"):
+            model_tangent_space(kind, 1.0, 0.25)
+
+    @pytest.mark.parametrize("name", ["Square", "PLANE", "Flat-Snowflake"])
+    def test_mixed_case_generator_is_refused(self, name):
+        with pytest.raises(DomainError, match="unknown generator"):
+            make_generator(name)
 
 
 class TestModelTangents:

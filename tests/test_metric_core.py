@@ -246,7 +246,8 @@ class TestGeometryStats:
         with pytest.raises(DomainError):
             geometry_stats(m, [0.25, 0.5])
 
-    @pytest.mark.parametrize("scales", [[math.nan], [0.5, math.nan], [0.0]])
+    @pytest.mark.parametrize("scales", [[math.nan], [0.5, math.nan], [0.0], [math.inf],
+                                        [math.inf, 0.5]])
     def test_scales_must_be_positive(self, scales):
         with pytest.raises(DomainError, match="positive"):
             geometry_stats(line_space([0, 1, 2]), scales)

@@ -211,6 +211,13 @@ class TestQcProbe:
         with pytest.raises(DomainError):
             qc_constant_probe(identity_map(m, m), [0.1, 0.5])
 
+    @pytest.mark.parametrize("radii", [[np.nan], [np.inf], [np.inf, 0.5], [0.5, np.nan],
+                                       [0.0]])
+    def test_radii_must_be_positive_and_finite(self, radii):
+        m = line_space([0, 1, 2])
+        with pytest.raises(DomainError, match="positive and finite"):
+            qc_constant_probe(identity_map(m, m), radii)
+
 
 class TestScalingInvariance:
     def test_pre_and_post_rescale_leave_envelope_unchanged(self):

@@ -137,12 +137,6 @@ class TestScan:
             ScanConfig(generator=unit_square_generator(), center=(0, 0),
                        scales=(0.25, 0.5), window_radius=1.0, models=("plane",))
 
-    def test_rule_must_refine_relative_to_scale(self):
-        with pytest.raises(DomainError):
-            ScanConfig(generator=unit_square_generator(), center=(0, 0),
-                       scales=(0.5, 0.25), window_radius=1.0, models=("plane",),
-                       rule=lambda lam: 0.01)  # h/lam grows as lam shrinks
-
     @pytest.mark.parametrize("scales,radius", [((0.5, math.nan), 1.0), ((math.inf, 0.5), 1.0),
                                                ((0.5, 0.25), math.nan),
                                                ((0.5, 0.25), math.inf),
@@ -153,7 +147,8 @@ class TestScan:
                        scales=scales, window_radius=radius, models=("plane",))
 
     @pytest.mark.parametrize("rule", ["lambda/0", "lambda/-8", "lambda/inf", "lambda/nan",
-                                      "foo"])
+                                      "foo", "lambda/abc", "Lambda/8",
+                                      lambda lam: lam / 8])
     def test_rule_needs_a_finite_positive_divisor(self, rule):
         with pytest.raises(DomainError, match="resolution rule"):
             ScanConfig(generator=unit_square_generator(), center=(0, 0),
@@ -200,20 +195,45 @@ class RescaledTemplate:
         return space, self.bases[i % len(self.bases)]
 
 
+def assert_rows_equal_the_frozen_loop(report, cfg):
+    want = reference_tangent_scan(cfg)
+    assert len(report.rows) == len(want)
+    for row, (lam, points, results) in zip(report.rows, want):
+        assert (row.lam, row.points) == (lam, points)
+        for kind in cfg.models:
+            got, ref = row.results[kind], results[kind]
+            assert (got.lower, got.upper, got.exact) == (ref.lower, ref.upper, ref.exact)
+            assert got.witness.pairs == ref.witness.pairs
+
+
 class TestScanMemo:
     @pytest.mark.parametrize("scales", [(2.0 ** -3, 2.0 ** -4, 2.0 ** -5), (2.0, 1.0, 0.5)])
     def test_rows_equal_the_frozen_scan_loop(self, scales):
         # the second schedule clips the first window at the square's far sides
         cfg = corner_config(scales)
+        assert_rows_equal_the_frozen_loop(tangent_scan(cfg), cfg)
+
+    def test_one_model_window_per_kind_on_a_non_dyadic_schedule(self, monkeypatch):
+        built = []
+
+        def counting(kind, R, h):
+            built.append(kind)
+            return model_tangent_space(kind, R, h)
+
+        monkeypatch.setattr(tangent_lab, "model_tangent_space", counting)
+        cfg = ScanConfig(generator=unit_square_generator(), center=(0.0, 0.0),
+                         scales=(0.3, 0.2, 0.1), window_radius=1.0,
+                         models=("quarter", "half"), rule="lambda/7")
         report = tangent_scan(cfg)
-        want = reference_tangent_scan(cfg)
-        assert len(report.rows) == len(want)
-        for row, (lam, points, results) in zip(report.rows, want):
-            assert (row.lam, row.points) == (lam, points)
-            for kind in cfg.models:
-                got, ref = row.results[kind], results[kind]
-                assert (got.lower, got.upper, got.exact) == (ref.lower, ref.upper, ref.exact)
-                assert got.witness.pairs == ref.witness.pairs
+        assert built == ["quarter", "half"]
+        assert_rows_equal_the_frozen_loop(report, cfg)
+
+    def test_mixed_case_model_kind_is_refused(self):
+        cfg = ScanConfig(generator=unit_square_generator(), center=(0.0, 0.0),
+                         scales=(0.5, 0.25), window_radius=1.0, models=("Quarter",),
+                         rule="lambda/4")
+        with pytest.raises(DomainError, match="unknown model tangent kind"):
+            tangent_scan(cfg)
 
     def test_self_similar_corner_solves_each_model_once(self, solves):
         report = tangent_scan(corner_config())
