@@ -23,7 +23,7 @@ from . import boundary_free_group as bfg
 from . import fractal_gen as fg
 from . import metric_core as mc
 from . import qs_analysis as qs
-from .errors import MetricLabError
+from .errors import MalformedMatrixError, MetricLabError
 from .gh_solver import EXACT_BUDGET, gh_distance
 from .metric_core import write_json_atomic, write_text_atomic
 
@@ -252,7 +252,7 @@ def _check_metric(*spaces):
     for space in spaces:
         report = mc.validate_metric(space)
         if report:
-            raise _DomainFailure(f"generated space violates {report[0].axiom}")
+            raise MalformedMatrixError(f"generated space violates {report[0].axiom}")
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +325,7 @@ def qs_cmd(domain_path, codomain_path, map_path, budget, seed, out):
 @click.option("--depth", type=int, default=5, show_default=True)
 @click.option("--base", "visual_base", default="2", show_default=True,
               help="visual parameter a > 1")
-@click.option("--cylinder", "cylinder_spec", default=None,
+@click.option("--cylinder", "cylinder_spec", required=True,
               help="prefix:m, e.g. a:2")
 @click.option("--probe-expansion", is_flag=True)
 @click.option("--count", default="all", show_default=True)
@@ -338,8 +338,6 @@ def boundary_cmd(rank, depth, visual_base, cylinder_spec, probe_expansion,
     a = parse_number(visual_base)
     count_val = parse_int_or_all(count, "--count")
     payload: dict = {"rank": rank, "depth": depth, "base": a}
-    if cylinder_spec is None:
-        raise click.UsageError("--cylinder prefix:m is required")
     parts = cylinder_spec.split(":")
     if len(parts) != 2:
         raise click.UsageError(f"--cylinder takes prefix:m, got {cylinder_spec!r}")

@@ -20,11 +20,15 @@ from .metric_core import TOL, FiniteMetricSpace, PointedWindow
 
 MODEL_KINDS = ("plane", "half", "quarter", "t", "l", "d", "line")
 
+# Most mesh steps across an extent or window radius; 2^12 admits h = 2^-12.
+MAX_MESH_STEPS = 2 ** 12
+
 
 def _mesh_steps(h: float, span: float = 1.0) -> int:
-    """Mesh steps across an interval of length span, which h must divide."""
-    if not h > 0:  # also refuses nan
-        raise ResolutionError(f"mesh must be positive, got {h}")
+    """Steps, at most MAX_MESH_STEPS, of a mesh h that divides span exactly."""
+    if not (h > 0 and span / h <= MAX_MESH_STEPS):  # also refuses nan and inf
+        raise ResolutionError(f"mesh {h} must be positive, with at most "
+                              f"{MAX_MESH_STEPS} steps across length {span}")
     M = round(span / h)
     if M < 1 or abs(span / h - M) > 1e-9 * max(M, 1):
         raise ResolutionError(f"mesh {h} must divide an interval of length {span} exactly")
@@ -32,13 +36,15 @@ def _mesh_steps(h: float, span: float = 1.0) -> int:
 
 
 def _check_resolution(radius_phys: float, h: float) -> None:
-    """The check every generator's sample_ball and model_tangent_space run
-    before sampling."""
-    if not (math.isfinite(radius_phys) and math.isfinite(h)):
-        raise DomainError(f"radius {radius_phys} and mesh {h} must be finite")
-    if h > radius_phys:
-        raise ResolutionError(
-            f"mesh {h} cannot resolve a window of radius {radius_phys}")
+    """The window geometry check of every sampler and model_tangent_space:
+    DomainError unless radius and mesh are positive and finite, and
+    ResolutionError unless the radius, padded by TOL as the samplers pad it,
+    spans 1 to MAX_MESH_STEPS meshes."""
+    if not (0 < radius_phys < math.inf and 0 < h < math.inf):  # also refuses nan
+        raise DomainError(f"radius {radius_phys} and mesh {h} must be positive and finite")
+    if h > radius_phys or (radius_phys + TOL) / h > MAX_MESH_STEPS:
+        raise ResolutionError(f"mesh {h} cannot resolve a window of radius "
+                              f"{radius_phys} in 1 to {MAX_MESH_STEPS} steps")
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +172,8 @@ def pillow_carpet_space(sched: SlitSchedule, h: float) -> FiniteMetricSpace:
 # ---------------------------------------------------------------------------
 
 def _flatness_values(flatness, stages: int) -> list:
-    """l_1 .. l_stages of a schedule name or of a finite sequence of numbers."""
+    """l_1 .. l_stages of a schedule name or of a finite sequence of numbers,
+    every one of which, used or not, must lie in [1, inf)."""
     named = {"standard": [2.0] * stages,
              "1+2^-k": [1.0 + 2.0 ** -k for k in range(1, stages + 1)]}
     try:
@@ -174,6 +181,8 @@ def _flatness_values(flatness, stages: int) -> list:
     except (KeyError, TypeError, ValueError):
         raise ScheduleError(f"flatness must be one of {tuple(named)} or a "
                             f"sequence of numbers, got {flatness!r}") from None
+    if not all(1.0 <= l < math.inf for l in seq):  # also refuses nan
+        raise ConstructionError(f"flatness values {seq} must lie in [1, inf)")
     if len(seq) < stages:
         raise ScheduleError(f"flatness schedule has {len(seq)} values, {stages} stages needed")
     return seq[:stages]
@@ -182,9 +191,6 @@ def _flatness_values(flatness, stages: int) -> list:
 def _refine_polyline(P: np.ndarray, l: float) -> np.ndarray:
     """One construction stage: replace every segment by the four-segment bump
     with legs l/2 times the base (the middle third)."""
-    if l < 1.0:
-        raise ConstructionError(
-            f"flatness {l} gives legs shorter than half the base")
     p, q = P[:-1], P[1:]
     d = q - p
     m1, m2 = p + d / 3.0, p + 2.0 * d / 3.0
@@ -222,10 +228,14 @@ def _segments_intersect(P: np.ndarray) -> bool:
 
 
 def _stage_polyline(window, flatness, stage: int) -> np.ndarray:
-    """Vertices of the stage-`stage` construction over the window [a, b]."""
+    """Vertices of the stage-`stage` construction over the window [a, b],
+    which must be finite with a < b."""
     if stage < 0:
         raise DomainError(f"snowflake stage must be non-negative, got {stage}")
-    P = np.array([[window[0], 0.0], [window[1], 0.0]])
+    a, b = float(window[0]), float(window[1])
+    if not -math.inf < a < b < math.inf:  # also refuses nan
+        raise DomainError(f"window must be a finite nondegenerate interval, got {window}")
+    P = np.array([[a, 0.0], [b, 0.0]])
     for l in _flatness_values(flatness, stage):
         P = _refine_polyline(P, l)
     return P
@@ -238,17 +248,15 @@ def snowflake_polyline(stage: int, flatness="standard",
     The flatness l_k is a schedule name, "standard" (equilateral, l_k = 2) or
     "1+2^-k", or a sequence of at least `stage` numbers (fewer raise
     ScheduleError before any refinement): legs are l_k/2 times the base, so
-    l_k = 1 flattens the stage exactly and l_k < 1 is rejected.
+    l_k = 1 flattens the stage exactly.  A value of the sequence outside
+    [1, inf), nan included, raises ConstructionError before any refinement.
     Stages whose segments cross are rejected by a pairwise sweep, which
     stops at 4097 vertices (stage 6); later stages raise ConstructionError.
     """
-    a, b = float(window[0]), float(window[1])
-    if not b > a:
-        raise DomainError(f"window must be a nondegenerate interval, got {window}")
     if 4 ** stage + 1 > 4097:  # before any O(n^2) array of the stage is built
         raise ConstructionError(f"stage-{stage} polyline has {4 ** stage + 1} vertices; "
                                 "the self-intersection sweep stops at 4097 (stage 6)")
-    P = _stage_polyline((a, b), flatness, stage)
+    P = _stage_polyline(window, flatness, stage)
     if _segments_intersect(P):
         raise ConstructionError(f"stage-{stage} polyline self-intersects")
     seg = np.linalg.norm(np.diff(P, axis=0), axis=1)
@@ -265,12 +273,12 @@ class FlatSnowflakeGenerator:
     to 1, so bumps created at late stages flatten out while the curve stays
     inside the standard construction's non-crossing envelope; blow-up windows
     are sampled by refining the construction locally until every segment is
-    below the requested mesh.  A sequence too short for that depth raises
-    ScheduleError in sample_ball.
+    below the requested mesh.  The window and schedule are checked here; a
+    schedule too short for a window's depth raises ScheduleError in sample_ball.
     """
 
     def __init__(self, flatness="1+2^-k", window=(0.0, 1.0)):
-        _flatness_values(flatness, 0)  # refuses an unknown name or a non-number
+        _stage_polyline(window, flatness, 0)  # checks the window and the schedule
         self.flatness = flatness
         self.window = (float(window[0]), float(window[1]))
 
@@ -441,20 +449,19 @@ def wu_phi(u: float, alpha: float, c: float) -> float:
 @dataclass(frozen=True)
 class WuSchedule:
     """Parameters (alpha_n, c_n, s_n) of the distorted intervals
-    I_n = [1/n - s_n, 1/n], 1-indexed by n."""
+    I_n = [1/n - s_n, 1/n], 1-indexed by n.
+
+    Construction checks every term once (ScheduleError): alpha_n in (0, 1)
+    increases, c_n in (0, 1), I_n misses I_{n+1}, s_n L(alpha_n, c_n) decreases.
+    """
 
     alpha: tuple
     c: tuple
     s: tuple
 
-    def validate(self, N: int) -> None:
-        if N < 0:
-            raise ScheduleError(f"schedule truncation {N} is negative")
-        if min(len(self.alpha), len(self.c), len(self.s)) < N:
-            raise ScheduleError(f"schedule truncation {N} exceeds provided terms")
+    def __post_init__(self):
         sl_prev = math.inf
-        for n in range(1, N + 1):
-            a, c, s = self.alpha[n - 1], self.c[n - 1], self.s[n - 1]
+        for n, (a, c, s) in enumerate(zip(self.alpha, self.c, self.s), start=1):
             if not (0 < a < 1):
                 raise ScheduleError(f"alpha_{n} = {a} outside (0, 1)")
             if n >= 2 and a <= self.alpha[n - 2]:
@@ -471,6 +478,11 @@ class WuSchedule:
                                     f"violated at n={n}")
             sl_prev = sl
 
+    def validate(self, N: int) -> None:
+        terms = min(len(self.alpha), len(self.c), len(self.s))
+        if not 0 <= N <= terms:
+            raise ScheduleError(f"schedule truncation {N} outside 0..{terms}")
+
     def interval(self, n: int):
         s = self.s[n - 1]
         return (1.0 / n - s, 1.0 / n)
@@ -480,8 +492,8 @@ def default_wu_schedule(N: int) -> WuSchedule:
     """A valid schedule with L -> infinity: alpha_n = n/(n+1), c_n = 2^(-n^2),
     s_n small enough for disjointness and decreasing s_n L_n; N outside 0..25
     raises ScheduleError."""
-    if N > 25:
-        raise ScheduleError("default schedule underflows past N = 25")
+    if not 0 <= N <= 25:
+        raise ScheduleError(f"default schedule truncation {N} outside 0..25")
     alpha = tuple(n / (n + 1.0) for n in range(1, N + 1))
     c = tuple(2.0 ** (-n * n) for n in range(1, N + 1))
     s = []
@@ -492,9 +504,7 @@ def default_wu_schedule(N: int) -> WuSchedule:
         val = min(cap, 4.0 ** -n / L, 0.5 * sl_prev / L)
         s.append(val)
         sl_prev = val * L
-    sched = WuSchedule(alpha, c, tuple(s))
-    sched.validate(N)
-    return sched
+    return WuSchedule(alpha, c, tuple(s))
 
 
 def _wu_interval_of(v: float, sched: WuSchedule, N: int):
@@ -508,13 +518,9 @@ def _wu_interval_of(v: float, sched: WuSchedule, N: int):
 def wu_line_metric(x: float, y: float, sched: WuSchedule, truncation: int) -> float:
     """The five-branch distorted metric on the line: plain Euclidean outside
     the intervals I_n (n <= truncation), profile-distorted inside, and sums
-    of boundary hops across intervals.  The schedule is validated first."""
+    of boundary hops across intervals.  The schedule checked its terms when
+    it was built; a truncation outside 0..terms raises ScheduleError."""
     sched.validate(truncation)
-    return _wu_metric(x, y, sched, truncation)
-
-
-def _wu_metric(x: float, y: float, sched: WuSchedule, truncation: int) -> float:
-    """wu_line_metric for a schedule already validated at this truncation."""
     if x == y:
         return 0.0
     x, y = (x, y) if x < y else (y, x)
@@ -564,8 +570,7 @@ def product_rug_space(line_metric, extent=(-1.0, 1.0),
         delta = lambda u, v: abs(u - v) ** eps
     elif isinstance(line_metric, tuple) and line_metric and line_metric[0] == "wu":
         _, sched, N = line_metric
-        sched.validate(N)
-        delta = lambda u, v: _wu_metric(u, v, sched, N)
+        delta = lambda u, v: wu_line_metric(u, v, sched, N)
     else:
         raise DomainError(f"unrecognized line metric {line_metric!r}")
 
@@ -624,7 +629,8 @@ def _grid_ball(pred, center, R: float, h: float, one_dim: bool):
             x, y = ix * h, iy * h
             if not pred(x, y):
                 continue
-            if (x - cx) ** 2 + (y - cy) ** 2 <= (R + TOL) ** 2:
+            # products, not ** 2: a radius past 1e154 squares to inf, not OverflowError
+            if (x - cx) * (x - cx) + (y - cy) * (y - cy) <= (R + TOL) * (R + TOL):
                 if ix == icx and iy == icy:
                     base = len(pts)
                 pts.append((x, y))
@@ -723,11 +729,9 @@ def model_tangent_space(kind: str, R: float, h: float) -> PointedWindow:
     Euclidean kinds are exact restrictions; t, l, d are grid graphs with the
     shortest-path metric, padded to half-width 2R: a geodesic between two
     window points is at most 2R long and stays within 2R of the base, so
-    cutting the graph there never lengthens it.  A mesh h > R raises ResolutionError, as in
-    every generator's sample_ball.
+    cutting the graph there never lengthens it.  R and h pass the window
+    geometry check of every generator's sample_ball, _check_resolution.
     """
-    if R <= 0 or h <= 0:
-        raise DomainError("window radius and mesh must be positive")
     _check_resolution(R, h)
     if kind in _EUCLID_MODELS:
         pred, one_dim = _EUCLID_MODELS[kind]

@@ -217,6 +217,17 @@ def _farthest_first(dist: np.ndarray, eps: float, start: int) -> list[int]:
         d_near = np.minimum(d_near, dist[far])
 
 
+def decreasing_scales(values, noun: str) -> tuple:
+    """The one check of a scale list (scans, geometry_stats, qc probes): a
+    nonempty, positive, finite, strictly decreasing tuple, or DomainError."""
+    values = tuple(float(v) for v in values)
+    if not values or not all(0 < v < np.inf for v in values):  # also refuses nan
+        raise DomainError(f"{noun} must be nonempty, positive and finite")
+    if any(a <= b for a, b in zip(values, values[1:])):
+        raise DomainError(f"{noun} must be strictly decreasing")
+    return values
+
+
 def geometry_stats(m: FiniteMetricSpace, scales) -> GeometryStats:
     """Doubling and uniform-perfectness estimates over the sampled scales.
 
@@ -232,11 +243,7 @@ def geometry_stats(m: FiniteMetricSpace, scales) -> GeometryStats:
     """
     if m.n == 0:
         raise DomainError("geometry_stats of an empty space")
-    scales = [float(s) for s in scales]
-    if not all(0 < s < np.inf for s in scales):  # also refuses nan
-        raise DomainError("scales must be positive and finite")
-    if any(a <= b for a, b in zip(scales, scales[1:])):
-        raise DomainError("scales must be strictly descending")
+    scales = decreasing_scales(scales, "scales")
 
     d = m.dist
     doubling = 1
@@ -272,20 +279,17 @@ def space_to_json(m: FiniteMetricSpace) -> dict:
 
 
 def space_from_json(obj: dict) -> FiniteMetricSpace:
+    """FiniteMetricSpace checks the matrix is square and finite; this, symmetry."""
     if not isinstance(obj, dict) or "dist" not in obj:
         raise MalformedMatrixError("space JSON must contain a 'dist' matrix")
     d = np.asarray(obj["dist"], dtype=float)
     if d.shape == (0,):  # "dist": [] is the empty space
         d = d.reshape(0, 0)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise MalformedMatrixError(f"'dist' must be a square matrix, got shape {d.shape}")
-    if d.size and not bool(np.all(np.isfinite(d))):
-        raise MalformedMatrixError("'dist' contains NaN or infinite entries")
-    if d.size and float(np.abs(d - d.T).max()) > TOL:
-        raise MalformedMatrixError("'dist' is asymmetric beyond tolerance")
     labels = obj.get("labels")
-    labels = tuple(_label_from_json(l) for l in labels) if labels else ()
-    return FiniteMetricSpace(d, labels)
+    m = FiniteMetricSpace(d, tuple(_label_from_json(l) for l in labels) if labels else ())
+    if m.n and float(np.abs(m.dist - m.dist.T).max()) > TOL:
+        raise MalformedMatrixError("'dist' is asymmetric beyond tolerance")
+    return m
 
 
 def _label_to_json(label):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateEnvelopeError, DomainError
-from .metric_core import FiniteMetricSpace
+from .metric_core import FiniteMetricSpace, decreasing_scales
 
 TRIPLE_BUDGET_DEFAULT = 10 ** 6
 
@@ -296,11 +296,7 @@ def qc_constant_probe(f: SampledMap, radii) -> list[QcRow]:
     over points.  Points with nothing inside or nothing outside are skipped
     and counted.
     """
-    radii = [float(r) for r in radii]
-    if not all(0 < r < np.inf for r in radii):  # also refuses nan
-        raise DomainError("radii must be positive and finite")
-    if any(a <= b for a, b in zip(radii, radii[1:])):
-        raise DomainError("radii must be strictly descending")
+    radii = decreasing_scales(radii, "radii")
     DX, DY = f.domain.dist, f.codomain.dist
     a = f.assignment
     img = DY[np.ix_(a, a)]

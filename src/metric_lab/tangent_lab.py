@@ -19,7 +19,7 @@ from scipy.spatial import cKDTree
 from .errors import DomainError
 from .fractal_gen import model_tangent_space
 from .gh_solver import Correspondence, GhResult, pointed_gh_bounds
-from .metric_core import FiniteMetricSpace, PointedWindow, rescale
+from .metric_core import FiniteMetricSpace, PointedWindow, decreasing_scales, rescale
 
 TREND_BAND = 1e-3  # least-squares slope below this magnitude counts as flat
 
@@ -49,15 +49,10 @@ class ScanConfig:
     seed: int = 0
 
     def __post_init__(self):
-        scales = tuple(float(s) for s in self.scales)
-        if not scales or not all(0 < s < math.inf for s in scales):  # refuses nan
-            raise DomainError("scales must be positive and finite")
+        object.__setattr__(self, "scales", decreasing_scales(self.scales, "scales"))
         if not 0 < float(self.window_radius) < math.inf:
             raise DomainError(
                 f"window radius must be positive and finite, got {self.window_radius}")
-        if any(a <= b for a, b in zip(scales, scales[1:])):
-            raise DomainError("scales must be strictly decreasing")
-        object.__setattr__(self, "scales", scales)
         object.__setattr__(self, "models", tuple(self.models))
         if not self.models:
             raise DomainError("at least one model tangent is required")
@@ -242,11 +237,12 @@ def classify_tangent(report: ScanReport) -> Verdict:
 
 class ScaledGenerator:
     """The same generator with its metric multiplied by a constant; scanning
-    it at scales c*lambda must reproduce the original scan at lambda."""
+    it at scales c*lambda must reproduce the original scan at lambda.  A
+    factor that is not positive and finite raises DomainError."""
 
     def __init__(self, gen, c: float):
-        if c <= 0:
-            raise DomainError("metric factor must be positive")
+        if not 0 < c < math.inf:  # also refuses nan
+            raise DomainError(f"metric factor must be positive and finite, got {c}")
         self._gen = gen
         self._c = c
 

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 
@@ -10,8 +12,11 @@ import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import metric_lab
+from metric_lab import errors
 from metric_lab.cli import GEN_KINDS, fmt, main, parse_center, parse_number, parse_scales
 from metric_lab.fractal_gen import MODEL_KINDS
 from metric_lab.metric_core import read_space
@@ -648,3 +653,195 @@ class TestGhPointed:
                                       "--out", str(out)])
         assert result.exit_code == 0, result.output
         assert json.loads(out.read_text())["exact"] == 0.5
+
+
+# ---------------------------------------------------------------------------
+# One table of CLI contracts: argv, exit code, and what the run must show.
+# `expect` is "sha256 <hex>" of the file written to {out}, or text the output
+# must contain: an "Error: <class>" line or a summary line.  {d} holds the
+# inputs made by the contract_inputs fixture.  Every row runs in-process, and
+# through the installed metric-lab script when there is one.
+# ---------------------------------------------------------------------------
+
+RUG_HALF_EIGHTH = "sha256 3278e321f3ea807e8f6449a730fb6d1bb54bf48d240d19c947e61bedde2c86e3"
+SNOWFLAKE_FLAT_3 = "sha256 a3b7a41f37839b4264a6a960235802d7ed9dd8008ba03cf5fdb5682fa694530f"
+CONTRACTS = [
+    pytest.param(["boundary", "--rank", "2", "--depth", "5", "--cylinder", "a:2",
+                  "--probe-expansion", "--out", "{out}"], 0,
+                 "boundary rank 2 depth 5 cylinder a:2 expansion 4..4 ->",
+                 id="boundary-probe"),
+    pytest.param(["gen", "--kind", "model-quarter", "--radius", "1", "--h", "1/4",
+                  "--out", "{out}"], 0,
+                 "gen model-quarter: 17 points, diameter 1.41421356237 ->", id="gen-quarter"),
+    pytest.param(["gh", "--x", "{d}/quarter.json", "--y", "{d}/quarter.json"], 0,
+                 "gh exact 0", id="gh-quarter-quarter"),
+    pytest.param(["gen", "--kind", "model-half", "--radius", "1", "--h", "1/4",
+                  "--out", "{out}"], 0, "gen model-half: 29 points, diameter 2 ->",
+                 id="gen-half"),
+    # 17 x 29 = 493 pairs, above the auto-exact limit of 400: the forced exact
+    # search computes its pair mismatches without the table
+    pytest.param(["gh", "--x", "{d}/quarter.json", "--y", "{d}/half.json", "--exact",
+                  "--budget", "2000"], 0, "gh lower 0.292893218813 upper 0.43318956705",
+                 id="gh-exact-above-table-limit"),
+    pytest.param(["gh", "--x", "{d}/quarter.json", "--y", "{d}/half.json",
+                  "--budget", "-1"], 2, "Error: Invalid value for '--budget'",
+                 id="gh-negative-budget"),
+    # every real-valued option is read by one parser: 1/2 writes the bytes of 0.5
+    pytest.param(["gen", "--kind", "rickman-rug", "--epsilon", "1/2", "--h", "1/8",
+                  "--out", "{out}"], 0, RUG_HALF_EIGHTH, id="rug-epsilon-fraction"),
+    pytest.param(["gen", "--kind", "rickman-rug", "--epsilon", "0.5", "--h", "1/8",
+                  "--out", "{out}"], 0, RUG_HALF_EIGHTH, id="rug-epsilon-decimal"),
+    pytest.param(["gen", "--kind", "slit-carpet", "--levels", "-1", "--out", "{out}"], 1,
+                 "Error: ScheduleError", id="carpet-negative-levels"),
+    # a flatness schedule is a name or its numbers: both write the same bytes
+    pytest.param(["gen", "--kind", "snowflake", "--stage", "3", "--flatness", "1+2^-k",
+                  "--out", "{out}"], 0, SNOWFLAKE_FLAT_3, id="flatness-name"),
+    pytest.param(["gen", "--kind", "snowflake", "--stage", "3", "--flatness",
+                  "1.5,1.25,1.125", "--out", "{out}"], 0, SNOWFLAKE_FLAT_3,
+                 id="flatness-values"),
+    pytest.param(["gen", "--kind", "snowflake", "--stage", "3", "--flatness", "1.5,1.5",
+                  "--out", "{out}"], 1, "Error: ScheduleError", id="flatness-too-short"),
+    pytest.param(["gen", "--kind", "rickman-rug", "--h", "0.3", "--out", "{out}"], 1,
+                 "Error: ResolutionError", id="rug-mesh-does-not-divide"),
+    pytest.param(["gen", "--kind", "snowflake-pair", "--points", "12", "--out", "{out}",
+                  "--out-codomain", "{out}.c", "--out-map", "{out}.m"], 0,
+                 "gen snowflake-pair: 12 points ->", id="gen-snowflake-pair"),
+    pytest.param(["qs", "--domain", "{d}/snow-d.json", "--codomain", "{d}/snow-c.json",
+                  "--map", "{d}/snow-m.json", "--budget", "all", "--out", "{out}"], 0,
+                 "qs envelope: 214 breakpoints ->", id="qs-snowflake-pair"),
+    pytest.param(["scan", "--space", "square", "--center", "0,0", "--scales", "2^-3..2^-5",
+                  "--radius", "1", "--models", "quarter,half", "--rule", "lambda/8",
+                  "--out", "{out}"], 0, "(reused 4 of 6 GH solves)", id="scan-corner-memo"),
+    # a carpet centre on a non-dyadic mesh (24 * (1/80) != 0.3 in floats)
+    pytest.param(["scan", "--space", "slit-carpet", "--r", "0.5", "--levels", "1",
+                  "--center", "0.3,0", "--scales", "2^-3..2^-5", "--radius", "1",
+                  "--models", "half", "--rule", "lambda/10", "--out", "{out}"], 0,
+                 "(reused 0 of 3 GH solves)", id="scan-carpet-non-dyadic-centre"),
+    # more mesh steps than MAX_MESH_STEPS are refused before anything is built
+    pytest.param(["gen", "--kind", "rickman-rug", "--epsilon", "1/2", "--h", "1e-300",
+                  "--out", "{out}"], 1, "Error: ResolutionError", id="rug-mesh-1e-300"),
+    pytest.param(["gen", "--kind", "slit-carpet", "--levels", "1", "--h", "2^-1000",
+                  "--out", "{out}"], 1, "Error: ResolutionError", id="carpet-mesh-2^-1000"),
+    pytest.param(["gen", "--kind", "model-plane", "--radius", "1e300", "--out", "{out}"], 1,
+                 "Error: ResolutionError", id="model-radius-1e300"),
+    pytest.param(["scan", "--space", "square", "--scales", "2^-3", "--radius", "1e300",
+                  "--models", "quarter", "--out", "{out}"], 1, "Error: ResolutionError",
+                 id="scan-radius-1e300"),
+    pytest.param(["scan", "--space", "square", "--scales", "2^-1000", "--models", "quarter",
+                  "--out", "{out}"], 1, "Error: ResolutionError", id="scan-scale-2^-1000"),
+    pytest.param(["scan", "--space", "square", "--scales", "2^-3", "--models", "quarter",
+                  "--rule", "lambda/1e300", "--out", "{out}"], 1, "Error: ResolutionError",
+                 id="scan-rule-lambda/1e300"),
+    pytest.param(["gen", "--kind", "model-quarter", "--h", "0", "--out", "{out}"], 1,
+                 "Error: DomainError", id="model-mesh-zero"),
+    # every value of a flatness sequence is checked, used or not
+    pytest.param(["gen", "--kind", "snowflake", "--stage", "1", "--flatness", "1.5,0.9",
+                  "--out", "{out}"], 1, "Error: ConstructionError",
+                 id="flatness-unused-value-below-one"),
+    pytest.param(["boundary", "--out", "{out}"], 2, "Error: Missing option '--cylinder'",
+                 id="boundary-without-cylinder"),
+]
+
+
+@pytest.fixture(scope="module")
+def contract_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("contract-inputs")
+    for argv in (["gen", "--kind", "model-quarter", "--radius", "1", "--h", "1/4",
+                  "--out", f"{d}/quarter.json"],
+                 ["gen", "--kind", "model-half", "--radius", "1", "--h", "1/4",
+                  "--out", f"{d}/half.json"],
+                 ["gen", "--kind", "snowflake-pair", "--points", "12", "--out",
+                  f"{d}/snow-d.json", "--out-codomain", f"{d}/snow-c.json",
+                  "--out-map", f"{d}/snow-m.json"]):
+        assert CliRunner().invoke(main, argv).exit_code == 0
+    return d
+
+
+def check_contract(exit_code, output, out, code, expect):
+    assert exit_code == code, output
+    assert "Traceback" not in output
+    if expect.startswith("sha256 "):
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == expect.split()[1]
+    else:
+        assert expect in output
+    if code:
+        assert not out.exists()
+
+
+class TestContracts:
+    @pytest.mark.parametrize("argv,code,expect", CONTRACTS)
+    def test_in_process(self, contract_inputs, tmp_path, argv, code, expect):
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, [a.format(d=contract_inputs, out=out) for a in argv])
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        check_contract(result.exit_code, result.output, out, code, expect)
+
+    @pytest.mark.skipif(shutil.which("metric-lab") is None,
+                        reason="the metric-lab script is not installed")
+    @pytest.mark.parametrize("argv,code,expect", CONTRACTS)
+    def test_through_the_installed_script(self, contract_inputs, tmp_path, argv, code,
+                                          expect):
+        out = tmp_path / "out"
+        proc = subprocess.run([shutil.which("metric-lab"),
+                               *(a.format(d=contract_inputs, out=out) for a in argv)],
+                              capture_output=True, text=True, timeout=300)
+        check_contract(proc.returncode, proc.stdout + proc.stderr, out, code, expect)
+
+
+# ---------------------------------------------------------------------------
+# Bounded property test: one gen or scan run per example, with one real-valued
+# option drawn from values at the edges of its domain.  Valid draws are at
+# least 1/16, so every run that is accepted stays cheap; sizes between that
+# and MAX_MESH_STEPS would allocate gigabytes and are never drawn.
+# ---------------------------------------------------------------------------
+
+EDGE_VALUES = ["nan", "inf", "-inf", "0", "-0", "-1", "-1/16", "1e300", "-1e300", "1e-300",
+               "-1e-300", "2^-1000", "1e400", "0.3", "1/16", "1/8", "1/4", "0.5", "2/3",
+               "1", "2", "3"]
+SQUARE_SCAN = ["scan", "--space", "square", "--center", "0,0", "--scales", "2^-3..2^-4",
+               "--models", "quarter", "--rule", "lambda/4"]
+SNOWFLAKE_SCAN = ["scan", "--space", "flat-snowflake", "--center", "vertex:2:3",
+                  "--scales", "2^-3..2^-4", "--models", "line", "--rule", "lambda/4"]
+# (command without the drawn option, option, template of its value)
+OPTION_SLOTS = [
+    (["gen", "--kind", "rickman-rug"], "--h", "{}"),
+    (["gen", "--kind", "wu-rug", "--truncation", "3"], "--h", "{}"),
+    (["gen", "--kind", "slit-carpet", "--levels", "1"], "--h", "{}"),
+    (["gen", "--kind", "model-t"], "--h", "{}"),
+    (["gen", "--kind", "rickman-rug", "--h", "1/4"], "--epsilon", "{}"),
+    (["gen", "--kind", "snowflake-pair", "--points", "12", "--out-codomain", "{out}.c",
+      "--out-map", "{out}.m"], "--epsilon", "{}"),
+    (["gen", "--kind", "model-plane", "--h", "1/4"], "--radius", "{}"),
+    (["gen", "--kind", "model-line", "--h", "1/4"], "--radius", "{}"),
+    (["gen", "--kind", "snowflake", "--stage", "2"], "--window", "0,{}"),
+    (["gen", "--kind", "snowflake", "--stage", "2"], "--window", "{},1"),
+    (["gen", "--kind", "rickman-rug", "--h", "1/4"], "--extent", "-1,{}"),
+    (["gen", "--kind", "wu-rug", "--h", "1/4"], "--extent", "{},1"),
+    (["gen", "--kind", "snowflake", "--stage", "2"], "--flatness", "1.5,{}"),
+    (SQUARE_SCAN, "--radius", "{}"),
+    (SQUARE_SCAN, "--center", "{},0"),
+    (SQUARE_SCAN, "--scales", "{}"),
+    (SQUARE_SCAN, "--scales", "1/8,{}"),
+    (SNOWFLAKE_SCAN, "--radius", "{}"),
+    (SNOWFLAKE_SCAN, "--scales", "{}"),
+    (SNOWFLAKE_SCAN, "--flatness", "{},1.25,1.125,1.0625"),
+]
+
+
+class TestOptionProperties:
+    @settings(max_examples=300, deadline=5000, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(slot=st.sampled_from(OPTION_SLOTS), value=st.sampled_from(EDGE_VALUES))
+    def test_exit_code_and_error_line(self, tmp_path, slot, value):
+        base, option, template = slot
+        out = tmp_path / "out"
+        argv = [a.format(out=out) for a in base] + [option, template.format(value),
+                                                    "--out", str(out)]
+        result = CliRunner().invoke(main, argv)
+        assert result.exit_code in (0, 1, 2), (argv, result.output)
+        assert result.exception is None or isinstance(result.exception, SystemExit), argv
+        assert "Traceback" not in result.output
+        if result.exit_code == 1:
+            name = re.search(r"^Error: (\w+):", result.output, re.M)
+            assert name and issubclass(getattr(errors, name[1], type(None)),
+                                       errors.MetricLabError), (argv, result.output)

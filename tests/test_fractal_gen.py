@@ -420,11 +420,10 @@ class TestWuLine:
 
     def test_metric_and_rug_validate_the_schedule(self):
         good = default_wu_schedule(4)
-        bad = WuSchedule((0.5, 0.4), good.c[:2], good.s[:2])  # alpha drops
+        with pytest.raises(ScheduleError):  # no invalid schedule reaches either
+            WuSchedule((0.5, 0.4), good.c[:2], good.s[:2])  # alpha drops
         with pytest.raises(ScheduleError):
-            wu_line_metric(0.1, 0.2, bad, 2)
-        with pytest.raises(ScheduleError):
-            product_rug_space(("wu", bad, 2))
+            wu_line_metric(0.1, 0.2, good, 99)
         with pytest.raises(ScheduleError):
             product_rug_space(("wu", good, 99))  # truncation beyond provided terms
 
@@ -573,3 +572,74 @@ class TestModelTangents:
         seed = nearest_position_seed(w1, w2)
         res = pointed_gh_bounds(w1, w2, extra_seeds=[seed], restarts=20)
         assert res.upper <= 2.0 * h + 1e-12
+
+
+class TestValuesAreCheckedWhereTheyEnter:
+    def test_invalid_wu_schedule_is_refused_at_construction(self):
+        good = default_wu_schedule(4)
+        with pytest.raises(ScheduleError, match="alpha must increase"):
+            WuSchedule((0.5, 0.4), good.c[:2], good.s[:2])
+        with pytest.raises(ScheduleError, match="s_1"):
+            WuSchedule(good.alpha[:2], good.c[:2], (math.nan, 0.01))
+        with pytest.raises(ScheduleError, match="outside 0..4"):
+            good.validate(5)
+
+    @pytest.mark.parametrize("flatness", [[math.inf] * 8, [0.9] * 8, [1.5, 2.0, math.nan]])
+    def test_flat_snowflake_refuses_flatness_outside_one_to_inf(self, flatness):
+        with pytest.raises(ConstructionError, match="flatness"):
+            FlatSnowflakeGenerator(flatness)
+
+    def test_nan_flatness_is_refused_before_refining(self):
+        # used to fail late, as MalformedMatrixError from the distance matrix
+        with pytest.raises(ConstructionError, match="flatness"):
+            snowflake_polyline(2, [math.nan, 1.5])
+
+    @pytest.mark.parametrize("gen,center,R,h", [
+        (FlatSnowflakeGenerator(), (0.0, 0.0), 0.25, 0.0),  # ZeroDivisionError
+        (FlatSnowflakeGenerator(), (0.0, 0.0), 0.25, -1.0),  # math domain error
+        (make_generator("square"), (0.0, 0.0), 1.0, 0.0),  # ZeroDivisionError
+        (make_generator("square"), (0.0, 0.0), -1.0, -2.0),  # a 1-point window
+        (make_generator("slit-carpet", sched=SlitSchedule((0.5,))), (0.5, 0.5), 0.0, 0.0)])
+    def test_window_radius_and_mesh_must_be_positive(self, gen, center, R, h):
+        with pytest.raises(DomainError, match="positive and finite"):
+            gen.sample_ball(center, R, h)
+
+    @pytest.mark.parametrize("R,h", [(0.0, 0.25), (1.0, -0.25)])
+    def test_model_window_refuses_non_positive_geometry(self, R, h):
+        with pytest.raises(DomainError, match="positive and finite"):
+            model_tangent_space("quarter", R, h)
+
+
+class TestLargestStepCount:
+    def test_mesh_steps_are_bounded(self):
+        from metric_lab.fractal_gen import MAX_MESH_STEPS, _mesh_steps
+
+        assert MAX_MESH_STEPS >= 2 ** 12
+        assert _mesh_steps(2.0 ** -12) == 2 ** 12
+        for h in (1e-300, 2.0 ** -1000, 5e-324):  # 10^300 steps, say, used to pass
+            with pytest.raises(ResolutionError, match="steps"):
+                _mesh_steps(h)
+
+    @pytest.mark.parametrize("h,extent", [(1e-300, (-1.0, 1.0)), (1.0, (-1e308, 1e308))])
+    def test_rug_refuses_more_steps_than_the_bound(self, h, extent):
+        # 1e-300 ended in numpy's "Maximum allowed size exceeded", an infinite
+        # span in an OverflowError from round()
+        with pytest.raises(ResolutionError, match="steps"):
+            product_rug_space(("rickman", 0.5), extent, h)
+
+    @pytest.mark.parametrize("kind", ["plane", "t"])
+    def test_model_window_refuses_more_steps_than_the_bound(self, kind):
+        t0 = time.perf_counter()
+        with pytest.raises(ResolutionError, match="steps"):
+            model_tangent_space(kind, 1e300, 1 / 16)
+        assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("window", [(1.0, 0.0), (0.0, math.inf), (math.nan, 1.0)])
+def test_snowflake_window_is_checked_where_it_enters(window):
+    # FlatSnowflakeGenerator(window=(1, 0)) used to end in a math domain error
+    # at its first sample_ball; an infinite window in a late MalformedMatrixError
+    with pytest.raises(DomainError, match="window"):
+        FlatSnowflakeGenerator(window=window)
+    with pytest.raises(DomainError, match="window"):
+        snowflake_polyline(2, window=window)

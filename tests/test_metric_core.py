@@ -349,3 +349,18 @@ class TestAtomicWriters:
             write(bad, str(path))
         assert path.read_bytes() == b'{"old": 1}\n'
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+
+
+@pytest.mark.parametrize("obj", [{"dist": [[0, 1]]}, {"dist": [0, 1]},
+                                 {"dist": [[0, math.nan], [math.nan, 0]]},
+                                 {"dist": [[0, math.inf], [math.inf, 0]]}])
+def test_json_reader_refuses_non_square_or_non_finite_matrices(obj):
+    # FiniteMetricSpace makes both checks for the reader
+    with pytest.raises(MalformedMatrixError):
+        space_from_json(obj)
+
+
+def test_an_empty_scale_list_is_refused():
+    # it used to give a doubling estimate of 1 and perfectness 1 from no scale
+    with pytest.raises(DomainError, match="scales must be nonempty"):
+        geometry_stats(line_space([0, 1, 2]), [])

@@ -279,3 +279,9 @@ class TestCompositionConsistency:
         for t, s in env_gf.breakpoints:
             if lo <= t <= hi:
                 assert s <= comp.eval_linear(t) + 1e-9
+
+
+def test_an_empty_radius_list_is_refused():
+    m = line_space([0, 1, 2])
+    with pytest.raises(DomainError, match="radii must be nonempty"):
+        qc_constant_probe(identity_map(m, m), [])

@@ -346,3 +346,10 @@ class TestSlitCarpetScan:
             for res in row.results.values():
                 assert 0.0 <= res.lower <= res.upper
         assert report.verdict is not None
+
+
+@pytest.mark.parametrize("c", [math.inf, math.nan, 0.0, -1.0])
+def test_scaled_generator_factor_must_be_positive_and_finite(c):
+    # inf used to end in a ZeroDivisionError at the first window
+    with pytest.raises(DomainError, match="positive and finite"):
+        ScaledGenerator(unit_square_generator(), c)
