@@ -22,6 +22,14 @@ MODEL_KINDS = ("plane", "half", "quarter", "t", "l", "d", "line")
 
 # Most mesh steps across an extent or window radius; 2^12 admits h = 2^-12.
 MAX_MESH_STEPS = 2 ** 12
+# Flatness values lie in [1, MAX_FLATNESS): a bump's legs, l/6 of the segment
+# they refine, are then shorter than it, so refining shrinks segments and
+# moves no vertex by more than a segment's length.
+MAX_FLATNESS = 6.0
+# Largest |endpoint| of a snowflake window.  The vertices of any stage then
+# stay within a few thousand spans of the window, below 2^77, so the crossing
+# sweep's products of four coordinates stay finite.
+MAX_SNOWFLAKE_WINDOW = 2.0 ** 64
 
 
 def _mesh_steps(h: float, span: float = 1.0) -> int:
@@ -173,7 +181,7 @@ def pillow_carpet_space(sched: SlitSchedule, h: float) -> FiniteMetricSpace:
 
 def _flatness_values(flatness, stages: int) -> list:
     """l_1 .. l_stages of a schedule name or of a finite sequence of numbers,
-    every one of which, used or not, must lie in [1, inf)."""
+    every one of which, used or not, must lie in [1, MAX_FLATNESS)."""
     named = {"standard": [2.0] * stages,
              "1+2^-k": [1.0 + 2.0 ** -k for k in range(1, stages + 1)]}
     try:
@@ -181,8 +189,8 @@ def _flatness_values(flatness, stages: int) -> list:
     except (KeyError, TypeError, ValueError):
         raise ScheduleError(f"flatness must be one of {tuple(named)} or a "
                             f"sequence of numbers, got {flatness!r}") from None
-    if not all(1.0 <= l < math.inf for l in seq):  # also refuses nan
-        raise ConstructionError(f"flatness values {seq} must lie in [1, inf)")
+    if not all(1.0 <= l < MAX_FLATNESS for l in seq):  # also refuses nan
+        raise ConstructionError(f"flatness values {seq} must lie in [1, {MAX_FLATNESS:g})")
     if len(seq) < stages:
         raise ScheduleError(f"flatness schedule has {len(seq)} values, {stages} stages needed")
     return seq[:stages]
@@ -229,12 +237,13 @@ def _segments_intersect(P: np.ndarray) -> bool:
 
 def _stage_polyline(window, flatness, stage: int) -> np.ndarray:
     """Vertices of the stage-`stage` construction over the window [a, b],
-    which must be finite with a < b."""
+    which must have a < b within +-MAX_SNOWFLAKE_WINDOW."""
     if stage < 0:
         raise DomainError(f"snowflake stage must be non-negative, got {stage}")
     a, b = float(window[0]), float(window[1])
-    if not -math.inf < a < b < math.inf:  # also refuses nan
-        raise DomainError(f"window must be a finite nondegenerate interval, got {window}")
+    if not -MAX_SNOWFLAKE_WINDOW <= a < b <= MAX_SNOWFLAKE_WINDOW:  # also refuses nan
+        raise DomainError(f"window must be a finite nondegenerate interval within "
+                          f"+-2^64, got {window}")
     P = np.array([[a, 0.0], [b, 0.0]])
     for l in _flatness_values(flatness, stage):
         P = _refine_polyline(P, l)
@@ -249,7 +258,9 @@ def snowflake_polyline(stage: int, flatness="standard",
     "1+2^-k", or a sequence of at least `stage` numbers (fewer raise
     ScheduleError before any refinement): legs are l_k/2 times the base, so
     l_k = 1 flattens the stage exactly.  A value of the sequence outside
-    [1, inf), nan included, raises ConstructionError before any refinement.
+    [1, MAX_FLATNESS), nan included, raises ConstructionError before any
+    refinement, and a window [a, b] not within +-MAX_SNOWFLAKE_WINDOW with
+    a < b raises DomainError.
     Stages whose segments cross are rejected by a pairwise sweep, which
     stops at 4097 vertices (stage 6); later stages raise ConstructionError.
     """

@@ -14,6 +14,7 @@ adding pairs, so the minimum over this family is the true minimum.
 from __future__ import annotations
 
 import itertools
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -27,6 +28,7 @@ _EXACT_AUTO_PAIRS = 400  # method="auto" runs the exact search iff nx*ny is at m
 _RESTARTS = 200  # default gh_bounds seeds, deterministic ones included
 _LOCAL_MOVES = 80  # repair moves per gh_bounds seed
 _MAX_PAIR_BUDGET = 4e8  # seeds of k pairs with k^2 above this run no moves
+_PARALLEL_WORK = 1.6e7  # restarts * (nx+ny)^2 from which restarts run in worker processes
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,8 +239,9 @@ def _local_search(DX, DY, I, J, base_pair, moves: int):
     if moves <= 0:
         return _pair_distortion(DX, DY, I, J), I, J
     k = len(I)
-    GX, GY = DX[:, I], DY[:, J]  # column m: distances to the ends of pair m
-    M = np.abs(GX[I] - GY[J])
+    GX, GY = DX.take(I, axis=1), DY.take(J, axis=1)  # column m: distances to the ends of pair m
+    M = GX.take(I, axis=0)
+    np.abs(np.subtract(M, GY.take(J, axis=0), out=M), out=M)
     idx = int(np.argmax(M))  # first maximum in row-major order
     cur, where = float(M.flat[idx]), divmod(idx, k)
     candJ, candI = np.empty_like(GY), np.empty_like(GX)
@@ -247,6 +250,9 @@ def _local_search(DX, DY, I, J, base_pair, moves: int):
             break
         for p in where:
             if base_pair is not None and (I[p], J[p]) == base_pair:
+                continue
+            # the unique cover of both its ends: any re-pairing uncovers a point
+            if np.count_nonzero(I == I[p]) == 1 and np.count_nonzero(J == J[p]) == 1:
                 continue
             # re-pair pair p on either side; zeroing its own column leaves each
             # row max unchanged (entries >= 0, and k >= 2 when cur > 0)
@@ -282,6 +288,79 @@ def _local_search(DX, DY, I, J, base_pair, moves: int):
     return cur, I, J
 
 
+def _polish(DX, DY, I, J, base_pair):
+    """(dis, I, J) of one gh_bounds seed: _local_search, with no moves above _MAX_PAIR_BUDGET."""
+    moves = _LOCAL_MOVES if len(I) ** 2 <= _MAX_PAIR_BUDGET else 0
+    return _local_search(DX, DY, I, J, base_pair, moves)
+
+
+def _restart_seeds(DX, DY, maps, base_pair):
+    """(dis, I, J) of each random restart map (f, g), lazily and in order."""
+    for f, g in maps:
+        yield _polish(DX, DY, *_pairs_from_maps(len(DX), len(DY), f, g, base_pair), base_pair)
+
+
+_worker_spaces = None  # (DX, DY, base_pair), set only inside a restart worker
+
+
+def _start_restart_worker(DX, DY, base_pair):
+    global _worker_spaces
+    _worker_spaces = DX, DY, base_pair
+
+
+def _restart_chunk(maps):
+    """_restart_seeds of one chunk in a restart worker, with I and J None
+    unless dis is a strict running minimum of the chunk: a chunk is a
+    subsequence in seed order, so only those seeds can win the fold."""
+    DX, DY, base_pair = _worker_spaces
+    out, low = [], np.inf
+    for dis, I, J in _restart_seeds(DX, DY, maps, base_pair):
+        out.append((dis, I, J) if dis < low else (dis, None, None))
+        low = min(low, dis)
+    return out
+
+
+def _restart_workers(restarts: int, points: int) -> int:
+    """Worker processes for the random restarts, 1 meaning none: one per
+    usable CPU when there are at least two, the "fork" start method exists
+    and the restart work restarts * points^2 (points = nx + ny) reaches
+    _PARALLEL_WORK.  That is where two workers save about 4x their start-up:
+    the pool of a 100 MB process starts in about 30 ms, and a unit of work
+    costs about 1.5e-8 s serially."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, restarts)
+    if workers < 2 or restarts * points ** 2 < _PARALLEL_WORK:
+        return 1
+    import multiprocessing  # loads on first use, not at import
+
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):  # daemons may not fork
+        return 1
+    return workers
+
+
+def _restart_results(DX, DY, maps, base_pair):
+    """(dis, I, J) of each random restart map, in seed order: lazily in this
+    process, or from one strided chunk per worker (_restart_chunk) in forked
+    processes that have all exited before the first result is yielded.
+    Forked, not spawned: a spawned worker would import numpy and the lab
+    again on every call, and the workers run only numpy and pickling, no
+    lock that another thread of this process could hold."""
+    workers = _restart_workers(len(maps), len(DX) + len(DY))
+    if workers == 1:
+        yield from _restart_seeds(DX, DY, maps, base_pair)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_start_restart_worker,
+                             initargs=(DX, DY, base_pair)) as pool:
+        chunks = list(pool.map(_restart_chunk, [maps[w::workers] for w in range(workers)]))
+    for r in range(len(maps)):
+        yield chunks[r % workers][r // workers]
+
+
 def gh_bounds(X: FiniteMetricSpace, Y: FiniteMetricSpace, *,
               seed: int = 0, restarts: int = _RESTARTS,
               extra_seeds=(), base_pair=None) -> GhResult:
@@ -293,6 +372,12 @@ def gh_bounds(X: FiniteMetricSpace, Y: FiniteMetricSpace, *,
     seeds (extra_seeds, each a Correspondence or a skipped None, then identity
     when sizes agree, eccentricity-rank and signed-coordinate matchings) plus
     seeded random restarts, each polished by a worst-pair repair search.
+    Seeds are folded in that order, keeping the first strict minimum and
+    stopping once the upper meets the lower bound.  The restarts run in
+    forked worker processes, one strided chunk per usable CPU, when the
+    process may use more than one CPU and their work restarts * (nx+ny)^2
+    reaches _PARALLEL_WORK; the fold is the same, so the result never
+    depends on the CPU count.
     Fixed seed, deterministic output.  An extra seed must cover both sides
     once the base pair is added, and restarts must not be negative;
     otherwise DomainError.
@@ -323,9 +408,10 @@ def gh_bounds(X: FiniteMetricSpace, Y: FiniteMetricSpace, *,
         seeds.append(_value_match(DX[base_pair[0]], DY[base_pair[1]]))
 
     rng = np.random.default_rng(seed)
+    maps = []
     if nx + ny <= 2000:  # random restarts only pay off at small sizes
-        for _ in range(max(0, restarts - len(seeds))):
-            seeds.append((rng.integers(0, ny, size=nx), rng.integers(0, nx, size=ny)))
+        maps = [(rng.integers(0, ny, size=nx), rng.integers(0, nx, size=ny))
+                for _ in range(max(0, restarts - len(seeds)))]
 
     given = []
     for item in extra_seeds:
@@ -338,12 +424,11 @@ def gh_bounds(X: FiniteMetricSpace, Y: FiniteMetricSpace, *,
         item.check_full(nx, ny)
         given.append(item.arrays())
 
+    fixed = itertools.chain(given, (_pairs_from_maps(nx, ny, f, g, base_pair)
+                                    for f, g in seeds))
     best = (np.inf, None, None)
-    for I, J in itertools.chain(given, (_pairs_from_maps(nx, ny, f, g, base_pair)
-                                        for f, g in seeds)):
-        k = len(I)
-        moves = _LOCAL_MOVES if k * k <= _MAX_PAIR_BUDGET else 0
-        dis, I, J = _local_search(DX, DY, I, J, base_pair, moves)
+    for dis, I, J in itertools.chain((_polish(DX, DY, I, J, base_pair) for I, J in fixed),
+                                     _restart_results(DX, DY, maps, base_pair)):
         if dis < best[0]:
             best = (dis, I, J)
         if best[0] / 2.0 <= lower + 1e-15:

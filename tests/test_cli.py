@@ -740,6 +740,12 @@ CONTRACTS = [
                  id="flatness-unused-value-below-one"),
     pytest.param(["boundary", "--out", "{out}"], 2, "Error: Missing option '--cylinder'",
                  id="boundary-without-cylinder"),
+    # values whose squares overflow are refused where they enter, not after
+    # numpy overflow warnings as a MalformedMatrixError
+    pytest.param(["gen", "--kind", "snowflake", "--stage", "2", "--flatness", "1.5,1e300",
+                  "--out", "{out}"], 1, "Error: ConstructionError", id="flatness-1e300"),
+    pytest.param(["gen", "--kind", "snowflake", "--stage", "2", "--window", "0,1e300",
+                  "--out", "{out}"], 1, "Error: DomainError", id="snowflake-window-1e300"),
 ]
 
 

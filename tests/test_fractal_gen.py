@@ -2,6 +2,7 @@
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -643,3 +644,27 @@ def test_snowflake_window_is_checked_where_it_enters(window):
         FlatSnowflakeGenerator(window=window)
     with pytest.raises(DomainError, match="window"):
         snowflake_polyline(2, window=window)
+
+
+@pytest.mark.parametrize("flatness,window,error", [
+    ([1.5, 1e300], (0.0, 1.0), ConstructionError),
+    ([1.5, 6.0], (0.0, 1.0), ConstructionError),  # legs as long as their segment
+    ([1.5, 1.5], (0.0, 1e300), DomainError),
+    ([1.5, 1.5], (-2.0 ** 65, 0.0), DomainError)])
+def test_overflowing_flatness_or_window_is_refused_without_numpy_warnings(flatness, window,
+                                                                          error):
+    # both used to overflow in _refine_polyline and _segments_intersect and end
+    # in MalformedMatrixError after numpy RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match="flatness" if error is ConstructionError else "window"):
+            snowflake_polyline(2, flatness, window)
+        with pytest.raises(error):
+            FlatSnowflakeGenerator(flatness, window)
+
+
+def test_largest_flatness_and_window_build_without_numpy_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert snowflake_polyline(2, [5.99, 5.99]).n == 17
+        assert snowflake_polyline(1, [1.5], (-2.0 ** 64, 2.0 ** 64)).n == 5

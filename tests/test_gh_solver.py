@@ -1,6 +1,9 @@
 """Tests for the GH solver against exhaustive enumeration and forced values."""
 
+import concurrent.futures
 import inspect
+import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
@@ -484,6 +487,88 @@ class TestLocalSearch:
         M = model_tangent_space(model, 1.0, 1.0 / k)
         res = pointed_gh_bounds(W, M, extra_seeds=[nearest_position_seed(W, M)])
         assert distortion_of_correspondence(W.space, M.space, res.witness) / 2.0 == res.upper
+
+
+def bounds_on_both_paths(monkeypatch, X, Y, **options):
+    """gh_bounds with one usable CPU (the serial path) and with two (the
+    parallel path once the restart work reaches _PARALLEL_WORK), and the
+    number of worker pools each call started."""
+    pools = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    results = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
+                            raising=False)
+        before = len(pools)
+        results.append((gh_bounds(X, Y, **options), len(pools) - before))
+        assert multiprocessing.active_children() == []  # no worker outlives the call
+    return results
+
+
+def assert_same_bounds(a: GhResult, b: GhResult):
+    assert (a.lower, a.upper, a.exact) == (b.lower, b.upper, b.exact)
+    assert a.witness.pairs == b.witness.pairs
+
+
+class TestParallelRestarts:
+    @pytest.mark.parametrize("scan,model,parallel", [
+        ("snowflake", "line", 1), ("corner", "quarter", 0),  # quarter closes before any restart
+        ("corner", "half", 1), ("corner", "t", 1)])
+    def test_acceptance_windows_give_the_serial_result(self, monkeypatch, scan, model, parallel):
+        gen, center, k = {"snowflake": (FlatSnowflakeGenerator(), ("vertex", 3, 17), 64),
+                          "corner": (unit_square_generator(), (0.0, 0.0), 16)}[scan]
+        lam = 2.0 ** -3
+        W = extract_window(gen, center, lam, 1.0, lam / k)
+        M = model_tangent_space(model, 1.0, 1.0 / k)
+        (serial, pools1), (par, pools2) = bounds_on_both_paths(
+            monkeypatch, W.space, M.space, base_pair=(W.base, M.base),
+            extra_seeds=[nearest_position_seed(W, M)])
+        assert (pools1, pools2) == (0, parallel)
+        assert_same_bounds(serial, par)
+
+    # every trial runs its restarts (trial 1's deterministic seeds would close
+    # it); 55 (pointed) and 76 (unpointed) stop at a random restart that meets
+    # the lower bound, seeds 33 and 176 of 200
+    @pytest.mark.parametrize("trial", list(range(2, 14)) + [55, 76])
+    def test_small_pairs_give_the_serial_result(self, monkeypatch, trial):
+        monkeypatch.setattr(gh_solver, "_PARALLEL_WORK", 0)
+        rng = np.random.default_rng(trial)
+        nx, ny = (int(v) for v in rng.integers(3, 8, size=2))
+        X, Y = random_space(rng, nx), random_space(rng, ny)
+        base_pair = (0, 0) if trial % 2 else None
+        (serial, _), (par, pools) = bounds_on_both_paths(monkeypatch, X, Y, seed=trial,
+                                                         base_pair=base_pair)
+        assert pools == 1
+        assert_same_bounds(serial, par)
+        if trial in (55, 76):
+            assert serial.upper == serial.lower
+
+    def test_a_daemonic_process_runs_its_restarts_serially(self, monkeypatch):
+        # a pool worker may not start processes of its own
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("needs the fork start method")
+        monkeypatch.setattr(gh_solver, "_PARALLEL_WORK", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        rng = np.random.default_rng(3)
+        X, Y = random_space(rng, 5), random_space(rng, 6)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            inside = pool.apply(gh_bounds, (X, Y))
+        assert_same_bounds(inside, gh_bounds(X, Y))
+
+    def test_the_path_follows_the_restart_work(self, monkeypatch):
+        # 3 + 4 points, 200 - 2 deterministic seeds = 198 restarts: work 198 * 7^2
+        rng = np.random.default_rng(5)
+        X, Y = random_space(rng, 3), random_space(rng, 4)
+        for limit, pools in ((198 * 49, 1), (198 * 49 + 1, 0)):
+            monkeypatch.setattr(gh_solver, "_PARALLEL_WORK", limit)
+            (_, serial_pools), (_, parallel_pools) = bounds_on_both_paths(monkeypatch, X, Y)
+            assert (serial_pools, parallel_pools) == (0, pools)
 
 
 class TestPointed:
