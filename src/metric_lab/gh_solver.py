@@ -324,9 +324,9 @@ def _restart_workers(restarts: int, points: int) -> int:
     """Worker processes for the random restarts, 1 meaning none: one per
     usable CPU when there are at least two, the "fork" start method exists
     and the restart work restarts * points^2 (points = nx + ny) reaches
-    _PARALLEL_WORK.  That is where two workers save about 4x their start-up:
-    the pool of a 100 MB process starts in about 30 ms, and a unit of work
-    costs about 1.5e-8 s serially."""
+    _PARALLEL_WORK.  That is where two workers save about 4x their start-up,
+    as measured on a 2-core machine: the pool of a 100 MB process started in
+    about 30 ms, and a unit of work cost about 1.5e-8 s serially."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, restarts)
     if workers < 2 or restarts * points ** 2 < _PARALLEL_WORK:
@@ -334,7 +334,7 @@ def _restart_workers(restarts: int, points: int) -> int:
     import multiprocessing  # loads on first use, not at import
 
     if ("fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon):  # daemons may not fork
+            or multiprocessing.current_process().daemon):  # a daemon may not have children
         return 1
     return workers
 
