@@ -23,7 +23,7 @@ from . import boundary_free_group as bfg
 from . import fractal_gen as fg
 from . import metric_core as mc
 from . import qs_analysis as qs
-from .errors import MalformedMatrixError, MetricLabError
+from .errors import DomainError, MalformedMatrixError, MetricLabError
 from .gh_solver import EXACT_BUDGET, gh_distance
 from .metric_core import write_json_atomic, write_text_atomic
 
@@ -229,6 +229,8 @@ def gen_cmd(kind, r_spec, levels, h_spec, stage, flatness, window, epsilon_spec,
         if not (out_codomain and out_map):
             raise click.UsageError(
                 "snowflake-pair needs --out (domain), --out-codomain and --out-map")
+        if not 0.0 < epsilon <= 1.0:  # before gaps ** epsilon; also refuses nan
+            raise DomainError(f"snowflake-pair exponent must be in (0, 1], got {epsilon}")
         pts = np.linspace(0.0, 1.0, points)
         gaps = np.abs(pts[:, None] - pts[None, :])
         dom = mc.FiniteMetricSpace(gaps, tuple(float(p) for p in pts))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -30,6 +31,13 @@ MAX_FLATNESS = 6.0
 # stay within a few thousand spans of the window, below 2^77, so the crossing
 # sweep's products of four coordinates stay finite.
 MAX_SNOWFLAKE_WINDOW = 2.0 ** 64
+
+
+def _euclidean_space(points) -> FiniteMetricSpace:
+    """Planar points with the Euclidean metric, labelled by their coordinates."""
+    P = np.asarray(points, dtype=float)
+    d = np.linalg.norm(P[:, None, :] - P[None, :, :], axis=-1)
+    return FiniteMetricSpace(d, tuple((float(x), float(y)) for x, y in P))
 
 
 def _mesh_steps(h: float, span: float = 1.0) -> int:
@@ -114,11 +122,22 @@ def slit_carpet_graph(sched: SlitSchedule, h: float, pillows: bool = False) -> G
     intrinsic metric.  A pillow is two sheets of the slit's size glued along
     three sides, its mouth identified with that cycle node by node.
     """
+    return _slit_carpet_box(sched, h, pillows, 0, 0, MAX_MESH_STEPS, ())
+
+
+def _slit_carpet_box(sched: SlitSchedule, h: float, pillows: bool, cx: int, cy: int,
+                     K: int, tags: tuple) -> GridGraph:
+    """The carpet's graph on the index box [cx - K, cx + K] x [cy - K, cy + K]
+    clipped to [0, M]^2, pillows to depth K past a pillow center's ("P", slit,
+    sheet, u, v).  The whole carpet's loops run over the box in order with the
+    same slit numbers, so nodes off the box's low edges keep their order."""
     M = _mesh_steps(h)
     slits = _slit_table(sched, M)
     by_col: dict = {}
     for (_, col, y0, y1) in slits:
         by_col.setdefault(col, []).append((y0, y1))
+    xa, xb, ya, yb = max(cx - K, 0), min(cx + K, M), max(cy - K, 0), min(cy + K, M)
+    cv = int(tags[4]) if len(tags) == 5 and tags[0] == "P" and tags[4] in range(M + 1) else 0
 
     b = GraphBuilder(h)
 
@@ -130,34 +149,36 @@ def slit_carpet_graph(sched: SlitSchedule, h: float, pillows: bool = False) -> G
                     return b.node(pos + (side,))
         return b.node(pos)
 
-    for ix in range(M + 1):
-        for iy in range(M + 1):
-            if ix < M:
+    for ix in range(xa, xb + 1):
+        for iy in range(ya, yb + 1):
+            if ix < xb:
                 b.edge(key(ix, iy, "R"), key(ix + 1, iy, "L"))
-            if iy < M:
+            if iy < yb:
                 if any(y0 <= iy < y1 for (y0, y1) in by_col.get(ix, ())):
                     b.edge(key(ix, iy, "L"), key(ix, iy + 1, "L"))
                     b.edge(key(ix, iy, "R"), key(ix, iy + 1, "R"))
                 else:
                     b.edge(key(ix, iy), key(ix, iy + 1))
 
-    if pillows:
-        for slit_id, (_, col, y0, y1) in enumerate(slits):
-            m = y1 - y0
+    for slit_id, (_, col, y0, y1) in enumerate(slits if pillows else ()):
+        m = y1 - y0
+        ua, ub, vb = max(ya - y0, 0), min(yb - y0, m), min(K + cv, m)
+        if not (xa <= col <= xb and ua <= ub):
+            continue
 
-            def pnode(sheet, u, v):
-                if v == 0:
-                    return key(col, y0 + u, "L" if sheet == "A" else "R")
-                tag = "G" if (u == 0 or u == m or v == m) else sheet
-                return b.node((col * h, (y0 + u) * h, "P", slit_id, tag, u, v))
+        def pnode(sheet, u, v):
+            if v == 0:
+                return key(col, y0 + u, "L" if sheet == "A" else "R")
+            tag = "G" if (u == 0 or u == m or v == m) else sheet
+            return b.node((col * h, (y0 + u) * h, "P", slit_id, tag, u, v))
 
-            for sheet in ("A", "B"):
-                for u in range(m + 1):
-                    for v in range(m + 1):
-                        if u < m:
-                            b.edge(pnode(sheet, u, v), pnode(sheet, u + 1, v))
-                        if v < m:
-                            b.edge(pnode(sheet, u, v), pnode(sheet, u, v + 1))
+        for sheet in ("A", "B"):
+            for u in range(ua, ub + 1):
+                for v in range(vb + 1):
+                    if u < ub:
+                        b.edge(pnode(sheet, u, v), pnode(sheet, u + 1, v))
+                    if v < vb:
+                        b.edge(pnode(sheet, u, v), pnode(sheet, u, v + 1))
     return b.build()
 
 
@@ -165,7 +186,7 @@ def slit_carpet_space(sched: SlitSchedule, h: float) -> FiniteMetricSpace:
     """All grid nodes of the slit carpet with the shortest-path metric.
 
     Cost is quadratic in the node count; for fine meshes prefer a window,
-    SlitCarpetGenerator.sample_ball, whose searches stop at twice its radius.
+    SlitCarpetGenerator.sample_ball, which builds only the box around its center.
     """
     return slit_carpet_graph(sched, h).space()
 
@@ -314,31 +335,22 @@ class FlatSnowflakeGenerator:
         cpos = np.asarray(self._center_position(center))
         span = self.window[1] - self.window[0]
         depth = max(1, math.ceil(math.log(span / h) / math.log(3.0)))
-        pad = 2.0 * radius_phys
-        P = [np.array([self.window[0], 0.0]), np.array([self.window[1], 0.0])]
+        P = np.array([[self.window[0], 0.0], [self.window[1], 0.0]])
         for l in _flatness_values(self.flatness, depth):
-            out = [P[0]]
-            for p, q in zip(P[:-1], P[1:]):
-                seglen = float(np.linalg.norm(q - p))
-                near = min(np.linalg.norm(cpos - p), np.linalg.norm(cpos - q))
-                # a segment already below the mesh, or far outside the window,
-                # stays coarse; its vertices cannot enter the ball
-                if seglen <= h or near - 2.0 * seglen > pad:
-                    out.append(q)
-                    continue
-                sub = _refine_polyline(np.stack([p, q]), l)
-                out.extend(sub[1:])
-            P = out
-        V = np.stack(P)
-        dist_to_c = np.linalg.norm(V - cpos, axis=1)
+            seglen = np.linalg.norm(np.diff(P, axis=0), axis=1)
+            dist_to_c = np.linalg.norm(P - cpos, axis=1)
+            near = np.minimum(dist_to_c[:-1], dist_to_c[1:])
+            # segments below the mesh, or too far out to reach the ball, stay coarse
+            refine = (seglen > h) & (near - 2.0 * seglen <= 2.0 * radius_phys)
+            keep = np.ones(4 * len(refine) + 1, dtype=bool)
+            keep[1::4] = keep[2::4] = keep[3::4] = refine
+            P = _refine_polyline(P, l)[keep]
+        dist_to_c = np.linalg.norm(P - cpos, axis=1)
         keep = np.nonzero(dist_to_c <= radius_phys + TOL)[0]
         base_candidates = np.nonzero(dist_to_c[keep] <= 1e-12)[0]
         if base_candidates.size == 0:
             raise DomainError(f"center {tuple(cpos)} is not a vertex of the curve")
-        V = V[keep]
-        d = np.linalg.norm(V[:, None, :] - V[None, :, :], axis=-1)
-        labels = tuple((float(x), float(y)) for x, y in V)
-        return FiniteMetricSpace(d, labels), int(base_candidates[0])
+        return _euclidean_space(P[keep]), int(base_candidates[0])
 
 
 # ---------------------------------------------------------------------------
@@ -422,10 +434,7 @@ def phi_half_disk_sample(n_r: int = 6, n_theta: int = 7, r_min: float = 0.25,
     rs = np.linspace(r_min, r_max, n_r)
     thetas = np.linspace(0.0, math.pi, n_theta)
     pts = [(float(r), float(t)) for r in rs for t in thetas]
-    dom_xy = np.array([[r * math.cos(t), r * math.sin(t)] for r, t in pts])
-    dom = FiniteMetricSpace(
-        np.linalg.norm(dom_xy[:, None, :] - dom_xy[None, :, :], axis=-1),
-        tuple((float(x), float(y)) for x, y in dom_xy))
+    dom = _euclidean_space([[r * math.cos(t), r * math.sin(t)] for r, t in pts])
     imgs = [square_map_phi(r, t) for r, t in pts]
     n = len(imgs)
     d = np.zeros((n, n))
@@ -647,9 +656,7 @@ def _grid_ball(pred, center, R: float, h: float, one_dim: bool):
                 pts.append((x, y))
     if base is None:
         raise DomainError(f"center {center} lies outside the region")
-    arr = np.array(pts)
-    d = np.linalg.norm(arr[:, None, :] - arr[None, :, :], axis=-1)
-    return FiniteMetricSpace(d, tuple((float(x), float(y)) for x, y in pts)), base
+    return _euclidean_space(pts), base
 
 
 def _build_t_graph(K: int, h: float) -> GraphBuilder:
@@ -717,13 +724,15 @@ def _build_d_graph(K: int, h: float) -> GraphBuilder:
 _GRAPH_MODELS = {"t": _build_t_graph, "l": _build_l_graph, "d": _build_d_graph}
 
 
-def _graph_ball(graph: GridGraph, center, R: float):
-    """Nodes within shortest-path distance R of the center node, with the
-    metric of the whole graph: (space, base index).  The center's position
-    is snapped to the graph's h-grid; further entries are its key's tags.
-    Window nodes are joined through the base, so searches to 2R suffice."""
-    ix, iy = _grid_node(center, graph.h)
-    key = (ix * graph.h, iy * graph.h) + tuple(center[2:])
+def _graph_ball(build, center, R: float, h: float):
+    """Nodes within shortest-path distance R of the center node (snapped to the
+    h-grid node (ix, iy), then its key's tags): (space, base index).  build(ix,
+    iy, K, tags) is the graph on the index box [ix - K, ix + K] x [iy - K, iy + K],
+    K = ceil(2R/h) + 1: no label lies farther from the base than its node, and
+    window geodesics, joined through the base, stay within 2R of it."""
+    ix, iy = _grid_node(center, h)
+    key = (ix * h, iy * h) + tuple(center[2:])
+    graph = build(ix, iy, math.ceil(2.0 * R / h) + 1, key[2:])
     if key not in graph.index:
         raise DomainError(f"center {tuple(center)} is not a node of the grid graph")
     base = graph.index[key]
@@ -738,18 +747,17 @@ def model_tangent_space(kind: str, R: float, h: float) -> PointedWindow:
     (seam origins), or the 1-d line.
 
     Euclidean kinds are exact restrictions; t, l, d are grid graphs with the
-    shortest-path metric, padded to half-width 2R: a geodesic between two
-    window points is at most 2R long and stays within 2R of the base, so
-    cutting the graph there never lengthens it.  R and h pass the window
-    geometry check of every generator's sample_ball, _check_resolution.
+    shortest-path metric on _graph_ball's box around the origin.  R and h
+    pass the window geometry check of every generator's sample_ball,
+    _check_resolution.
     """
     _check_resolution(R, h)
     if kind in _EUCLID_MODELS:
         pred, one_dim = _EUCLID_MODELS[kind]
         space, base = _grid_ball(pred, (0.0, 0.0), R, h, one_dim)
     elif kind in _GRAPH_MODELS:
-        K = math.ceil(2.0 * R / h) + 1  # half-width 2R: window geodesics stay off the edge
-        space, base = _graph_ball(_GRAPH_MODELS[kind](K, h).build(), (0.0, 0.0), R)
+        space, base = _graph_ball(lambda ix, iy, K, tags: _GRAPH_MODELS[kind](K, h).build(),
+                                  (0.0, 0.0), R, h)
     else:
         raise DomainError(f"unknown model tangent kind {kind!r}; "
                           f"expected one of {MODEL_KINDS}")
@@ -783,8 +791,8 @@ class SlitCarpetGenerator:
 
     def sample_ball(self, center, radius_phys: float, h: float):
         _check_resolution(radius_phys, h)
-        graph = slit_carpet_graph(self.sched, h, self.pillows)
-        return _graph_ball(graph, center, radius_phys)
+        return _graph_ball(partial(_slit_carpet_box, self.sched, h, self.pillows),
+                           center, radius_phys, h)
 
 
 def unit_square_generator() -> _EuclideanRegionGenerator:

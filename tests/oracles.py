@@ -9,7 +9,8 @@ a frozen copy of the certified GH lower bound that both exact copies use,
 a hand-rolled heap Dijkstra with its own graph construction for intrinsic
 metrics, a plain Floyd-Warshall, a frozen copy of the Euclidean
 model-window sampler, a frozen unbounded, symmetrised graph-window search
-(over model graphs padded to 3R), a frozen metric-axiom check that scans
+(over model graphs padded to 3R), a frozen copy of the flat-snowflake window
+sampler that refines segment by segment, a frozen metric-axiom check that scans
 every triangle slab, a frozen copy of the boundary expansion probe that
 translates both points of every pair and compares scalar visual distances,
 and a frozen blow-up scan loop that solves every window against every model.
@@ -33,7 +34,12 @@ from metric_lab.boundary_free_group import (
     visual_distance,
 )
 from metric_lab.errors import DomainError
-from metric_lab.fractal_gen import _GRAPH_MODELS, model_tangent_space
+from metric_lab.fractal_gen import (
+    _GRAPH_MODELS,
+    _flatness_values,
+    _refine_polyline,
+    model_tangent_space,
+)
 from metric_lab.gh_solver import (
     Correspondence,
     GhResult,
@@ -566,6 +572,36 @@ def reference_model_graph_window(kind: str, R: float, h: float):
     the model graph padded to half-width 3R."""
     K = math.ceil(3.0 * R / h) + 1
     return reference_graph_window(_GRAPH_MODELS[kind](K, h).build(), (0.0, 0.0), R)
+
+
+def reference_snowflake_window(gen, center, R: float, h: float):
+    """Frozen flat-snowflake window: every stage refines the polyline one
+    segment at a time, keeping coarse the segments below the mesh or too far
+    out to reach the ball: (labels, dist, base), or None when the center is
+    no vertex of the refined curve."""
+    cpos = np.asarray(gen._center_position(center))
+    span = gen.window[1] - gen.window[0]
+    depth = max(1, math.ceil(math.log(span / h) / math.log(3.0)))
+    P = [np.array([gen.window[0], 0.0]), np.array([gen.window[1], 0.0])]
+    for l in _flatness_values(gen.flatness, depth):
+        out = [P[0]]
+        for p, q in zip(P[:-1], P[1:]):
+            seglen = float(np.linalg.norm(q - p))
+            near = min(np.linalg.norm(cpos - p), np.linalg.norm(cpos - q))
+            if seglen <= h or near - 2.0 * seglen > 2.0 * R:
+                out.append(q)
+            else:
+                out.extend(_refine_polyline(np.stack([p, q]), l)[1:])
+        P = out
+    V = np.stack(P)
+    dist_to_c = np.linalg.norm(V - cpos, axis=1)
+    keep = np.nonzero(dist_to_c <= R + _TOL)[0]
+    bases = np.nonzero(dist_to_c[keep] <= 1e-12)[0]
+    if bases.size == 0:
+        return None  # the center is no vertex of the refined curve
+    V = V[keep]
+    d = np.linalg.norm(V[:, None, :] - V[None, :, :], axis=-1)
+    return tuple((float(x), float(y)) for x, y in V), d, int(bases[0])
 
 
 # ---------------------------------------------------------------------------

@@ -79,13 +79,15 @@ class TestGen:
         assert json.loads((tmp_path / "m.json").read_text())["assignment"] == list(range(10))
 
     def test_snowflake_pair_that_is_no_metric_writes_nothing(self, runner, tmp_path):
+        # |x - y| ** 2 breaks the triangle inequality: the exponent is refused
+        # where it enters, before any space is formed or written
         outs = [tmp_path / "d.json", tmp_path / "c.json", tmp_path / "m.json"]
         result = runner.invoke(main, [
             "gen", "--kind", "snowflake-pair", "--epsilon", "2", "--points", "5",
             "--out", str(outs[0]), "--out-codomain", str(outs[1]),
             "--out-map", str(outs[2])])
         assert result.exit_code == 1, result.output
-        assert "triangle" in result.output
+        assert "DomainError" in result.output and "(0, 1]" in result.output
         assert not any(p.exists() for p in outs)
 
     def test_negative_point_count_is_exit_two(self, runner, tmp_path):
@@ -746,6 +748,18 @@ CONTRACTS = [
                   "--out", "{out}"], 1, "Error: ConstructionError", id="flatness-1e300"),
     pytest.param(["gen", "--kind", "snowflake", "--stage", "2", "--window", "0,1e300",
                   "--out", "{out}"], 1, "Error: DomainError", id="snowflake-window-1e300"),
+    # the codomain exponent lies in (0, 1]; outside it gaps ** epsilon used to
+    # end in numpy warnings and a MalformedMatrixError, or in a non-metric
+    *(pytest.param(["gen", "--kind", "snowflake-pair", "--epsilon", eps, "--out", "{out}",
+                    "--out-codomain", "{out}.c", "--out-map", "{out}.m"], 1,
+                   "Error: DomainError", id=f"snowflake-pair-epsilon-{eps}")
+      for eps in ("-1", "0", "2")),
+    # a carpet scan down to h = 2^-11: each window builds only its box, and
+    # the slit tip's window is the same at every scale from 2^-3 down
+    pytest.param(["scan", "--space", "slit-carpet", "--r", "0.5,0.5", "--center", "0.5,0.25",
+                  "--scales", "2^-3..2^-8", "--models", "t,plane", "--rule", "lambda/8",
+                  "--out", "{out}"], 0, "(reused 10 of 12 GH solves)",
+                 id="scan-carpet-slit-tip-2^-8"),
 ]
 
 

@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -41,6 +42,7 @@ from .oracles import (
     reference_euclid_window,
     reference_graph_window,
     reference_model_graph_window,
+    reference_snowflake_window,
     single_slit_grid_adjacency,
 )
 
@@ -128,19 +130,46 @@ class TestGraphWindows:
         assert w.base == base
         assert np.array_equal(w.space.dist, w.space.dist.T)
 
-    @pytest.mark.parametrize("center", [(0.0, 0.0), (0.375, 0.5)])
+    @pytest.mark.parametrize("M", [16, 32, 64])
     @pytest.mark.parametrize("pillows", [False, True])
-    def test_carpet_windows_match_frozen_reference(self, pillows, center):
-        h, R = 1 / 32, 0.25
-        sched = SlitSchedule.harmonic(2)
+    @pytest.mark.parametrize("levels", [0, 1, 2, 3])
+    def test_carpet_windows_match_frozen_reference(self, levels, pillows, M):
+        # each window builds only its box; the reference searches the whole
+        # carpet.  Centres: the corners and edge midpoints (boxes clipped at
+        # the carpet's edges), seeded grid nodes, slit lips and pillow nodes
+        h, sched = 1 / M, SlitSchedule.harmonic(levels)
+        graph = slit_carpet_graph(sched, h, pillows)
         gen = make_generator("pillow-carpet" if pillows else "slit-carpet", sched=sched)
-        sp, base = gen.sample_ball(center, R, h)
-        labels, dist, ref_base = reference_graph_window(
-            slit_carpet_graph(sched, h, pillows), center, R)
-        assert sp.labels == labels
-        assert np.array_equal(sp.dist, dist)
-        assert base == ref_base
-        assert np.array_equal(sp.dist, sp.dist.T)
+        rng = np.random.default_rng(1000 * levels + 10 * pillows + M)
+        centers = [(x, y) for x in (0.0, 0.5, 1.0) for y in (0.0, 0.5, 1.0) if (x, y) in graph.index]
+        for tagged in (2, 3, 7):  # grid nodes, slit lips, pillow nodes
+            keys = [k for k in graph.keys if len(k) == tagged]
+            centers += [keys[i] for i in rng.choice(len(keys), min(len(keys), 2), replace=False)]
+        # the reference searches the whole carpet from every window node, so
+        # the finer meshes get only the smaller radii (R <= 256 h^2)
+        for R in (1 / 16, 1 / 8, 1 / 4, 1 / 2):
+            for center in centers if h <= R <= 256 * h * h else ():
+                sp, base = gen.sample_ball(center, R, h)
+                labels, dist, ref_base = reference_graph_window(graph, center, R)
+                assert sp.labels == labels, (center, R)
+                assert np.array_equal(sp.dist, dist), (center, R)
+                assert base == ref_base, (center, R)
+
+    @pytest.mark.parametrize("pillows", [False, True])
+    def test_fine_carpet_window_builds_only_its_box(self, pillows):
+        # harmonic(8) at lambda = 2^-8, h = lambda/16: the whole carpet has 4097^2
+        # grid nodes, the window's box 67^2 (and its pillows to depth 33)
+        gen = make_generator("pillow-carpet" if pillows else "slit-carpet",
+                             sched=SlitSchedule.harmonic(8))
+        tracemalloc.start()
+        try:
+            sp, base = gen.sample_ball((0.375, 0.5), 2.0 ** -8, 2.0 ** -12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+        assert sp.labels[base] == (0.375, 0.5)
+        assert np.array_equal(sp.dist, sp.dist.T) and sp.dist[base].max() <= 2.0 ** -8
 
     @pytest.mark.parametrize("space", [slit_carpet_space, pillow_carpet_space])
     def test_whole_carpets_are_exactly_symmetric(self, space):
@@ -288,6 +317,25 @@ class TestFlatSnowflakeGenerator:
         pos = np.array(sp.labels)
         center = np.asarray(gen.vertex_position(3, 17))
         assert np.linalg.norm(pos[base] - center) == 0.0
+
+    @pytest.mark.parametrize("K", [4, 16, 64])
+    @pytest.mark.parametrize("flatness", ["1+2^-k", "standard"])
+    def test_windows_match_frozen_segment_loop(self, flatness, K):
+        # one refinement per stage under a keep mask refines the same segments
+        # as the frozen loop over segments, at the benchmark scan's centre
+        gen, center = FlatSnowflakeGenerator(flatness), ("vertex", 3, 17)
+        for k in range(1, 9):
+            lam = 2.0 ** -k
+            ref = reference_snowflake_window(gen, center, lam, lam / K)
+            if ref is None:  # a mesh too coarse to refine down to stage 3
+                with pytest.raises(DomainError, match="not a vertex"):
+                    gen.sample_ball(center, lam, lam / K)
+                continue
+            sp, base = gen.sample_ball(center, lam, lam / K)
+            labels, dist, ref_base = ref
+            assert sp.labels == labels, k
+            assert np.array_equal(sp.dist, dist), k
+            assert base == ref_base, k
 
     def test_stage_vertices_are_the_polyline_vertices(self):
         # one stage loop builds both: same schedule, same window, same vertices

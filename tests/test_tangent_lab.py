@@ -333,18 +333,23 @@ class TestSeeds:
 class TestSlitCarpetScan:
     def test_slit_endpoint_scan_is_reported_not_asserted(self):
         # constant fractions keep the slit visible at every scale: the table
-        # is exploratory output; only its internal sanity is asserted
+        # is exploratory output; only its internal sanity is asserted.  Each
+        # window builds only its box, so the scan reaches h = 2^-11
         from metric_lab.fractal_gen import SlitCarpetGenerator, SlitSchedule
 
         gen = SlitCarpetGenerator(SlitSchedule((0.5, 0.5)))
         cfg = ScanConfig(generator=gen, center=(0.5, 0.25),
-                         scales=(2.0 ** -2, 2.0 ** -3, 2.0 ** -4),
+                         scales=tuple(2.0 ** -k for k in range(3, 9)),
                          window_radius=1.0, models=("t", "plane"),
                          rule="lambda/8")
         report = tangent_scan(cfg)
         for row in report.rows:
+            assert row.points == 153
             for res in row.results.values():
                 assert 0.0 <= res.lower <= res.upper
+        # the tip's window is the same at every scale from 2^-3 down, so every
+        # later row reuses the first row's solves
+        assert [len(row.reused) for row in report.rows] == [0, 2, 2, 2, 2, 2]
         assert report.verdict is not None
 
 
