@@ -5,9 +5,8 @@ error.  All numeric output is formatted to 12 significant digits so repeated
 runs of one spec produce identical bytes; wall-clock columns are zeroed when
 METRIC_LAB_DETERMINISTIC is set (the reproduce runner sets it).
 
-scipy loads on first use: `gen` and `scan` need it, while `gh`, `qs` and
-`boundary` never do and start without it.  That is why `tangent_lab`, which
-imports scipy, is imported inside `scan` and its `--rule` parser only.
+No lab module imports scipy at import time, so the CLI starts without it;
+`gen` and `scan` load it on first use, and `gh`, `qs` and `boundary` never do.
 """
 from __future__ import annotations
 
@@ -23,6 +22,7 @@ from . import boundary_free_group as bfg
 from . import fractal_gen as fg
 from . import metric_core as mc
 from . import qs_analysis as qs
+from . import tangent_lab as tl
 from .errors import DomainError, MalformedMatrixError, MetricLabError
 from .gh_solver import EXACT_BUDGET, gh_distance
 from .metric_core import write_json_atomic, write_text_atomic
@@ -111,8 +111,6 @@ def parse_center(text: str):
 
 def parse_rule(text: str) -> str:
     """A resolution rule "lambda/K" whose K must be a positive finite number."""
-    from . import tangent_lab as tl
-
     try:
         tl.resolution_rule(text)
     except MetricLabError:
@@ -386,8 +384,6 @@ def boundary_cmd(rank, depth, visual_base, cylinder_spec, probe_expansion,
 def scan_cmd(space_name, r_spec, levels, flatness, center, scales, radius_spec,
              models, rule, seed, out):
     """Blow-up scan: per-scale pointed GH bounds against model tangents."""
-    from . import tangent_lab as tl
-
     radius = parse_number(radius_spec)
     params = {}
     if space_name == "slit-carpet":

@@ -92,7 +92,8 @@ class SlitSchedule:
 
 def _slit_table(sched: SlitSchedule, M: int):
     """Slits in grid units: (level, column, y0, y1) with endpoints snapped
-    to grid nodes.  Distinct slits never share a column."""
+    to grid nodes.  The 2^i slits of a level-i column share it; slits of
+    different levels never share a column."""
     slits = []
     for i, ri in enumerate(sched.r):
         if M % (2 ** (i + 1)):

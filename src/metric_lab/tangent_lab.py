@@ -14,11 +14,10 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DomainError
 from .fractal_gen import model_tangent_space
-from .gh_solver import Correspondence, GhResult, pointed_gh_bounds
+from .gh_solver import Correspondence, pointed_gh_bounds
 from .metric_core import FiniteMetricSpace, PointedWindow, decreasing_scales, rescale
 
 TREND_BAND = 1e-3  # least-squares slope below this magnitude counts as flat
@@ -122,6 +121,8 @@ def nearest_position_seed(W1: PointedWindow, W2: PointedWindow):
     """Correspondence matching every point to the nearest label position of
     the other window, both normalized to their window's base and scale; None
     when labels carry no coordinates."""
+    from scipy.spatial import cKDTree  # scipy loads on first use, not at import
+
     q1 = _seed_coordinates(W1)
     q2 = _seed_coordinates(W2)
     if q1 is None or q2 is None:

@@ -595,9 +595,12 @@ class TestReproduce:
 
 # The commands that never call scipy must not load it: import scipy.spatial
 # alone costs more than numpy and click together.  A fresh interpreter runs
-# each step and reports the scipy modules loaded so far.
+# each step and reports the scipy modules loaded so far.  No module imports
+# scipy at import time; the function that calls scipy imports it.  So importing
+# every submodule and building two Euclidean model windows loads none, and
+# nearest_position_seed on those windows loads scipy.spatial.
 STARTUP_PROBE = """
-import json, sys
+import importlib, json, pkgutil, sys
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 loaded = {}
@@ -605,11 +608,31 @@ import metric_lab
 loaded["import metric_lab"] = scipy_modules()
 import metric_lab.cli
 loaded["import metric_lab.cli"] = scipy_modules()
+for info in pkgutil.iter_modules(metric_lab.__path__, "metric_lab."):
+    importlib.import_module(info.name)
+loaded["import every submodule"] = scipy_modules()
+loaded["submodules"] = sorted(m for m in sys.modules if m.startswith("metric_lab."))
 for argv in json.loads(sys.argv[1]):
     metric_lab.cli.main.main(args=argv, standalone_mode=False)
     loaded[argv[0]] = scipy_modules()
+from metric_lab.fractal_gen import model_tangent_space
+from metric_lab.tangent_lab import nearest_position_seed
+windows = [model_tangent_space("quarter", 1, 1 / 2) for _ in range(2)]
+loaded["model windows"] = scipy_modules()
+assert nearest_position_seed(*windows) is not None
+loaded["nearest_position_seed"] = scipy_modules()
 print(json.dumps(loaded))
 """
+
+
+def run_startup_probe(steps):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(metric_lab.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE, json.dumps(steps)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 class TestStartup:
@@ -628,18 +651,19 @@ class TestStartup:
             ["gen", "--kind", "model-quarter", "--radius", "1", "--h", "1/4",
              "--out", str(tmp_path / "q.json")],
         ]
-        src = os.path.dirname(os.path.dirname(os.path.abspath(metric_lab.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE, json.dumps(steps)],
-                              capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+        loaded = run_startup_probe(steps)
         for step in ("import metric_lab", "import metric_lab.cli", "gh", "qs", "boundary"):
             assert loaded[step] == [], f"{step} loaded {loaded[step][:5]}"
         assert "scipy" in loaded["gen"]
         for name in ("gh.json", "env.csv", "b.json", "q.json"):
             assert (tmp_path / name).exists()
+
+    def test_no_module_imports_scipy_until_a_function_calls_it(self):
+        loaded = run_startup_probe([])
+        assert "metric_lab.tangent_lab" in loaded["submodules"]
+        assert loaded["import every submodule"] == [], loaded["import every submodule"][:5]
+        assert loaded["model windows"] == [], loaded["model windows"][:5]
+        assert "scipy.spatial" in loaded["nearest_position_seed"]
 
 
 class TestGhPointed:

@@ -1,4 +1,5 @@
-"""The lazy package namespace exports what the eager one did, object for object."""
+"""The package namespace exports its frozen list of names, each the very object
+its defining module holds, and nothing else."""
 
 import importlib
 
