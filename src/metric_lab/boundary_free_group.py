@@ -20,6 +20,10 @@ from .errors import AlphabetError, DomainError, InsufficientDepthError
 from .metric_core import FiniteMetricSpace
 
 DEFAULT_BASE = 2.0  # visual parameter a
+# Most words one cylinder may enumerate.  Its visual matrices are n x n: the
+# largest admitted cylinder, 3750 words (rank 3, depth 5, m = 0), takes 1.9 s
+# and 451 MB through `boundary --probe-expansion`.
+MAX_CYLINDER_WORDS = 2 ** 12
 
 
 def parse_word(text: str, rank: int):
@@ -215,14 +219,27 @@ def _sample_words(words, count, seed: int):
     return [words[i] for i in np.sort(idx)]
 
 
+def _word_count(rank: int, depth: int, prefix_len: int) -> int:
+    """len(enumerate_words(rank, depth, prefix)) for a reduced prefix of that length."""
+    free = depth - prefix_len
+    if prefix_len or not free:
+        return (2 * rank - 1) ** free
+    return 2 * rank * (2 * rank - 1) ** (free - 1)
+
+
 def _cylinder_words(p: BoundaryPoint, m: int, depth: int, count, a: float, seed: int):
-    """Depth-N words of U(p, m): all, or a seeded sample; checks a > 1 and
-    0 <= m <= min(p.depth, depth)."""
+    """Depth-N words of U(p, m): all, or a seeded sample; checks a > 1,
+    0 <= m <= min(p.depth, depth) and that the cylinder holds at most
+    MAX_CYLINDER_WORDS words, before any is enumerated."""
     if a <= 1:
         raise DomainError(f"visual parameter must exceed 1, got {a}")
     cylinder = Cylinder(p, m)
     if m > depth:
         raise DomainError(f"cylinder depth {m} exceeds truncation depth {depth}")
+    size = _word_count(p.rank, depth, m)
+    if size > MAX_CYLINDER_WORDS:
+        raise DomainError(f"cylinder of {size} words at depth {depth}; "
+                          f"at most {MAX_CYLINDER_WORDS} are enumerated")
     return _sample_words(enumerate_words(p.rank, depth, cylinder.prefix.letters), count, seed)
 
 

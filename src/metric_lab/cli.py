@@ -5,8 +5,10 @@ error.  All numeric output is formatted to 12 significant digits so repeated
 runs of one spec produce identical bytes; wall-clock columns are zeroed when
 METRIC_LAB_DETERMINISTIC is set (the reproduce runner sets it).
 
-No lab module imports scipy at import time, so the CLI starts without it;
-`gen` and `scan` load it on first use, and `gh`, `qs` and `boundary` never do.
+No lab module imports scipy at import time, so the CLI starts without it.
+Only grid graphs (carpets; the t, l and d models) load it, and validating a
+space of more than metric_core._NUMPY_SLABS_MAX points; `gh`, `qs` and
+`boundary` never do.
 """
 from __future__ import annotations
 
@@ -182,6 +184,10 @@ def main():
 # gen
 # ---------------------------------------------------------------------------
 
+# Largest snowflake-pair: two 1024 x 1024 matrices, written as 24 MB files, in
+# 4-5 s and 116 MB on a 2-core x86 machine.
+MAX_PAIR_POINTS = 2 ** 10
+
 GEN_KINDS = ("slit-carpet", "pillow-carpet", "snowflake", "rickman-rug",
              "wu-rug", "snowflake-pair") + tuple(f"model-{k}" for k in fg.MODEL_KINDS)
 
@@ -200,7 +206,8 @@ GEN_KINDS = ("slit-carpet", "pillow-carpet", "snowflake", "rickman-rug",
 @click.option("--extent", default="-1,1", show_default=True)
 @click.option("--truncation", type=int, default=6, show_default=True)
 @click.option("--radius", "radius_spec", default="1.0", show_default=True)
-@click.option("--points", type=click.IntRange(min=0), default=30, show_default=True)
+@click.option("--points", type=click.IntRange(0, MAX_PAIR_POINTS), default=30,
+              show_default=True)
 @click.option("--out", required=True, type=click.Path())
 @click.option("--out-codomain", type=click.Path(), default=None)
 @click.option("--out-map", type=click.Path(), default=None)
@@ -319,10 +326,15 @@ def qs_cmd(domain_path, codomain_path, map_path, budget, seed, out):
 # boundary
 # ---------------------------------------------------------------------------
 
+# Deepest truncation of boundary words; the words of one cylinder are bounded
+# by boundary_free_group.MAX_CYLINDER_WORDS.
+MAX_DEPTH = 32
+
+
 @main.command("boundary")
 @click.option("--rank", type=click.IntRange(1, 26), default=2, show_default=True,
               help="generators a..z")
-@click.option("--depth", type=int, default=5, show_default=True)
+@click.option("--depth", type=click.IntRange(1, MAX_DEPTH), default=5, show_default=True)
 @click.option("--base", "visual_base", default="2", show_default=True,
               help="visual parameter a > 1")
 @click.option("--cylinder", "cylinder_spec", required=True,

@@ -8,6 +8,7 @@ exact up to floating summation, validate cleanly.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -18,6 +19,8 @@ from .errors import DomainError, MalformedMatrixError
 
 # Absolute tolerance for every metric-axiom check in the repository.
 TOL = 1e-9
+
+_NUMPY_SLABS_MAX = 512  # points up to which validate_metric needs no scipy
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,12 +121,20 @@ def validate_metric(m: FiniteMetricSpace) -> list[AxiomViolation]:
 
     Empty list iff identity, symmetry, positivity and the triangle inequality
     all hold within TOL.  Each entry carries the worst witness.  The triangle
-    check bounds every k-slab's excess from above by one Chebyshev cdist and
-    evaluates exactly only the slabs the certified bound cannot rule out, so
-    it reports the same witness and magnitude as a scan of all n slabs.
-    """
-    from scipy.spatial.distance import cdist  # scipy loads on first use, not at import
+    check walks the n k-slabs in ascending k.  Up to _NUMPY_SLABS_MAX points
+    it evaluates every slab in numpy; above that, one Chebyshev cdist bounds
+    every slab's excess from above and only the slabs that bound cannot rule
+    out are evaluated.  Either way it reports the same witness and magnitude
+    as a scan of all n slabs.
 
+    The limit sits between the two crossovers measured on a 2-core x86
+    machine (best of 5 on valid planar spaces, numpy slabs vs cdist filter):
+    n = 120: 3.4 vs 1.1 ms; 257: 32 vs 10; 400: 144 vs 50; 512: 358 vs 119;
+    600: 597 vs 152; 1146: 7108 vs 1192.  Importing scipy.spatial.distance
+    adds 440-500 ms to the filter in a process that has loaded only numpy,
+    and 95-150 ms once scipy.sparse is loaded (the grid-graph generators), so
+    the slabs are cheaper up to about 600 and 450 points respectively.
+    """
     d = m.dist
     n = m.n
     out: list[AxiomViolation] = []
@@ -151,17 +162,26 @@ def validate_metric(m: FiniteMetricSpace) -> list[AxiomViolation]:
     # Chebyshev distance between rows i and k; slack covers the rounding of
     # both sides.  A slab is evaluated exactly, in ascending k, only when its
     # bound could beat TOL or the worst excess so far, so the first slab
-    # attaining the maximum excess is found as by a full scan.
-    bound = cdist(d, d, "chebyshev")
-    bound -= d
-    bound = bound.max(axis=0)
-    slack = 8 * np.finfo(float).eps * max(float(d.max()), -float(d.min()))
+    # attaining the maximum excess is found as by a full scan.  Small spaces
+    # take bound = +inf: every slab is evaluated and scipy is not loaded.
+    if n > _NUMPY_SLABS_MAX:
+        from scipy.spatial.distance import cdist  # scipy loads on first use, not at import
+
+        bound = cdist(d, d, "chebyshev")
+        bound -= d
+        bound = bound.max(axis=0)
+        slack = 8 * np.finfo(float).eps * max(float(d.max()), -float(d.min()))
+        limits = (bound + slack).tolist()
+    else:
+        limits = [math.inf] * n
     worst_excess = 0.0
     worst_triple = None
-    for k, limit in enumerate((bound + slack).tolist()):
+    excess = np.empty_like(d)
+    for k, limit in enumerate(limits):
         if limit <= max(TOL, worst_excess):
             continue
-        excess = d - (d[:, k][:, None] + d[k, :][None, :])
+        np.add(d[:, k][:, None], d[k, :][None, :], out=excess)
+        np.subtract(d, excess, out=excess)
         e = float(excess.max())
         if e > worst_excess:
             worst_excess = e

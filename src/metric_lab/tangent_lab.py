@@ -21,6 +21,7 @@ from .gh_solver import Correspondence, pointed_gh_bounds
 from .metric_core import FiniteMetricSpace, PointedWindow, decreasing_scales, rescale
 
 TREND_BAND = 1e-3  # least-squares slope below this magnitude counts as flat
+_NEAREST_CHUNK = 1 << 18  # entries of one seed distance block: 2 MB of float64
 
 
 def resolution_rule(rule) -> float:
@@ -117,19 +118,40 @@ def _seed_coordinates(W: PointedWindow):
     return q
 
 
+def _nearest(q, p) -> np.ndarray:
+    """Index of the nearest row of p to each row of q, by squared Euclidean
+    distance summed one coordinate at a time; exact ties go to the lowest
+    index.  A coordinate that is zero in both (the lift of planar windows)
+    adds exact zeros and is skipped.  Rows of q are taken in chunks of at most
+    _NEAREST_CHUNK entries of the distance block, so the temporaries stay
+    bounded on large windows."""
+    cols = [c for c in range(q.shape[1]) if q[:, c].any() or p[:, c].any()] or [0]
+    out = np.empty(len(q), dtype=np.intp)
+    step = max(1, _NEAREST_CHUNK // len(p))
+    for s in range(0, len(q), step):
+        block = q[s:s + step]
+        d2 = np.subtract.outer(block[:, cols[0]], p[:, cols[0]])
+        d2 *= d2
+        diff = np.empty_like(d2)
+        for c in cols[1:]:
+            np.subtract.outer(block[:, c], p[:, c], out=diff)
+            diff *= diff
+            d2 += diff
+        out[s:s + step] = d2.argmin(axis=1)
+    return out
+
+
 def nearest_position_seed(W1: PointedWindow, W2: PointedWindow):
     """Correspondence matching every point to the nearest label position of
     the other window, both normalized to their window's base and scale; None
-    when labels carry no coordinates."""
-    from scipy.spatial import cKDTree  # scipy loads on first use, not at import
-
+    when labels carry no coordinates.  Among points at exactly the same
+    distance the one of lowest index is taken."""
     q1 = _seed_coordinates(W1)
     q2 = _seed_coordinates(W2)
     if q1 is None or q2 is None:
         return None
-    t1, t2 = cKDTree(q1), cKDTree(q2)
-    _, f = t2.query(q1)
-    _, g = t1.query(q2)
+    f = _nearest(q1, q2)
+    g = _nearest(q2, q1)
     pairs = {(int(i), int(f[i])) for i in range(len(q1))}
     pairs.update((int(g[j]), int(j)) for j in range(len(q2)))
     pairs.add((W1.base, W2.base))

@@ -13,7 +13,8 @@ model-window sampler, a frozen unbounded, symmetrised graph-window search
 sampler that refines segment by segment, a frozen metric-axiom check that scans
 every triangle slab, a frozen copy of the boundary expansion probe that
 translates both points of every pair and compares scalar visual distances,
-and a frozen blow-up scan loop that solves every window against every model.
+a pair-by-pair nearest-position seed, and a frozen blow-up scan loop that
+solves every window against every model.
 """
 from __future__ import annotations
 
@@ -49,7 +50,7 @@ from metric_lab.gh_solver import (
     pointed_gh_bounds,
 )
 from metric_lab.metric_core import AxiomViolation
-from metric_lab.tangent_lab import extract_window, nearest_position_seed
+from metric_lab.tangent_lab import _seed_coordinates, extract_window, nearest_position_seed
 
 
 # ---------------------------------------------------------------------------
@@ -687,6 +688,38 @@ def reference_expansion_probe(p: BoundaryPoint, m: int, samples="all",
     arr = np.asarray(ratios)
     return ExpansionStats(float(arr.min()), float(arr.max()), float(arr.mean()),
                           len(ratios))
+
+
+# ---------------------------------------------------------------------------
+# Position seeds
+# ---------------------------------------------------------------------------
+
+def _reference_nearest(a, b) -> list:
+    """For each point of a, the lowest index of b at the least squared
+    distance, summed coordinate by coordinate one pair at a time."""
+    out = []
+    for x in a.tolist():
+        best, arg = math.inf, -1
+        for j, y in enumerate(b.tolist()):
+            d2 = 0.0
+            for u, v in zip(x, y):
+                d2 += (u - v) * (u - v)
+            if d2 < best:
+                best, arg = d2, j
+        out.append(arg)
+    return out
+
+
+def reference_position_seed(W1, W2):
+    """nearest_position_seed by brute force over every pair of points, on the
+    library's seed coordinates: both nearest maps plus the base pair, sorted."""
+    q1, q2 = _seed_coordinates(W1), _seed_coordinates(W2)
+    if q1 is None or q2 is None:
+        return None
+    pairs = {(i, j) for i, j in enumerate(_reference_nearest(q1, q2))}
+    pairs.update((i, j) for j, i in enumerate(_reference_nearest(q2, q1)))
+    pairs.add((W1.base, W2.base))
+    return Correspondence(tuple(sorted(pairs)))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metric_lab import boundary_free_group as bfg
 from metric_lab.boundary_free_group import (
     BoundaryPoint,
     ReducedWord,
@@ -152,6 +153,25 @@ class TestCylinders:
     def test_negative_cylinder_depth_rejected(self):
         with pytest.raises(DomainError, match="outside 0..4"):
             cylinder_ball(boundary_point("abab", 2), -1, 5)
+
+    def test_word_count_bound_is_checked_before_enumerating(self, monkeypatch):
+        # 4 * 3^39 words at depth 40 would exhaust memory in the enumeration
+        def enumerate_nothing(*args):
+            raise AssertionError("words enumerated above the bound")
+
+        monkeypatch.setattr(bfg, "enumerate_words", enumerate_nothing)
+        p = BoundaryPoint(first_extension(reduce_word("a", 2), 40))
+        for probe in (lambda: cylinder_ball(p, 0, 40, count=5),
+                      lambda: expansion_factor_probe(p, 1, samples=5)):
+            with pytest.raises(DomainError, match=f"at most {bfg.MAX_CYLINDER_WORDS}"):
+                probe()
+
+    def test_word_count_is_the_number_enumerated(self):
+        for rank in (1, 2, 3):
+            for depth in range(6):
+                for w in {w[:m] for m in range(depth + 1) for w in enumerate_words(rank, depth)}:
+                    assert bfg._word_count(rank, depth, len(w)) == \
+                        len(enumerate_words(rank, depth, w))
 
     def test_prefix_longer_than_depth_rejected(self):
         # there is no such word; enumeration must refuse rather than search forever

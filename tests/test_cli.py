@@ -596,11 +596,13 @@ class TestReproduce:
 # The commands that never call scipy must not load it: import scipy.spatial
 # alone costs more than numpy and click together.  A fresh interpreter runs
 # each step and reports the scipy modules loaded so far.  No module imports
-# scipy at import time; the function that calls scipy imports it.  So importing
-# every submodule and building two Euclidean model windows loads none, and
-# nearest_position_seed on those windows loads scipy.spatial.
+# scipy at import time; the function that calls scipy imports it, and only
+# two do: GridGraph (scipy.sparse.csgraph) and validate_metric above
+# _NUMPY_SLABS_MAX points (scipy.spatial).  A step is [name, CLI argv] or the
+# name of a function of the probe; the modules are reported under the name.
 STARTUP_PROBE = """
 import importlib, json, pkgutil, sys
+import numpy as np
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 loaded = {}
@@ -612,15 +614,22 @@ for info in pkgutil.iter_modules(metric_lab.__path__, "metric_lab."):
     importlib.import_module(info.name)
 loaded["import every submodule"] = scipy_modules()
 loaded["submodules"] = sorted(m for m in sys.modules if m.startswith("metric_lab."))
-for argv in json.loads(sys.argv[1]):
-    metric_lab.cli.main.main(args=argv, standalone_mode=False)
-    loaded[argv[0]] = scipy_modules()
 from metric_lab.fractal_gen import model_tangent_space
+from metric_lab.metric_core import _NUMPY_SLABS_MAX, FiniteMetricSpace, validate_metric
 from metric_lab.tangent_lab import nearest_position_seed
-windows = [model_tangent_space("quarter", 1, 1 / 2) for _ in range(2)]
-loaded["model windows"] = scipy_modules()
-assert nearest_position_seed(*windows) is not None
-loaded["nearest_position_seed"] = scipy_modules()
+def seed_two_quarter_windows():
+    windows = [model_tangent_space("quarter", 1, 1 / 2) for _ in range(2)]
+    assert nearest_position_seed(*windows) is not None
+def validate_above_the_limit():
+    x = np.arange(_NUMPY_SLABS_MAX + 1.0)
+    assert validate_metric(FiniteMetricSpace(np.abs(np.subtract.outer(x, x)))) == []
+for step in json.loads(sys.argv[1]):
+    if isinstance(step, str):
+        globals()[step]()
+    else:
+        step, argv = step
+        metric_lab.cli.main.main(args=argv, standalone_mode=False)
+    loaded[step] = scipy_modules()
 print(json.dumps(loaded))
 """
 
@@ -636,34 +645,47 @@ def run_startup_probe(steps):
 
 
 class TestStartup:
-    def test_import_gh_qs_and_boundary_load_no_scipy(self, tmp_path):
+    def test_gh_qs_boundary_and_small_gen_and_scan_load_no_scipy_spatial(self, tmp_path):
         write_small_space(tmp_path / "x.json")
         (tmp_path / "m.json").write_text(json.dumps({"assignment": [0, 1, 2]}))
         steps = [
-            ["gh", "--x", str(tmp_path / "x.json"), "--y", str(tmp_path / "x.json"),
-             "--out", str(tmp_path / "gh.json")],
-            ["qs", "--domain", str(tmp_path / "x.json"), "--codomain",
-             str(tmp_path / "x.json"), "--map", str(tmp_path / "m.json"),
-             "--out", str(tmp_path / "env.csv")],
-            ["boundary", "--rank", "2", "--depth", "5", "--cylinder", "a:2",
-             "--probe-expansion", "--out", str(tmp_path / "b.json")],
-            # the probe sees scipy once a command does load it
-            ["gen", "--kind", "model-quarter", "--radius", "1", "--h", "1/4",
-             "--out", str(tmp_path / "q.json")],
+            ["gh", ["gh", "--x", str(tmp_path / "x.json"), "--y", str(tmp_path / "x.json"),
+                    "--out", str(tmp_path / "gh.json")]],
+            ["qs", ["qs", "--domain", str(tmp_path / "x.json"), "--codomain",
+                    str(tmp_path / "x.json"), "--map", str(tmp_path / "m.json"),
+                    "--out", str(tmp_path / "env.csv")]],
+            ["boundary", ["boundary", "--rank", "2", "--depth", "5", "--cylinder", "a:2",
+                          "--probe-expansion", "--out", str(tmp_path / "b.json")]],
+            ["model-quarter", ["gen", "--kind", "model-quarter", "--radius", "1", "--h",
+                               "1/4", "--out", str(tmp_path / "q.json")]],
+            ["snowflake-pair", ["gen", "--kind", "snowflake-pair", "--points", "30",
+                                "--out", str(tmp_path / "d.json"),
+                                "--out-codomain", str(tmp_path / "c.json"),
+                                "--out-map", str(tmp_path / "f.json")]],
+            ["corner scan", ["scan", "--space", "square", "--center", "0,0", "--scales",
+                             "2^-3..2^-5", "--models", "quarter,half", "--rule",
+                             "lambda/8", "--out", str(tmp_path / "s.csv")]],
+            # the probe sees scipy once a step does load it
+            ["slit-carpet", ["gen", "--kind", "slit-carpet", "--levels", "1", "--h", "1/8",
+                             "--out", str(tmp_path / "k.json")]],
+            "validate_above_the_limit",
         ]
         loaded = run_startup_probe(steps)
-        for step in ("import metric_lab", "import metric_lab.cli", "gh", "qs", "boundary"):
+        for step in ("import metric_lab", "import metric_lab.cli", "gh", "qs", "boundary",
+                     "model-quarter", "snowflake-pair", "corner scan"):
             assert loaded[step] == [], f"{step} loaded {loaded[step][:5]}"
-        assert "scipy" in loaded["gen"]
-        for name in ("gh.json", "env.csv", "b.json", "q.json"):
+        assert "scipy.sparse.csgraph" in loaded["slit-carpet"]
+        assert "scipy.spatial" not in loaded["slit-carpet"]
+        assert "scipy.spatial" in loaded["validate_above_the_limit"]
+        for name in ("gh.json", "env.csv", "b.json", "q.json", "d.json", "s.csv", "k.json"):
             assert (tmp_path / name).exists()
 
     def test_no_module_imports_scipy_until_a_function_calls_it(self):
-        loaded = run_startup_probe([])
+        loaded = run_startup_probe(["seed_two_quarter_windows", "validate_above_the_limit"])
         assert "metric_lab.tangent_lab" in loaded["submodules"]
         assert loaded["import every submodule"] == [], loaded["import every submodule"][:5]
-        assert loaded["model windows"] == [], loaded["model windows"][:5]
-        assert "scipy.spatial" in loaded["nearest_position_seed"]
+        assert loaded["seed_two_quarter_windows"] == [], loaded["seed_two_quarter_windows"][:5]
+        assert "scipy.spatial" in loaded["validate_above_the_limit"]
 
 
 class TestGhPointed:
@@ -784,6 +806,18 @@ CONTRACTS = [
                   "--scales", "2^-3..2^-8", "--models", "t,plane", "--rule", "lambda/8",
                   "--out", "{out}"], 0, "(reused 10 of 12 GH solves)",
                  id="scan-carpet-slit-tip-2^-8"),
+    # integer sizes are bounded where they enter: these used to end in numpy's
+    # _ArrayMemoryError and in MemoryError; a cylinder's word count is checked
+    # before any word is enumerated
+    pytest.param(["gen", "--kind", "snowflake-pair", "--points", "100000", "--out", "{out}",
+                  "--out-codomain", "{out}.c", "--out-map", "{out}.m"], 2,
+                 "Error: Invalid value for '--points'", id="snowflake-pair-points-100000"),
+    pytest.param(["boundary", "--rank", "2", "--depth", "40", "--cylinder", "a:2",
+                  "--out", "{out}"], 2, "Error: Invalid value for '--depth'",
+                 id="boundary-depth-40"),
+    pytest.param(["boundary", "--rank", "2", "--depth", "10", "--cylinder", "a:2",
+                  "--out", "{out}"], 1, "Error: DomainError: cylinder of 6561 words",
+                 id="boundary-cylinder-6561-words"),
 ]
 
 

@@ -139,7 +139,12 @@ class TestValidateMetric:
         with pytest.raises(MalformedMatrixError):
             FiniteMetricSpace([[0, np.nan], [np.nan, 0]])
 
-    def test_matches_frozen_reference_on_seeded_matrices(self):
+    @pytest.mark.parametrize("numpy_max", [None, 0], ids=["numpy-slabs", "cdist-filter"])
+    def test_matches_frozen_reference_on_seeded_matrices(self, monkeypatch, numpy_max):
+        # every seeded matrix is small: the default takes the numpy slabs, and
+        # a limit of 0 sends the same matrices through the Chebyshev filter
+        if numpy_max is not None:
+            monkeypatch.setattr(metric_core, "_NUMPY_SLABS_MAX", numpy_max)
         rng = np.random.default_rng(20261018)
         families = (_valid, _perturbed, _powered, _rounded, _asymmetric,
                     _tied_line, _near_tol_line)
@@ -150,6 +155,31 @@ class TestValidateMetric:
             assert validate_metric(m) == expected, (t, m.dist.tolist())
             violated += any(v.axiom == "triangle" for v in expected)
         assert 600 <= violated <= 1200
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["numpy-slabs", "cdist-filter"])
+    def test_first_of_tied_slabs_wins_on_both_sides_of_the_limit(self, monkeypatch, extra):
+        # integer L1 distances on a 23-column grid: every midpoint of a planted
+        # pair is a slab with exactly its excess.  Pairs A and B tie at 0.5;
+        # B's first midpoint (k = 75) comes before A's (k = 232), and pair C's
+        # 0.25 excess appears earlier still (k = 1) and must be overtaken.
+        import scipy.spatial.distance
+
+        calls = []
+        monkeypatch.setattr(scipy.spatial.distance, "cdist",
+                            lambda *args: calls.append(args) or cdist(*args))
+        n = metric_core._NUMPY_SLABS_MAX + extra
+        x, y = np.arange(n) % 23, np.arange(n) // 23
+        d = (np.abs(np.subtract.outer(x, x)) + np.abs(np.subtract.outer(y, y))).astype(float)
+        for (a, b), excess in (((10 * 23 + 1, n - 1), 0.5), ((3 * 23 + 5, 6 * 23 + 9), 0.5),
+                               ((0, 2 * 23 + 2), 0.25)):
+            d[a, b] += excess
+            d[b, a] += excess
+        m = FiniteMetricSpace(d)
+        assert validate_metric(m) == reference_validate_metric(m)
+        assert len(calls) == extra  # the filter runs only above the limit
+        [violation] = validate_metric(m)
+        assert violation.witness == (3 * 23 + 5, 75, 6 * 23 + 9)
+        assert violation.magnitude == 0.5
 
     def test_non_square_matrix_is_malformed(self):
         with pytest.raises(MalformedMatrixError):

@@ -1,6 +1,7 @@
 """Tests for window extraction, blow-up scans and tangent verdicts."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from metric_lab.fractal_gen import (
     unit_square_generator,
 )
 from metric_lab.gh_solver import GhResult
-from metric_lab.metric_core import FiniteMetricSpace
+from metric_lab.metric_core import FiniteMetricSpace, PointedWindow
 from metric_lab.tangent_lab import (
     ScaledGenerator,
     ScanConfig,
@@ -26,7 +27,7 @@ from metric_lab.tangent_lab import (
     tangent_scan,
 )
 
-from .oracles import reference_tangent_scan
+from .oracles import reference_position_seed, reference_tangent_scan
 
 
 def synthetic_report(columns):
@@ -328,6 +329,88 @@ class TestSeeds:
         assert len(partners) >= sum(len(l) > 2 and l[2] == "P" for l in labels)
         for mine, theirs in partners:
             assert theirs[2:5] == mine[2:5]
+
+
+def tied_points(W1, W2) -> int:
+    """Points of W1 at exactly the same least seed distance from two or more
+    points of W2 (the seed coordinates' squared distances, as summed)."""
+    q1, q2 = tangent_lab._seed_coordinates(W1), tangent_lab._seed_coordinates(W2)
+    d2 = sum((q1[:, None, c] - q2[None, :, c]) ** 2 for c in range(q1.shape[1]))
+    return int(np.sum((d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) > 1))
+
+
+def line_window(labels, base, radius):
+    """A window of points on the x-axis, labelled (x, 0, tags...)."""
+    xs = [label[0] for label in labels]
+    return PointedWindow(FiniteMetricSpace(np.abs(np.subtract.outer(xs, xs)), labels),
+                         base, 1.0, radius)
+
+
+def seed_windows(case):
+    from metric_lab.fractal_gen import SlitSchedule
+
+    if case == "grid-ties":  # every odd fine node sits halfway between coarse ones
+        return model_tangent_space("quarter", 1.0, 1 / 8), model_tangent_space("half", 1.0, 1 / 4)
+    sched = SlitSchedule((0.5, 0.5))
+    if case == "lips":
+        W = extract_window(make_generator("slit-carpet", sched=sched), (0.5, 0.25),
+                           1 / 4, 1.0, 1 / 32)
+        return W, model_tangent_space("t", 1.0, 1 / 8)
+    W = extract_window(make_generator("pillow-carpet", sched=sched), (0.5, 0.25),
+                       1 / 2, 1.0, 1 / 16)
+    return W, extract_window(make_generator("slit-carpet", sched=sched), (0.5, 0.25),
+                             1 / 4, 1.0, 1 / 32)
+
+
+class TestPositionSeedOracle:
+    @pytest.mark.parametrize("chunk", [1, 1000, tangent_lab._NEAREST_CHUNK])
+    @pytest.mark.parametrize("case", ["grid-ties", "lips", "pillow"])
+    def test_matches_the_pairwise_oracle(self, monkeypatch, case, chunk):
+        # chunk 1 takes one row per block; 1000 cuts the grid case's 58 rows
+        # against 29 points into blocks of 34 and 24, and 29 rows against 58
+        # into blocks of 17 and 12
+        monkeypatch.setattr(tangent_lab, "_NEAREST_CHUNK", chunk)
+        W1, W2 = seed_windows(case)
+        assert tied_points(W1, W2) + tied_points(W2, W1) > 0
+        for a, b in ((W1, W2), (W2, W1)):
+            assert nearest_position_seed(a, b).pairs == reference_position_seed(a, b).pairs
+
+    def test_exact_ties_take_the_lowest_index(self):
+        # the point at x = 1/2 of W1 lies halfway between x = 0 and x = 1 of W2
+        W1 = line_window(((0.0, 0.0), (0.5, 0.0)), 0, 1.0)
+        W2 = line_window(((0.0, 0.0), (1.0, 0.0)), 0, 1.0)
+        assert nearest_position_seed(W1, W2).pairs == ((0, 0), (1, 0), (1, 1))
+        W2 = line_window(((1.0, 0.0), (0.0, 0.0)), 1, 1.0)
+        assert nearest_position_seed(W1, W2).pairs == ((0, 1), (1, 0))
+
+    def test_a_lift_on_one_side_only_still_counts(self):
+        # W2's glued sheet "H" shares W1's planar position (1, 0) but lies far
+        # along the lift axis, which is zero everywhere in W1: W1's point 1
+        # takes W2's point 2, half a unit away in the plane
+        W1 = line_window(((0.0, 0.0), (1.0, 0.0), (1.5, 0.0)), 0, 1.5)
+        W2 = line_window(((0.0, 0.0), (1.0, 0.0, "H"), (1.5, 0.0)), 0, 1.5)
+        seed = nearest_position_seed(W1, W2)
+        assert seed.pairs == ((0, 0), (1, 1), (1, 2), (2, 2))
+        assert seed.pairs == reference_position_seed(W1, W2).pairs
+
+    def test_memory_stays_within_the_chunks_on_large_windows(self):
+        # a 40 x 40 grid seen from two bases: a whole distance block would be
+        # 1600 x 1600 float64 = 20 MB, two of them at once (41 MB traced); the
+        # 2 MB chunks and the pairs read 6.4 MB
+        xy = np.array([(x, y) for x in range(40) for y in range(40)], dtype=float)
+        space = FiniteMetricSpace(np.hypot(np.subtract.outer(xy[:, 0], xy[:, 0]),
+                                           np.subtract.outer(xy[:, 1], xy[:, 1])),
+                                  tuple(map(tuple, xy.tolist())))
+        W1 = PointedWindow(space, 0, 1.0, float(space.dist[0].max()))
+        W2 = PointedWindow(space, 820, 1.0, float(space.dist[820].max()))
+        tracemalloc.start()
+        try:
+            seed = nearest_position_seed(W1, W2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(seed.pairs) >= space.n
+        assert peak < 12e6, peak
 
 
 class TestSlitCarpetScan:
