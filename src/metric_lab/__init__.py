@@ -14,8 +14,8 @@ from .errors import (
     ScheduleError,
 )
 from .metric_core import (
-    TOL, AxiomViolation, FiniteMetricSpace, GeometryStats, PointedWindow,
-    epsilon_net, geometry_stats, read_space, rescale, restrict_ball,
+    TOL, AxiomViolation, FiniteMetricSpace, PointedWindow,
+    epsilon_net, rescale,
     space_from_json, space_to_json, validate_metric, write_space,
 )
 from .gh_solver import (
@@ -32,16 +32,15 @@ from .fractal_gen import (
 from .boundary_free_group import (
     BoundaryPoint, Cylinder, ExpansionStats, ReducedWord, boundary_point,
     cylinder_ball, enumerate_words, expanding_cover, expansion_factor_probe,
-    gromov_product_prefix, is_saturated, reduce_word, translate_boundary,
+    gromov_product_prefix, reduce_word, translate_boundary,
     visual_distance,
 )
 from .qs_analysis import (
-    DistortionEnvelope, SampledMap, check_eta, diam_ratio_check,
-    distortion_envelope, envelope_compose, envelope_from_samples, envelope_invert,
-    qc_constant_probe,
+    DistortionEnvelope, SampledMap,
+    distortion_envelope, envelope_from_samples, envelope_invert,
 )
 from .tangent_lab import (
-    ScaledGenerator, ScanConfig, ScanReport, Verdict, classify_tangent,
+    ScanConfig, ScanReport, Verdict, classify_tangent,
     extract_window, nearest_position_seed, tangent_scan,
 )
 

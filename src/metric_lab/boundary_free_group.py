@@ -156,10 +156,6 @@ def gromov_product_prefix(x: BoundaryPoint, y: BoundaryPoint) -> int:
     return lcp
 
 
-def is_saturated(x: BoundaryPoint, y: BoundaryPoint) -> bool:
-    return gromov_product_prefix(x, y) == x.depth
-
-
 def visual_distance(x: BoundaryPoint, y: BoundaryPoint, a: float = DEFAULT_BASE) -> float:
     """a^(-(x,y)); zero when the known prefixes coincide entirely."""
     if a <= 1:

@@ -23,6 +23,10 @@ MODEL_KINDS = ("plane", "half", "quarter", "t", "l", "d", "line")
 
 # Most mesh steps across an extent or window radius; 2^12 admits h = 2^-12.
 MAX_MESH_STEPS = 2 ** 12
+# Most points of a whole carpet or rug: its n x n float64 matrix is then at
+# most 128 MiB, and `gen` holds about four such matrices at its peak (about
+# 600 MB measured at the bound on a 2-core x86 machine).
+MAX_SPACE_POINTS = 2 ** 12
 # Flatness values lie in [1, MAX_FLATNESS): a bump's legs, l/6 of the segment
 # they refine, are then shorter than it, so refining shrinks segments and
 # moves no vertex by more than a segment's length.
@@ -49,6 +53,14 @@ def _mesh_steps(h: float, span: float = 1.0) -> int:
     if M < 1 or abs(span / h - M) > 1e-9 * max(M, 1):
         raise ResolutionError(f"mesh {h} must divide an interval of length {span} exactly")
     return M
+
+
+def _check_space_points(n: int, h: float) -> None:
+    """ResolutionError if mesh h gives a whole space more than MAX_SPACE_POINTS
+    points; called before its n x n matrix is allocated."""
+    if n > MAX_SPACE_POINTS:
+        raise ResolutionError(f"mesh {h} gives {n} or more points, more than the "
+                              f"{MAX_SPACE_POINTS} of a whole generated space")
 
 
 def _check_resolution(radius_phys: float, h: float) -> None:
@@ -186,15 +198,28 @@ def _slit_carpet_box(sched: SlitSchedule, h: float, pillows: bool, cx: int, cy: 
 def slit_carpet_space(sched: SlitSchedule, h: float) -> FiniteMetricSpace:
     """All grid nodes of the slit carpet with the shortest-path metric.
 
-    Cost is quadratic in the node count; for fine meshes prefer a window,
-    SlitCarpetGenerator.sample_ball, which builds only the box around its center.
+    Cost is quadratic in the node count, so a mesh that gives more than
+    MAX_SPACE_POINTS nodes raises ResolutionError; for fine meshes prefer a
+    window, SlitCarpetGenerator.sample_ball, which builds only the box around
+    its center.
     """
-    return slit_carpet_graph(sched, h).space()
+    return _whole_carpet(sched, h, False)
 
 
 def pillow_carpet_space(sched: SlitSchedule, h: float) -> FiniteMetricSpace:
     """Slit carpet with a two-sheet pillow glued mouth-to-slit at every slit."""
-    return slit_carpet_graph(sched, h, pillows=True).space()
+    return _whole_carpet(sched, h, True)
+
+
+def _whole_carpet(sched: SlitSchedule, h: float, pillows: bool) -> FiniteMetricSpace:
+    """The whole carpet's space, its node count checked twice: the (M + 1)^2
+    grid nodes before the graph is built, which would take gigabytes near
+    MAX_MESH_STEPS, and the graph's nodes, lips and pillows included, before
+    its matrix is allocated."""
+    _check_space_points((_mesh_steps(h) + 1) ** 2, h)
+    graph = slit_carpet_graph(sched, h, pillows)
+    _check_space_points(graph.n, h)
+    return graph.space()
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +602,8 @@ def product_rug_space(line_metric, extent=(-1.0, 1.0),
     distorted line metric delta, one of the tuples ("rickman", eps) for the
     power metric |.|^eps and ("wu", schedule, truncation) for Wu's line.
     A mesh that is not positive and finite raises DomainError, and one that
-    does not divide hi - lo ResolutionError; the grid is lo + h*i, i >= 0.
+    does not divide hi - lo or gives more than MAX_SPACE_POINTS points
+    ResolutionError; the grid is lo + h*i, i >= 0.
     """
     lo, hi = float(extent[0]), float(extent[1])
     if not hi > lo:
@@ -596,6 +622,7 @@ def product_rug_space(line_metric, extent=(-1.0, 1.0),
         raise DomainError(f"unrecognized line metric {line_metric!r}")
 
     K = _mesh_steps(h, hi - lo) + 1
+    _check_space_points(K * K, h)
     xs = lo + h * np.arange(K)
     dvals = np.zeros((K, K))
     for i in range(K):

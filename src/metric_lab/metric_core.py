@@ -101,21 +101,6 @@ class AxiomViolation:
     magnitude: float      # size of the violation
 
 
-@dataclass(frozen=True)
-class GeometryStats:
-    """Coarse-geometry summary at sampled scales.
-
-    ``perfectness_constant`` is None when some sampled annulus with nonempty
-    exterior is empty for every constant, i.e. the space is not uniformly
-    perfect at the sampled scales.  Otherwise it is the infimal constant seen:
-    annuli are nonempty for every strictly larger constant.
-    """
-
-    diameter: float
-    doubling_estimate: int
-    perfectness_constant: float | None
-
-
 def validate_metric(m: FiniteMetricSpace) -> list[AxiomViolation]:
     """Check the metric axioms, returning one entry per violated axiom.
 
@@ -199,17 +184,6 @@ def rescale(m: FiniteMetricSpace, lam: float) -> FiniteMetricSpace:
     return FiniteMetricSpace(m.dist / lam, m.labels)
 
 
-def restrict_ball(m: FiniteMetricSpace, p: int, R: float) -> PointedWindow:
-    """Closed ball of radius R around point p, as a pointed window at scale 1."""
-    if not (0 <= p < m.n):
-        raise DomainError(f"index {p} out of range for {m.n} points")
-    if not R > 0:  # also refuses nan
-        raise DomainError(f"radius must be positive, got {R}")
-    keep = np.nonzero(m.dist[p] <= R + TOL)[0]
-    base = int(np.nonzero(keep == p)[0][0])
-    return PointedWindow(m.submatrix(keep), base, 1.0, R)
-
-
 def epsilon_net(m: FiniteMetricSpace, eps: float, start: int = 0) -> list[int]:
     """Greedy (farthest-point insertion) eps-net; deterministic, lowest-index ties.
 
@@ -222,71 +196,25 @@ def epsilon_net(m: FiniteMetricSpace, eps: float, start: int = 0) -> list[int]:
         return []
     if not (0 <= start < m.n):
         raise DomainError(f"start index {start} out of range for {m.n} points")
-    return _farthest_first(m.dist, eps, start)
-
-
-def _farthest_first(dist: np.ndarray, eps: float, start: int) -> list[int]:
-    """Farthest-point insertion from start until every point is within eps."""
     chosen = [start]
-    d_near = dist[start].copy()
+    d_near = m.dist[start].copy()
     while True:
         far = int(np.argmax(d_near))
         if d_near[far] <= eps:
             return chosen
         chosen.append(far)
-        d_near = np.minimum(d_near, dist[far])
+        d_near = np.minimum(d_near, m.dist[far])
 
 
-def decreasing_scales(values, noun: str) -> tuple:
-    """The one check of a scale list (scans, geometry_stats, qc probes): a
-    nonempty, positive, finite, strictly decreasing tuple, or DomainError."""
+def decreasing_scales(values) -> tuple:
+    """The one check of a scale list (ScanConfig.scales): a nonempty,
+    positive, finite, strictly decreasing tuple, or DomainError."""
     values = tuple(float(v) for v in values)
     if not values or not all(0 < v < np.inf for v in values):  # also refuses nan
-        raise DomainError(f"{noun} must be nonempty, positive and finite")
+        raise DomainError("scales must be nonempty, positive and finite")
     if any(a <= b for a, b in zip(values, values[1:])):
-        raise DomainError(f"{noun} must be strictly decreasing")
+        raise DomainError("scales must be strictly decreasing")
     return values
-
-
-def geometry_stats(m: FiniteMetricSpace, scales) -> GeometryStats:
-    """Doubling and uniform-perfectness estimates over the sampled scales.
-
-    Doubling: for every point x and scale r, greedily cover the closed ball
-    B(x, r) by balls of half its realized radius; the estimate is the worst
-    cover count.  Greedy farthest-point insertion gives a certified upper
-    bound on the optimal count.
-
-    Perfectness: for every (x, r) whose exterior is nonempty, the annulus
-    {y : r/C < d(x,y) < r} must be nonempty; the returned constant is the
-    worst critical ratio r / max{d < r}.  None when some annulus is empty
-    for every C.
-    """
-    if m.n == 0:
-        raise DomainError("geometry_stats of an empty space")
-    scales = decreasing_scales(scales, "scales")
-
-    d = m.dist
-    doubling = 1
-    perfectness: float | None = 1.0
-    for r in scales:
-        for x in range(m.n):
-            in_ball = np.nonzero(d[x] <= r + TOL)[0]
-            order = np.concatenate(([x], in_ball[in_ball != x]))
-            # greedy cover of the ball (center first) by half-radius balls
-            ball = d[np.ix_(order, order)]
-            half = float(ball[0].max()) / 2.0
-            doubling = max(doubling, len(_farthest_first(ball, half + TOL, 0)))
-
-            # open exterior / open-outer closed-inner annulus
-            row = d[x]
-            if not np.any(row >= r - TOL):
-                continue  # ball exhausts the space: no perfectness constraint
-            inside = row[(row > TOL) & (row < r - TOL)]
-            if inside.size == 0:
-                perfectness = None
-            elif perfectness is not None:
-                perfectness = max(perfectness, r / float(inside.max()))
-    return GeometryStats(m.diameter(), doubling, perfectness)
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +278,6 @@ def write_space(m: FiniteMetricSpace, path: str) -> None:
         fh.write(("\n ]" if m.n else "]") + ',\n "labels": '
                  + labels.replace("\n", "\n ") + "\n}\n")
     _write_atomic(dump, path)
-
-
-def read_space(path: str) -> FiniteMetricSpace:
-    with open(path) as fh:
-        return space_from_json(json.load(fh))
 
 
 def write_json_atomic(obj, path: str) -> None:

@@ -1,4 +1,4 @@
-"""Empirical quasisymmetric and quasiconformal distortion of sampled maps.
+"""Empirical quasisymmetric distortion of sampled maps.
 
 The central object is the distortion envelope: the minimal nondecreasing
 step function dominating every sampled (source ratio, image ratio) pair of
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateEnvelopeError, DomainError
-from .metric_core import FiniteMetricSpace, decreasing_scales
+from .metric_core import FiniteMetricSpace
 
 TRIPLE_BUDGET_DEFAULT = 10 ** 6
 
@@ -85,9 +85,6 @@ class DistortionEnvelope:
                     f"t={t} outside sampled envelope range [{self.ts[0]}, {self.ts[-1]}]")
             return float(self.ss[0] if t < self.ts[0] else self.ss[-1])
         return float(np.interp(t, self.ts, self.ss))
-
-    def t_range(self):
-        return float(self.ts[0]), float(self.ts[-1])
 
 
 def envelope_from_samples(t, s) -> DistortionEnvelope:
@@ -164,58 +161,6 @@ def distortion_envelope(f: SampledMap, triple_budget=TRIPLE_BUDGET_DEFAULT,
     return envelope_from_samples(t, s)
 
 
-def _as_table(eta):
-    if isinstance(eta, DistortionEnvelope):
-        return eta.ts, eta.ss
-    ts, ss = eta
-    return np.asarray(ts, dtype=float), np.asarray(ss, dtype=float)
-
-
-def check_eta(envelope: DistortionEnvelope, eta):
-    """Does the candidate distortion function dominate the measured envelope?
-
-    eta is a breakpoint table (pairs of arrays or another envelope),
-    evaluated by piecewise-linear interpolation; it must be nondecreasing and
-    defined on the envelope's whole breakpoint range.  Returns (ok, worst)
-    where worst is the (t, envelope value, eta value) of the largest defect.
-    """
-    ts, ss = _as_table(eta)
-    if np.any(np.diff(ts) <= 0):
-        raise DomainError("eta table breakpoints must strictly increase")
-    if np.any(np.diff(ss) < 0):
-        raise DomainError("eta must be nondecreasing on the envelope range")
-    lo, hi = float(ts[0]), float(ts[-1])
-    if envelope.ts[0] < lo - 1e-15 or envelope.ts[-1] > hi + 1e-15:
-        raise DomainError(
-            f"eta undefined on part of the envelope range "
-            f"[{envelope.ts[0]}, {envelope.ts[-1]}] vs [{lo}, {hi}]")
-    eta_vals = np.interp(envelope.ts, ts, ss)
-    defect = envelope.ss - eta_vals
-    worst_i = int(np.argmax(defect))
-    ok = bool(defect[worst_i] <= 1e-12)
-    worst = None if ok else (float(envelope.ts[worst_i]),
-                             float(envelope.ss[worst_i]),
-                             float(eta_vals[worst_i]))
-    return ok, worst
-
-
-def envelope_compose(theta: DistortionEnvelope, eta: DistortionEnvelope) -> DistortionEnvelope:
-    """theta o eta, evaluated piecewise-linearly at merged breakpoints.
-
-    Merged means eta's own breakpoints plus the pullbacks of theta's
-    breakpoints through eta where eta's sampled range reaches them.
-    """
-    ts = list(eta.ts)
-    s_lo, s_hi = float(eta.ss[0]), float(eta.ss[-1])
-    for u in theta.ts:
-        if s_lo <= u <= s_hi:
-            ts.append(float(np.interp(u, eta.ss, eta.ts)))
-    ts = np.unique(np.asarray(ts))
-    inner = np.interp(ts, eta.ts, eta.ss)
-    outer = np.array([theta.eval_linear(v, allow_extrapolation=True) for v in inner])
-    return envelope_from_samples(ts, outer)
-
-
 def envelope_invert(eta: DistortionEnvelope) -> DistortionEnvelope:
     """The inverse-map envelope t -> 1 / eta^{-1}(1/t).
 
@@ -238,81 +183,3 @@ def envelope_invert(eta: DistortionEnvelope) -> DistortionEnvelope:
     # envelope constructor collapses those collisions
     return envelope_from_samples(1.0 / ss[::-1], 1.0 / ts[::-1])
 
-
-@dataclass(frozen=True)
-class DiamRatioReport:
-    pair: tuple
-    ratio: float
-    lower: float
-    upper: float
-    holds: bool
-    margin_low: float
-    margin_high: float
-
-
-def diam_ratio_check(f: SampledMap, subset_pairs, envelope=None) -> list[DiamRatioReport]:
-    """Verify the nested-set diameter inequalities with the measured envelope.
-
-    For A inside B: 1/(2 eta(diam B / diam A)) <= diam f(A)/diam f(B)
-    <= eta(2 diam A / diam B), with eta the measured step envelope.
-    """
-    if envelope is None:
-        envelope = distortion_envelope(f, "all")
-    out = []
-    for A, B in subset_pairs:
-        A, B = list(A), list(B)
-        if not set(A) <= set(B):
-            raise DomainError("diam_ratio_check needs A to be a subset of B")
-        if len(A) < 2 or len(B) < 2:
-            raise DomainError("degenerate diameter: subsets need at least 2 points")
-        dA = f.domain.submatrix(A).diameter()
-        dB = f.domain.submatrix(B).diameter()
-        fA = f.codomain.submatrix(f.assignment[A]).diameter()
-        fB = f.codomain.submatrix(f.assignment[B]).diameter()
-        ratio = fA / fB
-        denom = envelope.eval_step(dB / dA)
-        lower = np.inf if denom == 0 else 1.0 / (2.0 * denom)
-        upper = envelope.eval_step(2.0 * dA / dB)
-        holds = bool(lower - 1e-12 <= ratio <= upper + 1e-12)
-        out.append(DiamRatioReport((tuple(A), tuple(B)), ratio, float(lower),
-                                   float(upper), holds,
-                                   float(ratio - lower), float(upper - ratio)))
-    return out
-
-
-@dataclass(frozen=True)
-class QcRow:
-    radius: float
-    h_max: float
-    points_used: int
-    points_skipped: int
-
-
-def qc_constant_probe(f: SampledMap, radii) -> list[QcRow]:
-    """Per-radius quasiconformality estimates sup/inf of image displacements.
-
-    For each point x and radius r: (max image distance over d(x,y) <= r)
-    divided by (min image distance over d(x,y) >= r); the row reports the max
-    over points.  Points with nothing inside or nothing outside are skipped
-    and counted.
-    """
-    radii = decreasing_scales(radii, "radii")
-    DX, DY = f.domain.dist, f.codomain.dist
-    a = f.assignment
-    img = DY[np.ix_(a, a)]
-    n = f.domain.n
-    rows = []
-    for r in radii:
-        worst, used, skipped = 0.0, 0, 0
-        for x in range(n):
-            d = DX[x]
-            near = (d <= r) & (np.arange(n) != x)
-            far = d >= r
-            if not near.any() or not far.any():
-                skipped += 1
-                continue
-            ratio = img[x][near].max() / img[x][far].min()
-            worst = max(worst, float(ratio))
-            used += 1
-        rows.append(QcRow(r, worst, used, skipped))
-    return rows

@@ -49,7 +49,7 @@ class ScanConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "scales", decreasing_scales(self.scales, "scales"))
+        object.__setattr__(self, "scales", decreasing_scales(self.scales))
         if not 0 < float(self.window_radius) < math.inf:
             raise DomainError(
                 f"window radius must be positive and finite, got {self.window_radius}")
@@ -257,19 +257,3 @@ def classify_tangent(report: ScanReport) -> Verdict:
     final_gap = final.results[best].upper - final.results[best].lower
     return Verdict(best, float(final_gap), trend)
 
-
-class ScaledGenerator:
-    """The same generator with its metric multiplied by a constant; scanning
-    it at scales c*lambda must reproduce the original scan at lambda.  A
-    factor that is not positive and finite raises DomainError."""
-
-    def __init__(self, gen, c: float):
-        if not 0 < c < math.inf:  # also refuses nan
-            raise DomainError(f"metric factor must be positive and finite, got {c}")
-        self._gen = gen
-        self._c = c
-
-    def sample_ball(self, center, radius_phys, h):
-        space, base = self._gen.sample_ball(center, radius_phys / self._c,
-                                            h / self._c)
-        return rescale(space, 1.0 / self._c), base

@@ -18,7 +18,6 @@ from metric_lab.boundary_free_group import (
     expansion_factor_probe,
     first_extension,
     gromov_product_prefix,
-    is_saturated,
     reduce_word,
     translate_boundary,
     visual_distance,
@@ -61,7 +60,6 @@ class TestGromovProduct:
     def test_equal_points_saturate(self):
         x = boundary_point("abab", 2)
         assert gromov_product_prefix(x, x) == 4
-        assert is_saturated(x, x)
 
     def test_divergence_after_first_letter(self):
         x = boundary_point("aba", 3)

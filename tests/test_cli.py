@@ -19,7 +19,7 @@ import metric_lab
 from metric_lab import errors
 from metric_lab.cli import GEN_KINDS, fmt, main, parse_center, parse_number, parse_scales
 from metric_lab.fractal_gen import MODEL_KINDS
-from metric_lab.metric_core import read_space
+from metric_lab.metric_core import space_from_json
 
 
 @pytest.fixture
@@ -65,7 +65,8 @@ class TestGen:
                                       "--r", "0.5,0.5", "--h", "1/16",
                                       "--out", str(out)])
         assert result.exit_code == 0, result.output
-        space = read_space(str(out))
+        with open(out) as fh:
+            space = space_from_json(json.load(fh))
         assert space.n > 0
 
     def test_snowflake_pair_emits_three_files(self, runner, tmp_path):
@@ -818,6 +819,28 @@ CONTRACTS = [
     pytest.param(["boundary", "--rank", "2", "--depth", "10", "--cylinder", "a:2",
                   "--out", "{out}"], 1, "Error: DomainError: cylinder of 6561 words",
                  id="boundary-cylinder-6561-words"),
+    # a whole carpet or rug has at most MAX_SPACE_POINTS = 4096 points, checked
+    # before its n x n matrix exists: h = 1/512 used to ask numpy for 520 GiB
+    # and 8 TiB.  CI runs these rows under a 2 GB address-space limit.
+    pytest.param(["gen", "--kind", "slit-carpet", "--r", "harmonic", "--levels", "2",
+                  "--h", "1/512", "--out", "{out}"], 1,
+                 "Error: ResolutionError: mesh 0.001953125 gives 263169 or more points",
+                 id="carpet-h-1/512-point-bound"),
+    pytest.param(["gen", "--kind", "rickman-rug", "--h", "1/512", "--out", "{out}"], 1,
+                 "Error: ResolutionError: mesh 0.001953125 gives 1050625 or more points",
+                 id="rug-h-1/512-point-bound"),
+    # just above the bound: 65^2 = 4225 rug points, and a pillow carpet whose
+    # 49^2 grid nodes pass but whose 4713 nodes with lips and pillows do not
+    pytest.param(["gen", "--kind", "rickman-rug", "--h", "1/32", "--out", "{out}"], 1,
+                 "Error: ResolutionError: mesh 0.03125 gives 4225 or more points",
+                 id="rug-h-1/32-point-bound"),
+    pytest.param(["gen", "--kind", "pillow-carpet", "--levels", "1", "--h", "1/48",
+                  "--out", "{out}"], 1, "gives 4713 or more points",
+                 id="pillow-carpet-h-1/48-point-bound"),
+    # the grid alone is checked before the graph, which would take gigabytes
+    pytest.param(["gen", "--kind", "slit-carpet", "--levels", "1", "--h", "2^-12",
+                  "--out", "{out}"], 1, "gives 16785409 or more points",
+                 id="carpet-h-2^-12-point-bound"),
 ]
 
 

@@ -35,7 +35,6 @@ from metric_lab.metric_core import (
     PointedWindow,
     epsilon_net,
     rescale,
-    restrict_ball,
 )
 from metric_lab.tangent_lab import extract_window, nearest_position_seed
 

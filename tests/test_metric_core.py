@@ -1,4 +1,4 @@
-"""Tests for distance-matrix validation, rescaling, balls and coarse stats."""
+"""Tests for distance-matrix validation, rescaling, nets and JSON interchange."""
 
 import json
 import math
@@ -11,15 +11,12 @@ from scipy.spatial.distance import cdist
 
 from metric_lab import metric_core
 from metric_lab.errors import DomainError, MalformedMatrixError
-from metric_lab.fractal_gen import SlitSchedule, slit_carpet_space
+from metric_lab.fractal_gen import SlitSchedule, slit_carpet_space, unit_square_generator
 from metric_lab.metric_core import (
     TOL,
     FiniteMetricSpace,
     epsilon_net,
-    geometry_stats,
-    read_space,
     rescale,
-    restrict_ball,
     space_from_json,
     space_to_json,
     validate_metric,
@@ -27,6 +24,7 @@ from metric_lab.metric_core import (
     write_space,
     write_text_atomic,
 )
+from metric_lab.tangent_lab import ScanConfig
 from .oracles import reference_validate_metric
 
 
@@ -213,85 +211,6 @@ class TestRescale:
         assert np.allclose(twice.dist, once.dist, rtol=1e-12, atol=0)
 
 
-class TestRestrictBall:
-    def test_whole_space_when_radius_exceeds_diameter(self):
-        m = line_space([0, 1, 2])
-        w = restrict_ball(m, 1, 10.0)
-        assert w.space.n == 3
-        assert w.space.labels == m.labels
-        assert w.scale == 1.0
-
-    def test_singleton_below_min_gap(self):
-        m = line_space([0, 1, 2])
-        w = restrict_ball(m, 2, 0.5)
-        assert w.space.n == 1
-        assert w.space.labels == (2.0,)
-
-    def test_line_example(self):
-        m = line_space([0, 1, 2, 3])
-        w = restrict_ball(m, 0, 1.5)
-        assert w.space.labels == (0.0, 1.0)
-        assert w.base == 0
-
-    @pytest.mark.parametrize("R", [0.0, -1.0, math.nan])
-    def test_radius_must_be_positive(self, R):
-        with pytest.raises(DomainError, match="radius"):
-            restrict_ball(line_space([0, 1, 2]), 0, R)
-
-    def test_commutes_with_rescale(self):
-        m = line_space([0.0, 0.4, 1.1, 2.2, 3.9])
-        lam, R = 2.0, 1.2
-        a = restrict_ball(rescale(m, lam), 2, R / lam)
-        b = restrict_ball(m, 2, R)
-        assert a.space.labels == b.space.labels
-        assert np.allclose(a.space.dist, rescale(b.space, lam).dist, atol=1e-12)
-
-
-class TestGeometryStats:
-    def test_uniform_grid_on_segment(self):
-        m = line_space(np.linspace(0, 1, 33))
-        stats = geometry_stats(m, [0.5, 0.25])
-        assert stats.diameter == pytest.approx(1.0)
-        assert stats.doubling_estimate <= 3
-        assert stats.perfectness_constant is not None
-
-    def test_two_point_space_not_uniformly_perfect_between_scales(self):
-        m = line_space([0, 1])
-        stats = geometry_stats(m, [0.5])
-        assert stats.doubling_estimate <= 2
-        assert stats.perfectness_constant is None
-
-    def test_singleton(self):
-        m = FiniteMetricSpace(np.zeros((1, 1)))
-        stats = geometry_stats(m, [1.0])
-        assert stats.diameter == 0.0
-        assert stats.doubling_estimate == 1
-
-    def test_empty_space_rejected(self):
-        with pytest.raises(DomainError):
-            geometry_stats(FiniteMetricSpace(np.zeros((0, 0))), [1.0])
-
-    def test_scales_must_descend(self):
-        m = line_space([0, 1, 2])
-        with pytest.raises(DomainError):
-            geometry_stats(m, [0.25, 0.5])
-
-    @pytest.mark.parametrize("scales", [[math.nan], [0.5, math.nan], [0.0], [math.inf],
-                                        [math.inf, 0.5]])
-    def test_scales_must_be_positive(self, scales):
-        with pytest.raises(DomainError, match="positive"):
-            geometry_stats(line_space([0, 1, 2]), scales)
-
-    def test_doubling_monotone_under_net_subsampling(self):
-        m = line_space(np.linspace(0, 1, 65))
-        scales = [0.5, 0.25]
-        eps = min(scales) / 8  # below smallest probe scale / 4
-        net = epsilon_net(m, eps)
-        sub = m.submatrix(net)
-        assert (geometry_stats(sub, scales).doubling_estimate
-                <= geometry_stats(m, scales).doubling_estimate)
-
-
 class TestEpsilonNet:
     def test_line_net(self):
         assert epsilon_net(line_space([0, 1, 2, 3]), 1.5) == [0, 3]
@@ -299,14 +218,14 @@ class TestEpsilonNet:
         assert epsilon_net(FiniteMetricSpace(np.zeros((0, 0))), 1.0) == []
 
     @pytest.mark.parametrize("eps", [-1.0, math.nan])
-    def test_negative_or_nan_radius_is_refused(self, eps, monkeypatch):
-        # the insertion loop never ends at such a radius; the stand-in makes
-        # a missing check fail instead of hang
-        def loop(*args):
-            raise AssertionError("farthest-point loop entered")
-        monkeypatch.setattr(metric_core, "_farthest_first", loop)
+    def test_negative_or_nan_radius_is_refused(self, eps):
+        # the insertion loop never ends at such a radius; a space that fails
+        # on first use makes a missing check fail instead of hang
+        class Untouched:
+            def __getattr__(self, name):
+                raise AssertionError(f"space read before the radius check: {name}")
         with pytest.raises(DomainError, match="net radius"):
-            epsilon_net(line_space([0, 1, 2]), eps)
+            epsilon_net(Untouched(), eps)
 
     @pytest.mark.parametrize("start", [-1, 3, 9])
     def test_start_outside_the_space_is_refused(self, start):
@@ -319,7 +238,8 @@ class TestJsonFormat:
         m = line_space([0, 0.5, 2.25])
         path = tmp_path / "space.json"
         write_space(m, str(path))
-        back = read_space(str(path))
+        with open(path) as fh:
+            back = space_from_json(json.load(fh))
         assert back.labels == m.labels
         assert np.array_equal(back.dist, m.dist)
 
@@ -337,7 +257,8 @@ class TestJsonFormat:
         m = FiniteMetricSpace(np.zeros((n, n)))
         path = tmp_path / "space.json"
         write_space(m, str(path))
-        back = read_space(str(path))
+        with open(path) as fh:
+            back = space_from_json(json.load(fh))
         assert back.n == n and back.labels == m.labels
         assert np.array_equal(back.dist, m.dist)
 
@@ -391,6 +312,7 @@ def test_json_reader_refuses_non_square_or_non_finite_matrices(obj):
 
 
 def test_an_empty_scale_list_is_refused():
-    # it used to give a doubling estimate of 1 and perfectness 1 from no scale
+    # decreasing_scales refuses it for ScanConfig, its one caller
     with pytest.raises(DomainError, match="scales must be nonempty"):
-        geometry_stats(line_space([0, 1, 2]), [])
+        ScanConfig(generator=unit_square_generator(), center=(0.0, 0.0), scales=(),
+                   window_radius=1.0, models=("quarter",))

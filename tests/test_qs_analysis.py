@@ -1,4 +1,4 @@
-"""Tests for distortion envelopes, envelope algebra and the QC probe."""
+"""Tests for distortion envelopes and envelope inversion."""
 
 import numpy as np
 import pytest
@@ -8,13 +8,9 @@ from metric_lab.metric_core import FiniteMetricSpace, rescale
 from metric_lab.qs_analysis import (
     DistortionEnvelope,
     SampledMap,
-    check_eta,
-    diam_ratio_check,
     distortion_envelope,
-    envelope_compose,
     envelope_from_samples,
     envelope_invert,
-    qc_constant_probe,
 )
 
 
@@ -87,30 +83,6 @@ class TestEnvelope:
             distortion_envelope(identity_map(m, m))
 
 
-class TestCheckEta:
-    def test_envelope_dominates_itself(self, snowflake30):
-        env = distortion_envelope(snowflake30, "all")
-        ok, worst = check_eta(env, env)
-        assert ok and worst is None
-
-    def test_linear_eta_fails_below_one(self, snowflake30):
-        env = distortion_envelope(snowflake30, "all")
-        ok, worst = check_eta(env, (env.ts, env.ts))
-        assert not ok
-        t, env_s, eta_s = worst
-        assert t < 1.0 and env_s > eta_s  # sqrt(t) > t exactly there
-
-    def test_true_power_law_passes(self, snowflake30):
-        env = distortion_envelope(snowflake30, "all")
-        ok, _ = check_eta(env, (env.ts, env.ts ** 0.5 + 1e-13))
-        assert ok
-
-    def test_eta_undefined_at_breakpoint_rejected(self, snowflake30):
-        env = distortion_envelope(snowflake30, "all")
-        with pytest.raises(DomainError):
-            check_eta(env, (env.ts[:4], env.ss[:4]))
-
-
 class TestEnvelopeAlgebra:
     def test_invert_identity(self):
         t = np.linspace(0.1, 4.0, 12)
@@ -129,8 +101,7 @@ class TestEnvelopeAlgebra:
         for t, s in env_direct.breakpoints:
             if t == 0.0:
                 continue
-            lo, hi = inv_algebra.t_range()
-            if lo <= t <= hi:
+            if inv_algebra.ts[0] <= t <= inv_algebra.ts[-1]:
                 assert abs(inv_algebra.eval_linear(t) - s) <= 1e-9
 
     def test_involution_at_interior_breakpoints(self, snowflake30):
@@ -149,75 +120,6 @@ class TestEnvelopeAlgebra:
             envelope_invert(DistortionEnvelope(np.array([0.5, 1.0, 2.0]),
                                                np.array([1.0, 1.0, 3.0])))
 
-    def test_compose_linear_forms(self):
-        u = np.linspace(0.01, 14.0, 20)
-        theta = DistortionEnvelope(u, 2 * u)
-        t = np.linspace(0.1, 3.0, 8)
-        eta = DistortionEnvelope(t, 3 * t)
-        comp = envelope_compose(theta, eta)
-        assert np.allclose(comp.ss, 6 * comp.ts, rtol=1e-12)
-
-
-class TestDiamRatio:
-    def test_equal_sets_ratio_one(self, snowflake30):
-        rows = diam_ratio_check(snowflake30, [(range(30), range(30))])
-        assert rows[0].ratio == 1.0
-        assert rows[0].holds
-
-    def test_identity_nested_pairs_hold(self):
-        m = line_space(np.linspace(0, 2, 12))
-        f = identity_map(m, m)
-        pairs = [(range(3), range(12)), (range(4, 8), range(2, 10))]
-        for row in diam_ratio_check(f, pairs):
-            assert row.holds
-
-    def test_snowflake_nested_intervals_hold(self, snowflake30):
-        pairs = [(range(10), range(30)), (range(5, 15), range(30)),
-                 (range(12, 18), range(8, 25))]
-        for row in diam_ratio_check(snowflake30, pairs):
-            assert row.holds
-
-    def test_singleton_subset_rejected(self, snowflake30):
-        with pytest.raises(DomainError):
-            diam_ratio_check(snowflake30, [([3], range(30))])
-
-
-class TestQcProbe:
-    def test_isometry_scores_one_at_realized_radii(self):
-        m = line_space(np.linspace(0, 1, 21))
-        f = identity_map(m, m)
-        rows = qc_constant_probe(f, [0.5, 0.25, 0.1])
-        for row in rows:
-            assert row.h_max == pytest.approx(1.0)
-
-    def test_snowflake_is_metrically_conformal_on_the_line(self):
-        # image distance is a monotone function of source distance, so the
-        # sup/inf ratio at any realized radius is exactly 1 at every scale
-        pts = np.linspace(0.0, 1.0, 201)
-        f = identity_map(line_space(pts), snowflake_space(pts, 0.5))
-        rows = qc_constant_probe(f, [0.4, 0.1, 0.02])
-        hs = [row.h_max for row in rows]
-        assert all(h == pytest.approx(1.0, abs=1e-12) for h in hs)
-        assert hs[-1] <= hs[0] + 1e-12  # trend toward 1 as r shrinks
-
-    def test_isolated_points_are_skipped_and_counted(self):
-        m = line_space([0.0, 0.01, 5.0])
-        f = identity_map(m, m)
-        rows = qc_constant_probe(f, [0.5])
-        assert rows[0].points_skipped >= 1
-
-    def test_radii_must_descend(self):
-        m = line_space([0, 1, 2])
-        with pytest.raises(DomainError):
-            qc_constant_probe(identity_map(m, m), [0.1, 0.5])
-
-    @pytest.mark.parametrize("radii", [[np.nan], [np.inf], [np.inf, 0.5], [0.5, np.nan],
-                                       [0.0]])
-    def test_radii_must_be_positive_and_finite(self, radii):
-        m = line_space([0, 1, 2])
-        with pytest.raises(DomainError, match="positive and finite"):
-            qc_constant_probe(identity_map(m, m), radii)
-
 
 class TestScalingInvariance:
     def test_pre_and_post_rescale_leave_envelope_unchanged(self):
@@ -235,19 +137,8 @@ class TestScalingInvariance:
 class TestSquareMapDistortion:
     """The half-plane-to-slit-plane square map, probed empirically."""
 
-    def test_qc_probe_is_bounded_on_the_half_disk(self):
-        from metric_lab.fractal_gen import phi_half_disk_sample
-
-        dom, cod = phi_half_disk_sample()
-        f = SampledMap(dom, cod, np.arange(dom.n))
-        rows = qc_constant_probe(f, [0.5, 0.3, 0.2])
-        for row in rows:
-            assert row.points_used > 0
-            assert row.h_max <= 4.0  # frozen from the computed table
-
     def test_single_monotone_eta_bounds_both_resolutions(self):
         from metric_lab.fractal_gen import phi_half_disk_sample
-        from metric_lab.qs_analysis import check_eta, envelope_from_samples
 
         envs = []
         for n_r, n_t in ((6, 7), (11, 13)):
@@ -257,31 +148,8 @@ class TestSquareMapDistortion:
         merged = envelope_from_samples(
             np.concatenate([e.ts for e in envs]),
             np.concatenate([e.ss for e in envs]))
+        # the running max of both sample sets dominates each envelope
         for env in envs:
-            ok, worst = check_eta(env, merged)
-            assert ok, worst
+            assert np.all(env.ss <= merged.eval_step(env.ts))
         assert merged.ss.max() <= 40.0  # frozen from the computed envelopes
 
-
-class TestCompositionConsistency:
-    def test_envelope_of_composition_below_composed_envelopes(self):
-        pts = np.linspace(0.0, 1.0, 20)
-        gaps = np.abs(pts[:, None] - pts[None, :])
-        A = FiniteMetricSpace(gaps)
-        B = FiniteMetricSpace(gaps ** 0.5)
-        C = FiniteMetricSpace(gaps ** 0.25)
-        ident = np.arange(20)
-        env_f = distortion_envelope(SampledMap(A, B, ident), "all")
-        env_g = distortion_envelope(SampledMap(B, C, ident), "all")
-        env_gf = distortion_envelope(SampledMap(A, C, ident), "all")
-        comp = envelope_compose(env_g, env_f)
-        lo, hi = comp.t_range()
-        for t, s in env_gf.breakpoints:
-            if lo <= t <= hi:
-                assert s <= comp.eval_linear(t) + 1e-9
-
-
-def test_an_empty_radius_list_is_refused():
-    m = line_space([0, 1, 2])
-    with pytest.raises(DomainError, match="radii must be nonempty"):
-        qc_constant_probe(identity_map(m, m), [])
