@@ -14,7 +14,9 @@ from metric_lab.errors import (
     ResolutionError,
     ScheduleError,
 )
+from metric_lab import fractal_gen
 from metric_lab.fractal_gen import (
+    MAX_SPACE_POINTS,
     MODEL_KINDS,
     FlatSnowflakeGenerator,
     SlitSchedule,
@@ -684,7 +686,53 @@ class TestLargestStepCount:
         assert time.perf_counter() - t0 < 1.0
 
 
-@pytest.mark.parametrize("window", [(1.0, 0.0), (0.0, math.inf), (math.nan, 1.0)])
+class TestSpacePointBound:
+    @pytest.mark.parametrize("n,admitted", [(1, True), (MAX_SPACE_POINTS, True),
+                                            (MAX_SPACE_POINTS + 1, False)])
+    def test_the_bound_admits_exactly_max_space_points(self, n, admitted):
+        if admitted:
+            fractal_gen._check_space_points(n, 0.5)
+        else:
+            with pytest.raises(ResolutionError, match=f"gives {n} or more points"):
+                fractal_gen._check_space_points(n, 0.5)
+
+    @pytest.mark.parametrize("build,n", [
+        # 65^2 = 4225 grid nodes at h = 1/64, at every level, with or without pillows
+        (lambda: slit_carpet_space(SlitSchedule(()), 1 / 64), 4225),
+        (lambda: slit_carpet_space(SlitSchedule.harmonic(1), 1 / 64), 4225),
+        (lambda: slit_carpet_space(SlitSchedule.harmonic(2), 1 / 64), 4225),
+        (lambda: pillow_carpet_space(SlitSchedule(()), 1 / 64), 4225),
+        (lambda: pillow_carpet_space(SlitSchedule.harmonic(1), 1 / 64), 4225),
+        # 49^2 grid nodes pass, the 4713 nodes with lips and pillows do not
+        (lambda: pillow_carpet_space(SlitSchedule.harmonic(1), 1 / 48), 4713),
+        (lambda: product_rug_space(("rickman", 0.5), (-1.0, 1.0), 1 / 32), 4225),
+        (lambda: product_rug_space(("wu", default_wu_schedule(4), 4), (0.0, 1.0), 1 / 64),
+         4225),
+        (lambda: product_rug_space(("rickman", 0.5), (0.0, 64.0), 1.0), 4225),
+    ], ids=["slit-0", "slit-1", "slit-2", "pillow-0", "pillow-1", "pillow-1-graph",
+            "rickman-rug", "wu-rug", "unit-mesh-rug"])
+    def test_a_space_above_the_bound_is_refused_before_its_matrix(self, build, n):
+        # an n x n float64 matrix of 4225 points alone takes 136 MiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResolutionError, match=f"gives {n} or more points"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+
+    @pytest.mark.parametrize("pillows", [False, True])
+    def test_the_grid_is_counted_before_the_graph_is_built(self, monkeypatch, pillows):
+        def graph(*args):
+            raise AssertionError("carpet graph built before the grid was counted")
+        monkeypatch.setattr(fractal_gen, "slit_carpet_graph", graph)
+        space = pillow_carpet_space if pillows else slit_carpet_space
+        with pytest.raises(ResolutionError, match="16785409 or more points"):
+            space(SlitSchedule.harmonic(1), 2.0 ** -12)
+
+
+@pytest.mark.parametrize("window",[(1.0, 0.0), (0.0, math.inf), (math.nan, 1.0)])
 def test_snowflake_window_is_checked_where_it_enters(window):
     # FlatSnowflakeGenerator(window=(1, 0)) used to end in a math domain error
     # at its first sample_ball; an infinite window in a late MalformedMatrixError

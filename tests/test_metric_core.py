@@ -15,6 +15,7 @@ from metric_lab.fractal_gen import SlitSchedule, slit_carpet_space, unit_square_
 from metric_lab.metric_core import (
     TOL,
     FiniteMetricSpace,
+    decreasing_scales,
     epsilon_net,
     rescale,
     space_from_json,
@@ -232,6 +233,23 @@ class TestEpsilonNet:
         with pytest.raises(DomainError, match="start index"):
             epsilon_net(line_space([0, 1, 2]), 1.5, start=start)
 
+    @pytest.mark.parametrize("eps", [0.0, 0.05, 0.1, 0.25, 0.5, 2.0])
+    def test_net_is_separated_and_covers(self, eps):
+        P = np.random.default_rng(7).random((60, 2))
+        m = FiniteMetricSpace(cdist(P, P))
+        net = epsilon_net(m, eps, start=5)
+        assert net[0] == 5 and len(set(net)) == len(net)
+        sub = m.dist[np.ix_(net, net)]
+        assert np.all(sub[~np.eye(len(net), dtype=bool)] > eps)
+        assert np.all(m.dist[:, net].min(axis=1) <= eps)
+
+    @pytest.mark.parametrize("lam", [0.5, 2.0, 8.0])
+    def test_commutes_with_rescale(self, lam):
+        # dyadic factors scale every distance and the radius exactly
+        m = line_space([0.0, 0.4, 1.1, 2.2, 3.9, 4.0, 6.5])
+        for eps in (0.3, 1.0, 2.5):
+            assert epsilon_net(rescale(m, lam), eps / lam) == epsilon_net(m, eps)
+
 
 class TestJsonFormat:
     def test_round_trip(self, tmp_path):
@@ -309,6 +327,29 @@ def test_json_reader_refuses_non_square_or_non_finite_matrices(obj):
     # FiniteMetricSpace makes both checks for the reader
     with pytest.raises(MalformedMatrixError):
         space_from_json(obj)
+
+
+class TestDecreasingScales:
+    @pytest.mark.parametrize("scales", [[math.nan], [0.5, math.nan], [0.0], [math.inf],
+                                        [math.inf, 0.5], [-0.25], [0.5, -0.25]])
+    def test_scales_must_be_positive_and_finite(self, scales):
+        with pytest.raises(DomainError, match="positive and finite"):
+            decreasing_scales(scales)
+
+    @pytest.mark.parametrize("scales", [[0.25, 0.5], [0.5, 0.5], [1.0, 0.5, 0.5],
+                                        [1.0, 0.25, 0.5]])
+    def test_scales_must_strictly_decrease(self, scales):
+        with pytest.raises(DomainError, match="strictly decreasing"):
+            decreasing_scales(scales)
+
+    @pytest.mark.parametrize("scales", [[1, 0.5], (2.0 ** -k for k in (1, 2)),
+                                        np.array([0.5, 0.25]), range(3, 0, -1)],
+                             ids=["list", "generator", "array", "range"])
+    def test_a_decreasing_list_comes_back_as_a_tuple_of_floats(self, scales):
+        out = decreasing_scales(scales)
+        assert isinstance(out, tuple) and len(out) in (2, 3)
+        assert all(type(v) is float for v in out)
+        assert list(out) == sorted(out, reverse=True)
 
 
 def test_an_empty_scale_list_is_refused():

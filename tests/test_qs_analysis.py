@@ -83,6 +83,43 @@ class TestEnvelope:
             distortion_envelope(identity_map(m, m))
 
 
+class TestSampledMap:
+    @pytest.mark.parametrize("assignment,match", [
+        ([0, 1], "cover all 3"), ([0, 1, 2, 3], "cover all 3"),
+        ([-1, 0, 1], "out of range"), ([0, 1, 4], "out of range")])
+    def test_assignment_covers_the_domain_inside_the_codomain(self, assignment, match):
+        m, c = line_space([0, 1, 2]), line_space([0, 1, 2, 3])
+        with pytest.raises(DomainError, match=match):
+            SampledMap(m, c, np.array(assignment))
+
+
+class TestEnvelopeBreakpoints:
+    @pytest.mark.parametrize("ts,ss,match", [
+        ([0.0, 1.0], [0.0], "matching 1-d"),
+        ([[0.0, 1.0]], [[0.0, 1.0]], "matching 1-d"),
+        ([], [], "matching 1-d"),
+        ([0.0, 1.0, 1.0], [0.0, 1.0, 2.0], "strictly increase"),
+        ([0.0, 1.0, 2.0], [0.0, 2.0, 1.0], "nondecreasing")])
+    def test_breakpoints_must_be_monotone_and_matched(self, ts, ss, match):
+        with pytest.raises(DomainError, match=match):
+            DistortionEnvelope(np.array(ts), np.array(ss))
+
+    def test_step_evaluation_is_zero_below_and_right_continuous(self):
+        env = DistortionEnvelope(np.array([0.5, 1.0, 2.0]), np.array([1.0, 3.0, 4.0]))
+        assert env.eval_step(0.25) == 0.0
+        assert env.eval_step(1.0) == 3.0 and env.eval_step(1.0 - 1e-12) == 1.0
+        assert list(env.eval_step(np.array([0.5, 1.5, 9.0]))) == [1.0, 3.0, 4.0]
+
+    @pytest.mark.parametrize("t", [0.25, 2.5])
+    def test_linear_evaluation_outside_the_sampled_range(self, t):
+        # refused unless extrapolation is allowed, then clamped to the end value
+        env = DistortionEnvelope(np.array([0.5, 1.0, 2.0]), np.array([1.0, 3.0, 4.0]))
+        with pytest.raises(DomainError, match="outside sampled envelope range"):
+            env.eval_linear(t)
+        assert env.eval_linear(t, allow_extrapolation=True) == (1.0 if t < 0.5 else 4.0)
+        assert env.eval_linear(1.5) == 3.5
+
+
 class TestEnvelopeAlgebra:
     def test_invert_identity(self):
         t = np.linspace(0.1, 4.0, 12)
