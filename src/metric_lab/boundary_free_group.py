@@ -20,9 +20,9 @@ from .errors import AlphabetError, DomainError, InsufficientDepthError
 from .metric_core import FiniteMetricSpace
 
 DEFAULT_BASE = 2.0  # visual parameter a
-# Most words one cylinder may enumerate.  Its visual matrices are n x n: the
-# largest admitted cylinder, 3750 words (rank 3, depth 5, m = 0), takes 1.9 s
-# and 451 MB through `boundary --probe-expansion`.
+# Most words one cylinder may enumerate.  Its visual matrix is n x n: the
+# largest admitted cylinder, 3750 words (rank 3, depth 5, m = 0), takes 0.7 s
+# and 277 MB through `boundary --probe-expansion`, the peak without the probe.
 MAX_CYLINDER_WORDS = 2 ** 12
 
 
@@ -122,10 +122,6 @@ class BoundaryPoint:
         return str(self.prefix)
 
 
-def boundary_point(word, rank: int) -> BoundaryPoint:
-    return BoundaryPoint(reduce_word(word, rank))
-
-
 @dataclass(frozen=True)
 class Cylinder:
     """U(p, m): boundary points sharing p's length-m prefix."""
@@ -189,18 +185,18 @@ def first_extension(prefix: ReducedWord, depth: int) -> ReducedWord:
     return ReducedWord(letters + (pad,) * (depth - len(letters)), prefix.rank)
 
 
-def _visual_matrix(words, a: float) -> np.ndarray:
-    """visual_distance of every two equal-length words, bit for bit: the
-    common-prefix lengths index one table of Python-float powers a^-k whose
-    last entry, for words that coincide, is 0."""
-    depth = len(words[0])
-    L = np.asarray(words, dtype=int).reshape(len(words), depth)
-    same = np.ones((len(words), len(words)), dtype=bool)
+def _visual_block(L, a: float, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """visual_distance from each word L[lo:hi] to each word L[lo:], for the
+    rows of an array of equal-length words, bit for bit: the common-prefix
+    lengths index one table of Python-float powers a^-k whose last entry, for
+    words that coincide, is 0.  The defaults give the whole matrix."""
+    rows, cols = L[lo:hi], L[lo:]
+    same = np.ones((len(rows), len(cols)), dtype=bool)
     lcp = np.zeros(same.shape, dtype=np.intp)
-    for k in range(depth):  # one letter at a time keeps memory at O(n^2)
-        same &= L[:, None, k] == L[None, :, k]
+    for k in range(L.shape[1]):  # one letter at a time keeps memory at O(rows x cols)
+        same &= rows[:, None, k] == cols[None, :, k]
         lcp += same
-    powers = np.array([float(a) ** -k for k in range(depth)] + [0.0])
+    powers = np.array([float(a) ** -k for k in range(L.shape[1])] + [0.0])
     return powers[lcp]
 
 
@@ -247,7 +243,7 @@ def cylinder_ball(p: BoundaryPoint, m: int, depth: int, count="all",
     an integer draws a seeded uniform sample without replacement; a > 1.
     """
     words = _cylinder_words(p, m, depth, count, a, seed)
-    return FiniteMetricSpace(_visual_matrix(words, a),
+    return FiniteMetricSpace(_visual_block(np.asarray(words, dtype=int), a),
                              tuple(word_to_string(w) for w in words))
 
 
@@ -289,7 +285,8 @@ def expansion_factor_probe(p: BoundaryPoint, m: int, samples="all",
     In the tree case the ratio is a^m for every pair (min = max = mean); the
     probe computes each ratio from actual translated distances rather than
     from the exponent identity: each word is translated once, and the ratios
-    are the upper triangles of the translates' and the words' visual matrices.
+    are the upper triangles of the translates' and the words' visual matrices,
+    computed 64 rows at a time into one vector of the n(n - 1)/2 pairs.
     """
     if depth is None:
         depth = p.depth
@@ -299,8 +296,17 @@ def expansion_factor_probe(p: BoundaryPoint, m: int, samples="all",
     g = Cylinder(p, m).prefix.inverse()
     moved = [translate_boundary(g, BoundaryPoint(ReducedWord(w, p.rank))).prefix.letters
              for w in words]
-    upper = np.triu(np.ones((len(words), len(words)), dtype=bool), 1)  # i < j, row-major
-    ratios = _visual_matrix(moved, a)[upper] / _visual_matrix(words, a)[upper]
+    W = np.asarray(words, dtype=int)
+    M = np.asarray(moved, dtype=int)
+    n = len(words)
+    ratios = np.empty(n * (n - 1) // 2)  # i < j, row-major
+    at = 0
+    for lo in range(0, n, 64):
+        hi = min(lo + 64, n)
+        upper = np.arange(lo, n)[None, :] > np.arange(lo, hi)[:, None]
+        block = _visual_block(M, a, lo, hi)[upper] / _visual_block(W, a, lo, hi)[upper]
+        ratios[at:at + block.size] = block
+        at += block.size
     return ExpansionStats(float(ratios.min()), float(ratios.max()), float(ratios.mean()),
                           len(ratios))
 

@@ -23,9 +23,9 @@ MODEL_KINDS = ("plane", "half", "quarter", "t", "l", "d", "line")
 
 # Most mesh steps across an extent or window radius; 2^12 admits h = 2^-12.
 MAX_MESH_STEPS = 2 ** 12
-# Most points of a whole carpet or rug: its n x n float64 matrix is then at
-# most 128 MiB, and `gen` holds about four such matrices at its peak (about
-# 600 MB measured at the bound on a 2-core x86 machine).
+# Most points of a whole carpet or rug, or of a window: its n x n float64
+# matrix is then at most 128 MiB, and `gen` holds about four such matrices at
+# its peak (about 600 MB measured at the bound on a 2-core x86 machine).
 MAX_SPACE_POINTS = 2 ** 12
 # Flatness values lie in [1, MAX_FLATNESS): a bump's legs, l/6 of the segment
 # they refine, are then shorter than it, so refining shrinks segments and
@@ -56,8 +56,8 @@ def _mesh_steps(h: float, span: float = 1.0) -> int:
 
 
 def _check_space_points(n: int, h: float) -> None:
-    """ResolutionError if mesh h gives a whole space more than MAX_SPACE_POINTS
-    points; called before its n x n matrix is allocated."""
+    """ResolutionError if mesh h gives a whole space or a window more than
+    MAX_SPACE_POINTS points; called before its n x n matrix is allocated."""
     if n > MAX_SPACE_POINTS:
         raise ResolutionError(f"mesh {h} gives {n} or more points, more than the "
                               f"{MAX_SPACE_POINTS} of a whole generated space")
@@ -666,7 +666,8 @@ def _grid_node(center, h: float):
 
 def _grid_ball(pred, center, R: float, h: float, one_dim: bool):
     """Nodes of the h-grid inside the region pred within distance R of the
-    center node, Euclidean metric: (space, base index)."""
+    center node, Euclidean metric: (space, base index).  The point list is
+    counted as it grows, against MAX_SPACE_POINTS."""
     icx, icy = _grid_node(center, h)
     cx, cy = float(center[0]), float(center[1])
     K = math.floor((R + TOL) / h)
@@ -682,6 +683,7 @@ def _grid_ball(pred, center, R: float, h: float, one_dim: bool):
                 if ix == icx and iy == icy:
                     base = len(pts)
                 pts.append((x, y))
+                _check_space_points(len(pts), h)
     if base is None:
         raise DomainError(f"center {center} lies outside the region")
     return _euclidean_space(pts), base
@@ -765,6 +767,7 @@ def _graph_ball(build, center, R: float, h: float):
         raise DomainError(f"center {tuple(center)} is not a node of the grid graph")
     base = graph.index[key]
     sel = np.nonzero(graph.distances_from([base], R + TOL)[0] <= R + TOL)[0]
+    _check_space_points(len(sel), h)
     return graph.space_on(sel, 2 * (R + TOL)), int(np.nonzero(sel == base)[0][0])
 
 

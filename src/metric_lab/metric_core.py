@@ -221,11 +221,6 @@ def decreasing_scales(values) -> tuple:
 # JSON interchange: {"labels": [...], "dist": [[...]]}, full symmetric matrix.
 # ---------------------------------------------------------------------------
 
-def space_to_json(m: FiniteMetricSpace) -> dict:
-    return {"labels": [_label_to_json(l) for l in m.labels],
-            "dist": m.dist.tolist()}
-
-
 def space_from_json(obj: dict) -> FiniteMetricSpace:
     """FiniteMetricSpace checks the matrix is square and finite; this, symmetry."""
     if not isinstance(obj, dict) or "dist" not in obj:
@@ -257,12 +252,13 @@ def _label_from_json(label):
 
 
 def write_space(m: FiniteMetricSpace, path: str) -> None:
-    """Atomic write of space_to_json(m), streamed one matrix row at a time.
+    """Atomic write of m as {"labels": [...], "dist": [[...]]}, streamed one
+    matrix row at a time.
 
-    The bytes equal write_json_atomic(space_to_json(m), path), without
-    building the nested lists.  Each distinct value of a row is formatted
-    once by float.__repr__, as json formats floats; values are told apart by
-    their bits, so -0.0 stays distinct from 0.0.
+    The bytes equal write_json_atomic of that object with the matrix as
+    nested lists, without building the lists.  Each distinct value of a row
+    is formatted once by float.__repr__, as json formats floats; values are
+    told apart by their bits, so -0.0 stays distinct from 0.0.
     """
     labels = json.dumps([_label_to_json(l) for l in m.labels],
                         indent=1, sort_keys=True)

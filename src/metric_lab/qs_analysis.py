@@ -42,8 +42,8 @@ class SampledMap:
 class DistortionEnvelope:
     """Minimal monotone step function eta_hat(t) = max{s : breakpoint t' <= t}.
 
-    Breakpoints are strictly increasing in both coordinates; evaluation below
-    the first breakpoint returns 0.
+    Breakpoints are strictly increasing in both coordinates; the function is
+    0 below the first breakpoint.
     """
 
     ts: np.ndarray
@@ -64,13 +64,6 @@ class DistortionEnvelope:
     @property
     def breakpoints(self):
         return list(zip(self.ts.tolist(), self.ss.tolist()))
-
-    def eval_step(self, t):
-        """Right-continuous step evaluation (the sound bound from samples)."""
-        t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.ts, t, side="right") - 1
-        out = np.where(idx >= 0, self.ss[np.maximum(idx, 0)], 0.0)
-        return float(out) if out.ndim == 0 else out
 
     def eval_linear(self, t, allow_extrapolation: bool = False):
         """Piecewise-linear evaluation between breakpoints.

@@ -11,7 +11,9 @@ metrics, a plain Floyd-Warshall, a frozen copy of the Euclidean
 model-window sampler, a frozen unbounded, symmetrised graph-window search
 (over model graphs padded to 3R), a frozen copy of the flat-snowflake window
 sampler that refines segment by segment, a frozen metric-axiom check that scans
-every triangle slab, a frozen copy of the boundary expansion probe that
+every triangle slab, the nested-list space JSON that the streaming space
+writer must match byte for byte, a breakpoint-counting step evaluation of
+distortion envelopes, a frozen copy of the boundary expansion probe that
 translates both points of every pair and compares scalar visual distances,
 a pair-by-pair nearest-position seed, and a frozen blow-up scan loop that
 solves every window against every model.
@@ -648,6 +650,36 @@ def reference_validate_metric(m) -> list:
     if worst_excess > _TOL and worst_triple is not None:
         out.append(AxiomViolation("triangle", worst_triple, worst_excess))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Space JSON and distortion envelopes
+# ---------------------------------------------------------------------------
+
+def _reference_label(label):
+    if isinstance(label, tuple):
+        return [_reference_label(x) for x in label]
+    if isinstance(label, np.integer):
+        return int(label)
+    if isinstance(label, np.floating):
+        return float(label)
+    return label
+
+
+def reference_space_json(m) -> dict:
+    """The space as nested lists: json.dump(indent=1, sort_keys=True) of it,
+    newline-terminated, is the byte reference for metric_core.write_space."""
+    return {"labels": [_reference_label(l) for l in m.labels], "dist": m.dist.tolist()}
+
+
+def reference_eval_step(env, t):
+    """Step evaluation of a distortion envelope by counting breakpoints: the
+    value of the last breakpoint at or below t, 0 below the first; t is a
+    number or an array."""
+    t = np.asarray(t, dtype=float)
+    below = (env.ts <= t[..., None]).sum(axis=-1)
+    out = np.where(below > 0, env.ss[np.maximum(below - 1, 0)], 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from click.testing import CliRunner
 from metric_lab.boundary_free_group import (
     BoundaryPoint,
     ReducedWord,
-    boundary_point,
     cylinder_ball,
     enumerate_words,
     expanding_cover,

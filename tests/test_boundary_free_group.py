@@ -1,6 +1,7 @@
 """Tests for reduced words, visual metrics, cylinders and the expanding action."""
 
 import string
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from metric_lab import boundary_free_group as bfg
 from metric_lab.boundary_free_group import (
     BoundaryPoint,
     ReducedWord,
-    boundary_point,
     cylinder_ball,
     enumerate_words,
     expanding_cover,
@@ -26,6 +26,10 @@ from metric_lab.boundary_free_group import (
 from metric_lab.errors import AlphabetError, DomainError, InsufficientDepthError
 
 from .oracles import reference_expansion_probe
+
+
+def point(word, rank):
+    return BoundaryPoint(reduce_word(word, rank))
 
 
 def all_points(rank, depth):
@@ -58,17 +62,17 @@ class TestReduceWord:
 
 class TestGromovProduct:
     def test_equal_points_saturate(self):
-        x = boundary_point("abab", 2)
+        x = point("abab", 2)
         assert gromov_product_prefix(x, x) == 4
 
     def test_divergence_after_first_letter(self):
-        x = boundary_point("aba", 3)
-        y = boundary_point("aca", 3)
+        x = point("aba", 3)
+        y = point("aca", 3)
         assert gromov_product_prefix(x, y) == 1
 
     def test_depth_mismatch_rejected(self):
         with pytest.raises(DomainError):
-            gromov_product_prefix(boundary_point("ab", 2), boundary_point("aba", 2))
+            gromov_product_prefix(point("ab", 2), point("aba", 2))
 
     def test_tree_inequality_exhaustive_depth4(self):
         # (x,y) >= min((x,z),(y,z)) holds exactly on a tree boundary
@@ -81,16 +85,16 @@ class TestGromovProduct:
 
 class TestVisualDistance:
     def test_zero_iff_equal(self):
-        x = boundary_point("ab", 2)
+        x = point("ab", 2)
         assert visual_distance(x, x) == 0.0
 
     def test_product_one_base_two(self):
-        x = boundary_point("aba", 3)
-        y = boundary_point("aca", 3)
+        x = point("aba", 3)
+        y = point("aca", 3)
         assert visual_distance(x, y, 2.0) == 0.5
 
     def test_base_must_exceed_one(self):
-        x = boundary_point("ab", 2)
+        x = point("ab", 2)
         with pytest.raises(DomainError):
             visual_distance(x, x, 1.0)
 
@@ -116,7 +120,7 @@ class TestVisualDistance:
 
 class TestCylinders:
     def test_full_prefix_gives_singleton(self):
-        p = boundary_point("aba", 2)
+        p = point("aba", 2)
         ball = cylinder_ball(p, 3, 3)
         assert ball.n == 1
         assert ball.labels == ("aba",)
@@ -124,33 +128,33 @@ class TestCylinders:
     def test_rank2_depth3_first_letter_fixed(self):
         # each later letter has 3 non-cancelling choices: 3^(N-m) points;
         # the 4 cylinders of depth 1 partition all 4*3^2 = 36 depth-3 words
-        p = boundary_point("aaa", 2)
+        p = point("aaa", 2)
         ball = cylinder_ball(p, 1, 3)
         assert ball.n == 9
         assert all(lbl.startswith("a") for lbl in ball.labels)
         assert len(enumerate_words(2, 3)) == 36
 
     def test_diameter_is_a_to_minus_m(self):
-        p = boundary_point("abab", 2)
+        p = point("abab", 2)
         for m in (1, 2, 3):
             ball = cylinder_ball(p, m, 4)
             assert ball.diameter() == pytest.approx(2.0 ** (-m), abs=0)
 
     def test_sampled_ball_is_subset(self):
-        p = boundary_point("aaaa", 2)
+        p = point("aaaa", 2)
         full = set(cylinder_ball(p, 1, 4).labels)
         sample = cylinder_ball(p, 1, 4, count=5, seed=3)
         assert sample.n == 5
         assert set(sample.labels) <= full
 
     def test_depth_overflow_rejected(self):
-        p = boundary_point("ab", 2)
+        p = point("ab", 2)
         with pytest.raises(DomainError):
             cylinder_ball(p, 3, 2)
 
     def test_negative_cylinder_depth_rejected(self):
         with pytest.raises(DomainError, match="outside 0..4"):
-            cylinder_ball(boundary_point("abab", 2), -1, 5)
+            cylinder_ball(point("abab", 2), -1, 5)
 
     def test_word_count_bound_is_checked_before_enumerating(self, monkeypatch):
         # 4 * 3^39 words at depth 40 would exhaust memory in the enumeration
@@ -194,8 +198,8 @@ class TestCylinders:
 
     @pytest.mark.parametrize("a", [1.1, 2.5])
     def test_entries_equal_scalar_visual_distance(self, a):
-        ball = cylinder_ball(boundary_point("abab", 2), 0, 6, a=a)
-        pts = [boundary_point(lbl, 2) for lbl in ball.labels]
+        ball = cylinder_ball(point("abab", 2), 0, 6, a=a)
+        pts = [point(lbl, 2) for lbl in ball.labels]
         expected = np.array([[visual_distance(x, y, a) for y in pts] for x in pts])
         assert np.array_equal(ball.dist, expected)
 
@@ -203,10 +207,10 @@ class TestCylinders:
     def test_visual_parameter_at_most_one_rejected(self, a):
         # at a = 0.5 the depth-4 cylinder would break the triangle inequality
         with pytest.raises(DomainError, match="must exceed 1"):
-            cylinder_ball(boundary_point("abab", 2), 0, 4, a=a)
+            cylinder_ball(point("abab", 2), 0, 4, a=a)
 
     def test_sampled_ball_matches_sampled_probe_words(self):
-        p = boundary_point("aaaa", 2)
+        p = point("aaaa", 2)
         ball = cylinder_ball(p, 1, 4, count=4, seed=5)
         stats = expansion_factor_probe(p, 1, samples=4, depth=4, seed=5)
         assert ball.n == 4
@@ -215,24 +219,24 @@ class TestCylinders:
 
 class TestTranslation:
     def test_identity_translation(self):
-        x = boundary_point("abab", 2)
+        x = point("abab", 2)
         g = reduce_word("", 2)
         assert translate_boundary(g, x).prefix.letters == x.prefix.letters
 
     def test_prefix_stripping(self):
-        x = boundary_point("abab", 2)
+        x = point("abab", 2)
         g = reduce_word("ab", 2).inverse()
         assert str(translate_boundary(g, x)) == "ab"
 
     def test_round_trip_up_to_lost_depth(self):
-        x = boundary_point("abab", 2)
+        x = point("abab", 2)
         g = reduce_word("ba", 2)
         there = translate_boundary(g, x)
         back = translate_boundary(g.inverse(), there)
         assert back.prefix.letters == x.prefix.letters
 
     def test_consuming_whole_prefix_errors(self):
-        x = boundary_point("ab", 2)
+        x = point("ab", 2)
         g = reduce_word("ab", 2).inverse()
         with pytest.raises(InsufficientDepthError):
             translate_boundary(g, x)
@@ -240,7 +244,7 @@ class TestTranslation:
 
 class TestExpansion:
     def test_exact_factor_depth5(self):
-        p = boundary_point("ababa", 2)
+        p = point("ababa", 2)
         for m in (1, 2, 3):
             stats = expansion_factor_probe(p, m)
             assert stats.minimum == stats.maximum == 2.0 ** m
@@ -248,24 +252,24 @@ class TestExpansion:
 
     @pytest.mark.parametrize("samples", [0, -3])
     def test_non_positive_sample_count_rejected(self, samples):
-        p = boundary_point("abab", 2)
+        p = point("abab", 2)
         with pytest.raises(DomainError, match="sample count must be positive"):
             expansion_factor_probe(p, 1, samples=samples)
 
     def test_m_beyond_known_prefix_rejected(self):
         # U(p, 3) is undefined when only two letters of p are known
         with pytest.raises(DomainError, match="outside 0..2"):
-            expansion_factor_probe(boundary_point("ab", 2), 3, depth=5)
+            expansion_factor_probe(point("ab", 2), 3, depth=5)
         with pytest.raises(DomainError):
-            expansion_factor_probe(boundary_point("abab", 2), -1)
+            expansion_factor_probe(point("abab", 2), -1)
 
     def test_visual_parameter_checked_without_pairs(self):
         # m == depth leaves one word and no pair; a <= 1 is still refused
         with pytest.raises(DomainError, match="must exceed 1"):
-            expansion_factor_probe(boundary_point("abab", 2), 4, a=1.0)
+            expansion_factor_probe(point("abab", 2), 4, a=1.0)
 
     def test_m_zero_is_identity(self):
-        p = boundary_point("abab", 2)
+        p = point("abab", 2)
         stats = expansion_factor_probe(p, 0)
         assert stats.minimum == stats.maximum == 1.0
 
@@ -294,13 +298,13 @@ class TestExpansion:
             ball = cylinder_ball(el.cylinder.p, m, depth)
             imgs = set()
             for lbl in ball.labels:
-                moved = translate_boundary(el.contraction, boundary_point(lbl, rank))
+                moved = translate_boundary(el.contraction, point(lbl, rank))
                 imgs.add(str(moved))
             last = el.cylinder.prefix.letters[-1]
             expected = {word_to_string(w) for w in enumerate_words(rank, depth - m)
                         if w[0] != -last}
             assert imgs == expected
-            pts = [boundary_point(s, rank) for s in sorted(imgs)]
+            pts = [point(s, rank) for s in sorted(imgs)]
             diam = max(visual_distance(a, b) for a in pts for b in pts)
             assert diam == (2.0 ** m) * ball.diameter() == 1.0
 
@@ -310,7 +314,7 @@ class TestExpansion:
         m, depth, rank = 2, 5, 2
         el = expanding_cover(m, depth, rank)[0]
         ball = cylinder_ball(el.cylinder.p, m, depth)
-        pts = [boundary_point(lbl, rank) for lbl in ball.labels]
+        pts = [point(lbl, rank) for lbl in ball.labels]
         moved = [translate_boundary(el.contraction, q) for q in pts]
         D = np.array([[visual_distance(a, b) for b in pts] for a in pts])
         DM = np.array([[visual_distance(a, b) for b in moved] for a in moved])
@@ -327,7 +331,7 @@ _PROBE_POINTS = {2: "abABabA", 3: "abcAB"}
 @pytest.mark.parametrize("rank,depth",
                          [(2, d) for d in range(1, 8)] + [(3, d) for d in range(1, 6)])
 def test_probe_matches_frozen_pair_loop(rank, depth):
-    p = boundary_point(_PROBE_POINTS[rank][:depth], rank)
+    p = point(_PROBE_POINTS[rank][:depth], rank)
     for m in range(depth + 1):
         n = len(enumerate_words(rank, depth, p.prefix.letters[:m]))
         for samples in ("all", 5, 40):
@@ -339,9 +343,26 @@ def test_probe_matches_frozen_pair_loop(rank, depth):
                     reference_expansion_probe(p, m, **kw), (m, samples, a)
 
 
+def test_largest_probe_holds_one_vector_of_its_pairs():
+    # 3750 words (rank 3, depth 5, m = 0), 7 029 375 pairs: the ratio vector
+    # takes 54 MiB, one n x n float matrix 107 MiB; the probe used to build
+    # two of those with their prefix-length matrices, 295 MiB in all
+    p = BoundaryPoint(first_extension(ReducedWord((), 3), 5))
+    expansion_factor_probe(p, 0, samples=5)  # warm up lazily built state
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        stats = expansion_factor_probe(p, 0)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * 2 ** 20
+    assert stats == bfg.ExpansionStats(1.0, 1.0, 1.0, 3750 * 3749 // 2)
+
+
 class TestCylinderSpacesValidate:
     def test_cylinder_ball_is_a_valid_metric_space(self):
         from metric_lab.metric_core import validate_metric
 
-        ball = cylinder_ball(boundary_point("abab", 2), 1, 4)
+        ball = cylinder_ball(point("abab", 2), 1, 4)
         assert validate_metric(ball) == []

@@ -841,6 +841,16 @@ CONTRACTS = [
     pytest.param(["gen", "--kind", "slit-carpet", "--levels", "1", "--h", "2^-12",
                   "--out", "{out}"], 1, "gives 16785409 or more points",
                  id="carpet-h-2^-12-point-bound"),
+    # so has a window: a Euclidean model window stops at its 4097th grid
+    # point, before the matrix (h = 1/512 used to ask numpy for 9.87 TiB); the
+    # disc holds 4293 grid points at h = 1/37 and 4053 at h = 1/36
+    pytest.param(["gen", "--kind", "model-plane", "--radius", "1", "--h", "1/512",
+                  "--out", "{out}"], 1,
+                 "Error: ResolutionError: mesh 0.001953125 gives 4097 or more points",
+                 id="model-plane-h-1/512-point-bound"),
+    pytest.param(["gen", "--kind", "model-plane", "--radius", "1", "--h", "1/37",
+                  "--out", "{out}"], 1, "gives 4097 or more points",
+                 id="model-plane-h-1/37-point-bound"),
 ]
 
 

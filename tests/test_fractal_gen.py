@@ -36,6 +36,7 @@ from metric_lab.fractal_gen import (
     wu_line_metric,
     WuSchedule,
 )
+from metric_lab.grids import GridGraph
 from metric_lab.metric_core import validate_metric
 
 from .oracles import (
@@ -709,8 +710,14 @@ class TestSpacePointBound:
         (lambda: product_rug_space(("wu", default_wu_schedule(4), 4), (0.0, 1.0), 1 / 64),
          4225),
         (lambda: product_rug_space(("rickman", 0.5), (0.0, 64.0), 1.0), 4225),
+        # a Euclidean window stops counting at the first point above the bound:
+        # a disc of 4293 grid points at h = 1/37, a line of 2 * 2048 + 1
+        (lambda: model_tangent_space("plane", 1.0, 1 / 37), 4097),
+        (lambda: model_tangent_space("line", 1.0, 1 / 2048), 4097),
+        (lambda: make_generator("square").sample_ball((0.5, 0.5), 0.5, 1 / 80), 4097),
     ], ids=["slit-0", "slit-1", "slit-2", "pillow-0", "pillow-1", "pillow-1-graph",
-            "rickman-rug", "wu-rug", "unit-mesh-rug"])
+            "rickman-rug", "wu-rug", "unit-mesh-rug", "plane-window", "line-window",
+            "square-window"])
     def test_a_space_above_the_bound_is_refused_before_its_matrix(self, build, n):
         # an n x n float64 matrix of 4225 points alone takes 136 MiB
         tracemalloc.start()
@@ -730,6 +737,21 @@ class TestSpacePointBound:
         space = pillow_carpet_space if pillows else slit_carpet_space
         with pytest.raises(ResolutionError, match="16785409 or more points"):
             space(SlitSchedule.harmonic(1), 2.0 ** -12)
+
+    @pytest.mark.parametrize("build,n", [
+        # a ball of radius K steps holds 2K^2 + 2K + 1 grid nodes, and the t
+        # ball K lip nodes more: 4141 + 45 at K = 45 (3961 + 44 at K = 44),
+        # and the carpet ball, clear of the slit, 4325 at K = 46
+        (lambda: model_tangent_space("t", 1.0, 1 / 45), 4186),
+        (lambda: make_generator("slit-carpet", sched=SlitSchedule.harmonic(1))
+         .sample_ball((0.25, 0.25), 0.25, 1 / 184), 4325),
+    ], ids=["t-window", "carpet-window"])
+    def test_a_graph_window_is_counted_before_its_matrix(self, monkeypatch, build, n):
+        def space_on(*args):
+            raise AssertionError("window matrix built before the ball was counted")
+        monkeypatch.setattr(GridGraph, "space_on", space_on)
+        with pytest.raises(ResolutionError, match=f"gives {n} or more points"):
+            build()
 
 
 @pytest.mark.parametrize("window",[(1.0, 0.0), (0.0, math.inf), (math.nan, 1.0)])

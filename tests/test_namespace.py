@@ -1,133 +1,126 @@
-"""The package namespace exports its frozen list of names, each the very object
-its defining module holds and each with a caller, and nothing else."""
+"""Each object has one import path, its defining submodule: the package
+namespace holds only its version, and every public name and method of the
+submodules has a caller."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import metric_lab
 
-# A frozen copy of the names the package exports, by the module that defines
-# each.
-EXPORTED = {
-    "errors": [
-        "AlphabetError", "ConstructionError", "DegenerateEnvelopeError",
-        "DomainError", "InsufficientDepthError", "MalformedMatrixError",
-        "MetricLabError", "ResolutionError", "ScheduleError",
-    ],
-    "metric_core": [
-        "TOL", "AxiomViolation", "FiniteMetricSpace", "PointedWindow",
-        "epsilon_net", "rescale", "space_from_json", "space_to_json",
-        "validate_metric", "write_space",
-    ],
-    "gh_solver": [
-        "Correspondence", "GhResult", "correspondence_from_map",
-        "distortion_of_correspondence", "gh_bounds", "gh_distance",
-        "gh_exact_small", "map_distortion", "pointed_gh_bounds",
-    ],
-    "fractal_gen": [
-        "MODEL_KINDS", "FlatSnowflakeGenerator", "SlitCarpetGenerator",
-        "SlitPlanePoint", "SlitSchedule", "WuSchedule", "default_wu_schedule",
-        "make_generator", "model_tangent_space", "phi_half_disk_sample",
-        "pillow_carpet_space", "product_rug_space", "slit_carpet_graph",
-        "slit_carpet_space", "slit_plane_distance", "snowflake_polyline",
-        "square_map_phi", "unit_square_generator", "wu_L", "wu_line_metric",
-    ],
-    "boundary_free_group": [
-        "BoundaryPoint", "Cylinder", "ExpansionStats", "ReducedWord",
-        "boundary_point", "cylinder_ball", "enumerate_words", "expanding_cover",
-        "expansion_factor_probe", "gromov_product_prefix", "reduce_word",
-        "translate_boundary", "visual_distance",
-    ],
-    "qs_analysis": [
-        "DistortionEnvelope", "SampledMap", "distortion_envelope",
-        "envelope_from_samples", "envelope_invert",
-    ],
-    "tangent_lab": [
-        "ScanConfig", "ScanReport", "Verdict",
-        "classify_tangent", "extract_window", "nearest_position_seed",
-        "tangent_scan",
-    ],
-}
-DEFINED_IN = [(module, name) for module, names in EXPORTED.items() for name in names]
-EXPORTED_NAMES = [name for _, name in DEFINED_IN]
-
-# Exports that no searched file calls either, kept until a change decides
-# them: boundary_point is imported by the acceptance suite but never called,
-# and space_to_json is the reference write_space's bytes are tested against.
-NO_CALLER_YET = {"boundary_point", "space_to_json"}
-
-# The code whose calls keep an export alive: the package (its namespace
-# module aside), the acceptance suite and the benchmark.
 ROOT = Path(__file__).resolve().parents[1]
-CALLER_FILES = ([p for p in sorted((ROOT / "src" / "metric_lab").glob("*.py"))
-                 if p.name != "__init__.py"]
+PACKAGE = ROOT / "src" / "metric_lab"
+SUBMODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+# The code whose calls keep a name alive: the package (its namespace module
+# aside), the acceptance suite and the benchmark.
+CALLER_FILES = ([PACKAGE / f"{module}.py" for module in SUBMODULES]
                 + [ROOT / "tests" / "test_acceptance.py"]
                 + sorted((ROOT / "perfbench").glob("*.py")))
 
 
-def test_all_lists_exactly_the_exported_names():
-    assert sorted(metric_lab.__all__) == sorted(EXPORTED_NAMES)
-    assert len(metric_lab.__all__) == len(set(metric_lab.__all__))
+def _public(name):
+    return not name.startswith("_")
 
 
-def _loads(path):
-    """(name, owner) for each load of a name or attribute in the file, where
-    owner is the enclosing top-level function or class, or None."""
+def _definitions(module):
+    """(module, name) of each public top-level def, class and assignment of a
+    submodule, and (module, "Class.method") of each public method of its
+    classes.  A decorated top-level function (a click command) is an entry
+    point, not a definition that needs a caller."""
     out = []
-    for node in ast.parse(path.read_text(), str(path)).body:
-        owner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-                out.append((sub.id, owner))
-            elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
-                out.append((sub.attr, owner))
+    for node in ast.parse((PACKAGE / f"{module}.py").read_text()).body:
+        if isinstance(node, ast.FunctionDef):
+            if _public(node.name) and not node.decorator_list:
+                out.append((module, node.name))
+        elif isinstance(node, ast.ClassDef):
+            if _public(node.name):
+                out.append((module, node.name))
+            out += [(module, f"{node.name}.{sub.name}") for sub in node.body
+                    if isinstance(sub, ast.FunctionDef) and _public(sub.name)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [(module, t.id) for t in targets
+                    if isinstance(t, ast.Name) and _public(t.id)]
     return out
 
 
-def test_every_export_has_a_caller():
-    # a load inside the export's own definition, or inside the definition of
-    # an export that itself has no caller, does not count
-    loads = [load for path in CALLER_FILES for load in _loads(path)]
+def _loads(path):
+    """(name, is_attribute, owners) for each load of a name or attribute in
+    the file, where owners holds the (file stem, name) of the enclosing
+    top-level def or class and, inside a method, (file stem, "Class.method")."""
+    out = []
+    for node in ast.parse(path.read_text(), str(path)).body:
+        owners = ()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            owners = ((path.stem, node.name),)
+        scopes = [(node, owners)]
+        if isinstance(node, ast.ClassDef):
+            scopes = [(sub, owners) for sub in node.decorator_list + node.bases + node.keywords]
+            for sub in node.body:
+                method = ()
+                if isinstance(sub, ast.FunctionDef):
+                    method = ((path.stem, f"{node.name}.{sub.name}"),)
+                scopes.append((sub, owners + method))
+        for scope, owners in scopes:
+            for sub in ast.walk(scope):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    out.append((sub.id, False, owners))
+                elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                    out.append((sub.attr, True, owners))
+    return out
+
+
+def test_every_public_name_and_method_has_a_caller():
+    # a module-level name is called by a load of its name, bare or as an
+    # attribute, a method by an attribute load; a load inside the definition
+    # itself, or inside a definition that has no caller either, does not count
+    defined = [d for module in SUBMODULES for d in _definitions(module)]
+    loads: dict = {}
+    for path in CALLER_FILES:
+        for name, is_attribute, owners in _loads(path):
+            loads.setdefault(name, []).append((is_attribute, set(owners)))
     uncalled: set = set()
     while True:
-        called = {name for name, owner in loads
-                  if owner != name and owner not in uncalled}
-        now = set(metric_lab.__all__) - called
+        called = {(module, name) for module, name in defined
+                  for is_attribute, owners in loads.get(name.rpartition(".")[2], [])
+                  if (is_attribute or "." not in name)
+                  and (module, name) not in owners and not uncalled & owners}
+        now = set(defined) - called
         if now == uncalled:
             break
         uncalled = now
-    assert sorted(uncalled - NO_CALLER_YET) == []
-    assert NO_CALLER_YET <= uncalled  # a name that gains a caller leaves the set
+    assert sorted(f"{module}.{name}" for module, name in uncalled) == []
 
 
-@pytest.mark.parametrize("module,name", DEFINED_IN)
-def test_each_name_resolves_to_its_defining_module_object(module, name):
-    want = getattr(importlib.import_module(f"metric_lab.{module}"), name)
-    assert getattr(metric_lab, name) is want
-    namespace: dict = {}
-    exec(f"from metric_lab import {name}", namespace)
-    assert namespace[name] is want
+def test_import_loads_no_submodule_and_no_numpy():
+    # the package namespace is its docstring and version; an eager import
+    # layer would load the submodules, and numpy with them
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(PACKAGE.parent),
+                                                    env.get("PYTHONPATH")) if p)
+    probe = ("import sys, metric_lab; print(sorted(m for m in sys.modules "
+             "if m.startswith('metric_lab.') or m.partition('.')[0] == 'numpy'))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
-def test_star_import_binds_every_exported_name():
-    namespace: dict = {}
-    exec("from metric_lab import *", namespace)
-    assert set(EXPORTED_NAMES) <= set(namespace)
-
-
-def test_dir_lists_the_exports_and_the_version():
-    listing = dir(metric_lab)
-    assert set(EXPORTED_NAMES) <= set(listing)
-    assert "__version__" in listing
+def test_dir_lists_the_version():
+    assert "__version__" in dir(metric_lab)
     assert metric_lab.__version__ == "0.1.0"
 
 
-@pytest.mark.parametrize("module", sorted(EXPORTED) + ["grids"])
+@pytest.mark.parametrize("module", SUBMODULES)
 def test_submodules_resolve_as_attributes(module):
-    assert getattr(metric_lab, module) is importlib.import_module(f"metric_lab.{module}")
+    want = importlib.import_module(f"metric_lab.{module}")
+    assert getattr(metric_lab, module) is want
 
 
 @pytest.mark.parametrize("name", ["no_such_name", "cdist", "np", "_EXPORT"])
@@ -137,4 +130,3 @@ def test_unknown_attribute_raises_attribute_error(name):
     assert not hasattr(metric_lab, name)
     with pytest.raises(ImportError):
         exec(f"from metric_lab import {name}", {})
-
