@@ -4,6 +4,7 @@ submodules has a caller."""
 
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -110,6 +111,19 @@ def test_import_loads_no_submodule_and_no_numpy():
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("module,name", [d for module in SUBMODULES
+                                         for d in _definitions(module) if "." not in d[1]])
+def test_each_name_resolves_to_its_defining_module_object(module, name):
+    # the defining submodule is the one import path: the object is defined
+    # there, and the package neither binds it nor imports it by name
+    obj = getattr(importlib.import_module(f"metric_lab.{module}"), name)
+    if inspect.isclass(obj) or inspect.isfunction(obj):
+        assert obj.__module__ == f"metric_lab.{module}"
+    assert not hasattr(metric_lab, name)
+    with pytest.raises(ImportError):
+        exec(f"from metric_lab import {name}", {})
 
 
 def test_dir_lists_the_version():
