@@ -4,8 +4,8 @@ Slit carpets and pillow carpets live on 4-neighbor grid graphs with the
 shortest-path metric; snowflake curves are polylines carrying either their
 arc-length metric (the curve measured along itself) or the chordal metric
 induced from the plane (the one blow-up scans care about); Wu's line and the
-product rugs are closed-form metrics evaluated pairwise; the six model
-tangent spaces come as pointed windows ready for GH comparison.
+product rugs are closed-form metrics evaluated pairwise; every window kind,
+the seven model tangents included, is an entry of make_generator.
 """
 from __future__ import annotations
 
@@ -135,15 +135,16 @@ def slit_carpet_graph(sched: SlitSchedule, h: float, pillows: bool = False) -> G
     intrinsic metric.  A pillow is two sheets of the slit's size glued along
     three sides, its mouth identified with that cycle node by node.
     """
-    return _slit_carpet_box(sched, h, pillows, 0, 0, MAX_MESH_STEPS, ())
+    return _slit_carpet_box(sched, h, 0, 0, MAX_MESH_STEPS, (), pillows=pillows)
 
 
-def _slit_carpet_box(sched: SlitSchedule, h: float, pillows: bool, cx: int, cy: int,
-                     K: int, tags: tuple) -> GridGraph:
+def _slit_carpet_box(sched: SlitSchedule, h: float, cx: int, cy: int, K: int,
+                     tags: tuple, pillows: bool = False) -> GridGraph:
     """The carpet's graph on the index box [cx - K, cx + K] x [cy - K, cy + K]
     clipped to [0, M]^2, pillows to depth K past a pillow center's ("P", slit,
-    sheet, u, v).  The whole carpet's loops run over the box in order with the
-    same slit numbers, so nodes off the box's low edges keep their order."""
+    sheet, u, v), the box function of the carpet's windows.  The whole
+    carpet's loops run over the box in order with the same slit numbers, so
+    nodes off the box's low edges keep their order."""
     M = _mesh_steps(h)
     slits = _slit_table(sched, M)
     by_col: dict = {}
@@ -200,8 +201,8 @@ def slit_carpet_space(sched: SlitSchedule, h: float) -> FiniteMetricSpace:
 
     Cost is quadratic in the node count, so a mesh that gives more than
     MAX_SPACE_POINTS nodes raises ResolutionError; for fine meshes prefer a
-    window, SlitCarpetGenerator.sample_ball, which builds only the box around
-    its center.
+    window, make_generator("slit-carpet", sched=sched).sample_ball, which
+    builds only the box around its center.
     """
     return _whole_carpet(sched, h, False)
 
@@ -638,16 +639,17 @@ def product_rug_space(line_metric, extent=(-1.0, 1.0),
 
 
 # ---------------------------------------------------------------------------
-# Model tangent spaces
+# Windows: Euclidean regions, graph models and carpets, one registry
 # ---------------------------------------------------------------------------
 
-# Euclidean model tangents: region predicate and whether only the x-axis is
-# sampled.  The same table drives model_tangent_space and make_generator.
-_EUCLID_MODELS = {
-    "plane": (lambda x, y: True, False),
-    "half": (lambda x, y: y >= -TOL, False),
-    "quarter": (lambda x, y: x >= -TOL and y >= -TOL, False),
-    "line": (lambda x, y: True, True),
+# Closed boxes (x_lo, x_hi, y_lo, y_hi) of the Euclidean regions, the line as
+# y = 0; a grid node belongs to a region when it lies in its box padded by TOL.
+_REGIONS = {
+    "square": (0.0, 1.0, 0.0, 1.0),
+    "plane": (-math.inf, math.inf, -math.inf, math.inf),
+    "half": (-math.inf, math.inf, 0.0, math.inf),
+    "quarter": (0.0, math.inf, 0.0, math.inf),
+    "line": (-math.inf, math.inf, 0.0, 0.0),
 }
 
 
@@ -664,29 +666,12 @@ def _grid_node(center, h: float):
     return icx, icy
 
 
-def _grid_ball(pred, center, R: float, h: float, one_dim: bool):
-    """Nodes of the h-grid inside the region pred within distance R of the
-    center node, Euclidean metric: (space, base index).  The point list is
-    counted as it grows, against MAX_SPACE_POINTS."""
-    icx, icy = _grid_node(center, h)
-    cx, cy = float(center[0]), float(center[1])
-    K = math.floor((R + TOL) / h)
-    pts, base = [], None
-    ys = (icy,) if one_dim else range(icy - K, icy + K + 1)
-    for ix in range(icx - K, icx + K + 1):
-        for iy in ys:
-            x, y = ix * h, iy * h
-            if not pred(x, y):
-                continue
-            # products, not ** 2: a radius past 1e154 squares to inf, not OverflowError
-            if (x - cx) * (x - cx) + (y - cy) * (y - cy) <= (R + TOL) * (R + TOL):
-                if ix == icx and iy == icy:
-                    base = len(pts)
-                pts.append((x, y))
-                _check_space_points(len(pts), h)
-    if base is None:
-        raise DomainError(f"center {center} lies outside the region")
-    return _euclidean_space(pts), base
+def _index_span(c: int, K: int, lo: float, hi: float, h: float) -> range:
+    """The indices of [c - K, c + K] whose node i*h can lie in [lo - TOL, hi +
+    TOL], one wider on each side lest rounding drop one; the caller decides."""
+    a = c - K if lo == -math.inf else max(c - K, math.floor((lo - TOL) / h) - 1)
+    b = c + K if hi == math.inf else min(c + K, math.ceil((hi + TOL) / h) + 1)
+    return range(a, b + 1)
 
 
 def _build_t_graph(K: int, h: float) -> GraphBuilder:
@@ -754,21 +739,91 @@ def _build_d_graph(K: int, h: float) -> GraphBuilder:
 _GRAPH_MODELS = {"t": _build_t_graph, "l": _build_l_graph, "d": _build_d_graph}
 
 
-def _graph_ball(build, center, R: float, h: float):
-    """Nodes within shortest-path distance R of the center node (snapped to the
-    h-grid node (ix, iy), then its key's tags): (space, base index).  build(ix,
-    iy, K, tags) is the graph on the index box [ix - K, ix + K] x [iy - K, iy + K],
-    K = ceil(2R/h) + 1: no label lies farther from the base than its node, and
-    window geodesics, joined through the base, stay within 2R of it."""
-    ix, iy = _grid_node(center, h)
-    key = (ix * h, iy * h) + tuple(center[2:])
-    graph = build(ix, iy, math.ceil(2.0 * R / h) + 1, key[2:])
-    if key not in graph.index:
-        raise DomainError(f"center {tuple(center)} is not a node of the grid graph")
-    base = graph.index[key]
-    sel = np.nonzero(graph.distances_from([base], R + TOL)[0] <= R + TOL)[0]
-    _check_space_points(len(sel), h)
-    return graph.space_on(sel, 2 * (R + TOL)), int(np.nonzero(sel == base)[0][0])
+def _model_box(build, h: float, ix: int, iy: int, K: int, tags: tuple) -> GridGraph:
+    """The t, l or d model's graph around the origin, grown to hold every
+    node within K steps of (ix, iy): a step moves one index by one."""
+    return build(K + max(abs(ix), abs(iy)), h).build()
+
+
+class _EuclideanRegionGenerator:
+    """Samples a box of the plane (the unit square or a Euclidean model
+    tangent) on an h-grid; the intrinsic metric of a convex region is the
+    Euclidean restriction, exact per pair."""
+
+    def __init__(self, box):
+        self._box = box
+
+    def sample_ball(self, center, radius_phys: float, h: float):
+        """Grid nodes in the box within radius_phys of the center node, both
+        padded by TOL: (space, base index).  Only each axis's index span that
+        can meet the box is walked; points are counted as they are found."""
+        _check_resolution(radius_phys, h)
+        icx, icy = _grid_node(center, h)
+        cx, cy = float(center[0]), float(center[1])
+        x_lo, x_hi, y_lo, y_hi = self._box
+        R = radius_phys + TOL
+        K = math.floor(R / h)
+        iys = _index_span(icy, K, y_lo, y_hi, h)
+        pts, base = [], None
+        for ix in _index_span(icx, K, x_lo, x_hi, h):
+            for iy in iys:
+                x, y = ix * h, iy * h
+                # products, not ** 2: a radius past 1e154 squares to inf, not OverflowError
+                if (x_lo - TOL <= x <= x_hi + TOL and y_lo - TOL <= y <= y_hi + TOL
+                        and (x - cx) * (x - cx) + (y - cy) * (y - cy) <= R * R):
+                    if ix == icx and iy == icy:
+                        base = len(pts)
+                    pts.append((x, y))
+                    _check_space_points(len(pts), h)
+        if base is None:
+            raise DomainError(f"center {center} lies outside the region")
+        return _euclidean_space(pts), base
+
+
+class _GraphWindowGenerator:
+    """Windows of a carpet or of the t, l or d model in its shortest-path
+    metric; box(h, ix, iy, K, tags) is the graph on the index box [ix - K,
+    ix + K] x [iy - K, iy + K], or one holding it, around the center node."""
+
+    def __init__(self, box):
+        self._box = box
+
+    def sample_ball(self, center, radius_phys: float, h: float):
+        """Nodes within distance radius_phys of the center node (snapped to
+        the h-grid node (ix, iy), then its key's tags): (space, base index).
+        K = ceil(2R/h) + 1, as window geodesics, joined through the base, stay
+        within 2R of it; the ball is counted before its matrix is built."""
+        _check_resolution(radius_phys, h)
+        ix, iy = _grid_node(center, h)
+        key = (ix * h, iy * h) + tuple(center[2:])
+        graph = self._box(h, ix, iy, math.ceil(2.0 * radius_phys / h) + 1, key[2:])
+        if key not in graph.index:
+            raise DomainError(f"center {tuple(center)} is not a node of the grid graph")
+        base = graph.index[key]
+        R = radius_phys + TOL
+        sel = np.nonzero(graph.distances_from([base], R)[0] <= R)[0]
+        _check_space_points(len(sel), h)
+        return graph.space_on(sel, 2 * R), int(np.nonzero(sel == base)[0][0])
+
+
+def unit_square_generator() -> _EuclideanRegionGenerator:
+    return make_generator("square")
+
+
+def make_generator(name: str, **params):
+    """The one registry of window kinds: the regions of _REGIONS, the models
+    t, l and d, "flat-snowflake" (params flatness, window) and "slit-carpet"
+    and "pillow-carpet" (param sched); each has sample_ball(center, R, h)."""
+    if name in _REGIONS:
+        return _EuclideanRegionGenerator(_REGIONS[name])
+    if name in _GRAPH_MODELS:
+        return _GraphWindowGenerator(partial(_model_box, _GRAPH_MODELS[name]))
+    if name == "flat-snowflake":
+        return FlatSnowflakeGenerator(**params)
+    if name in ("slit-carpet", "pillow-carpet"):
+        return _GraphWindowGenerator(partial(_slit_carpet_box, params["sched"],
+                                             pillows=name == "pillow-carpet"))
+    raise DomainError(f"unknown generator {name!r}")
 
 
 def model_tangent_space(kind: str, R: float, h: float) -> PointedWindow:
@@ -777,70 +832,12 @@ def model_tangent_space(kind: str, R: float, h: float) -> PointedWindow:
     the slit plane t (tip), the gluings l = t+half and d = quarter+quarter
     (seam origins), or the 1-d line.
 
-    Euclidean kinds are exact restrictions; t, l, d are grid graphs with the
-    shortest-path metric on _graph_ball's box around the origin.  R and h
-    pass the window geometry check of every generator's sample_ball,
+    Each is make_generator(kind)'s window at the origin: Euclidean kinds are
+    exact restrictions; t, l, d are grid graphs with the shortest-path metric.
+    R and h pass the window geometry check of every generator's sample_ball,
     _check_resolution.
     """
-    _check_resolution(R, h)
-    if kind in _EUCLID_MODELS:
-        pred, one_dim = _EUCLID_MODELS[kind]
-        space, base = _grid_ball(pred, (0.0, 0.0), R, h, one_dim)
-    elif kind in _GRAPH_MODELS:
-        space, base = _graph_ball(lambda ix, iy, K, tags: _GRAPH_MODELS[kind](K, h).build(),
-                                  (0.0, 0.0), R, h)
-    else:
+    if kind not in MODEL_KINDS:
         raise DomainError(f"unknown model tangent kind {kind!r}; "
                           f"expected one of {MODEL_KINDS}")
-    return PointedWindow(space, base, 1.0, R)
-
-
-# ---------------------------------------------------------------------------
-# Euclidean-domain generators for blow-up scans
-# ---------------------------------------------------------------------------
-
-class _EuclideanRegionGenerator:
-    """Samples a convex region of the plane on an h-grid (the unit square or
-    a Euclidean model tangent); the intrinsic metric of a convex region is the
-    Euclidean restriction, exact per pair."""
-
-    def __init__(self, pred, one_dim=False):
-        self._pred = pred
-        self._one_dim = one_dim
-
-    def sample_ball(self, center, radius_phys: float, h: float):
-        _check_resolution(radius_phys, h)
-        return _grid_ball(self._pred, center, radius_phys, h, self._one_dim)
-
-
-class SlitCarpetGenerator:
-    """Windows of a slit (or pillow) carpet in its intrinsic metric."""
-
-    def __init__(self, sched: SlitSchedule, pillows: bool = False):
-        self.sched = sched
-        self.pillows = pillows
-
-    def sample_ball(self, center, radius_phys: float, h: float):
-        _check_resolution(radius_phys, h)
-        return _graph_ball(partial(_slit_carpet_box, self.sched, h, self.pillows),
-                           center, radius_phys, h)
-
-
-def unit_square_generator() -> _EuclideanRegionGenerator:
-    return _EuclideanRegionGenerator(
-        lambda x, y: -TOL <= x <= 1 + TOL and -TOL <= y <= 1 + TOL)
-
-
-def make_generator(name: str, **params):
-    """Registry used by the CLI and the scan front end."""
-    if name == "square":
-        return unit_square_generator()
-    if name in _EUCLID_MODELS:
-        return _EuclideanRegionGenerator(*_EUCLID_MODELS[name])
-    if name == "flat-snowflake":
-        return FlatSnowflakeGenerator(**params)
-    if name == "slit-carpet":
-        return SlitCarpetGenerator(params["sched"], pillows=False)
-    if name == "pillow-carpet":
-        return SlitCarpetGenerator(params["sched"], pillows=True)
-    raise DomainError(f"unknown generator {name!r}")
+    return PointedWindow(*make_generator(kind).sample_ball((0.0, 0.0), R, h), 1.0, R)

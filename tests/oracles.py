@@ -534,18 +534,26 @@ REFERENCE_EUCLID_MODELS = {
     "line": (lambda x, y: True, True),
 }
 
+# The closed unit square, as the square's windows compare against it.
+REFERENCE_SQUARE = lambda x, y: -_TOL <= x <= 1 + _TOL and -_TOL <= y <= 1 + _TOL
 
-def reference_euclid_window(pred, R: float, h: float, one_dim: bool = False):
-    """Frozen origin-centred Euclidean model window: (labels, dist, base)."""
+
+def reference_euclid_window(pred, R: float, h: float, one_dim: bool = False,
+                            center=(0.0, 0.0)):
+    """Frozen Euclidean window around a grid-node center, the origin by
+    default: every node of the index box around it, in order, that lies in
+    the region and the ball: (labels, dist, base)."""
     K = math.floor((R + _TOL) / h)
+    cx, cy = center
+    icx, icy = round(cx / h), round(cy / h)
     pts = []
     base = None
-    ys = (0,) if one_dim else range(-K, K + 1)
-    for ix in range(-K, K + 1):
+    ys = (icy,) if one_dim else range(icy - K, icy + K + 1)
+    for ix in range(icx - K, icx + K + 1):
         for iy in ys:
             x, y = ix * h, iy * h
-            if x * x + y * y <= (R + _TOL) ** 2 and pred(x, y):
-                if ix == 0 and iy == 0:
+            if (x - cx) * (x - cx) + (y - cy) * (y - cy) <= (R + _TOL) ** 2 and pred(x, y):
+                if ix == icx and iy == icy:
                     base = len(pts)
                 pts.append((x, y))
     arr = np.array(pts)

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 import metric_lab
 from metric_lab import errors
-from metric_lab.cli import GEN_KINDS, fmt, main, parse_center, parse_number, parse_scales
+from metric_lab.cli import (GEN_KINDS, MAX_DEPTH, MAX_PAIR_POINTS, fmt, main, parse_center,
+                            parse_number, parse_scales)
 from metric_lab.fractal_gen import MODEL_KINDS
 from metric_lab.metric_core import space_from_json
 
@@ -851,6 +852,16 @@ CONTRACTS = [
     pytest.param(["gen", "--kind", "model-plane", "--radius", "1", "--h", "1/37",
                   "--out", "{out}"], 1, "gives 4097 or more points",
                  id="model-plane-h-1/37-point-bound"),
+    # a window walks only the index span of each axis that meets its region:
+    # the quarter plane finds its 4097th point in its first three columns
+    pytest.param(["gen", "--kind", "model-quarter", "--radius", "1", "--h", "2^-11",
+                  "--out", "{out}"], 1, "gives 4097 or more points",
+                 id="model-quarter-h-2^-11-point-bound"),
+    # the line is the x-axis: a centre off it lies outside the region
+    pytest.param(["scan", "--space", "line", "--center", "0,0.5", "--scales", "2^-3..2^-4",
+                  "--models", "line", "--rule", "lambda/8", "--out", "{out}"], 1,
+                 "Error: DomainError: center (0.0, 0.5) lies outside the region",
+                 id="scan-line-off-axis-centre"),
 ]
 
 
@@ -900,10 +911,12 @@ class TestContracts:
 
 
 # ---------------------------------------------------------------------------
-# Bounded property test: one gen or scan run per example, with one real-valued
-# option drawn from values at the edges of its domain.  Valid draws are at
-# least 1/16, so every run that is accepted stays cheap; sizes between that
-# and MAX_MESH_STEPS would allocate gigabytes and are never drawn.
+# Bounded property test: one gen, scan or boundary run per example, with one
+# option drawn from values at the edges of its domain.  Valid real draws are
+# at least 1/16, so every run that is accepted stays cheap; sizes between that
+# and MAX_MESH_STEPS would allocate gigabytes and are never drawn.  Integer
+# options take the values just outside their bounds and the cheap values 0, 1
+# and 3 inside them, never slow admitted ones such as stage 6 or 1024 points.
 # ---------------------------------------------------------------------------
 
 EDGE_VALUES = ["nan", "inf", "-inf", "0", "-0", "-1", "-1/16", "1e300", "-1e300", "1e-300",
@@ -937,6 +950,30 @@ OPTION_SLOTS = [
     (SNOWFLAKE_SCAN, "--scales", "{}"),
     (SNOWFLAKE_SCAN, "--flatness", "{},1.25,1.125,1.0625"),
 ]
+# (command without the drawn option, option, value)
+INTEGER_DRAWS = [(base, option, value) for base, option, values in [
+    (["gen", "--kind", "slit-carpet"], "--levels", ("-1", "0", "1", "3")),
+    (["gen", "--kind", "snowflake"], "--stage", ("-1", "0", "1", "3", "7")),
+    (["gen", "--kind", "wu-rug", "--h", "1/4"], "--truncation", ("-1", "0", "1", "3", "26")),
+    (["boundary", "--rank", "2", "--cylinder", "a:2"], "--depth",
+     ("0", "1", "3", str(MAX_DEPTH + 1))),
+    (["gen", "--kind", "snowflake-pair", "--out-codomain", "{out}.c", "--out-map", "{out}.m"],
+     "--points", ("-1", "0", "1", "3", str(MAX_PAIR_POINTS + 1))),
+] for value in values]
+
+
+def check_option_run(tmp_path, base, option, value):
+    """One run exits 0, 1 or 2 without a traceback, naming a MetricLabError on 1."""
+    out = tmp_path / "out"
+    argv = [a.format(out=out) for a in base] + [option, value, "--out", str(out)]
+    result = CliRunner().invoke(main, argv)
+    assert result.exit_code in (0, 1, 2), (argv, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit), argv
+    assert "Traceback" not in result.output
+    if result.exit_code == 1:
+        name = re.search(r"^Error: (\w+):", result.output, re.M)
+        assert name and issubclass(getattr(errors, name[1], type(None)),
+                                   errors.MetricLabError), (argv, result.output)
 
 
 class TestOptionProperties:
@@ -945,14 +982,10 @@ class TestOptionProperties:
     @given(slot=st.sampled_from(OPTION_SLOTS), value=st.sampled_from(EDGE_VALUES))
     def test_exit_code_and_error_line(self, tmp_path, slot, value):
         base, option, template = slot
-        out = tmp_path / "out"
-        argv = [a.format(out=out) for a in base] + [option, template.format(value),
-                                                    "--out", str(out)]
-        result = CliRunner().invoke(main, argv)
-        assert result.exit_code in (0, 1, 2), (argv, result.output)
-        assert result.exception is None or isinstance(result.exception, SystemExit), argv
-        assert "Traceback" not in result.output
-        if result.exit_code == 1:
-            name = re.search(r"^Error: (\w+):", result.output, re.M)
-            assert name and issubclass(getattr(errors, name[1], type(None)),
-                                       errors.MetricLabError), (argv, result.output)
+        check_option_run(tmp_path, base, option, template.format(value))
+
+    @settings(max_examples=60, deadline=5000, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(draw=st.sampled_from(INTEGER_DRAWS))
+    def test_integer_options_exit_code_and_error_line(self, tmp_path, draw):
+        check_option_run(tmp_path, *draw)

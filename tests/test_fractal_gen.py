@@ -41,6 +41,7 @@ from metric_lab.metric_core import validate_metric
 
 from .oracles import (
     REFERENCE_EUCLID_MODELS,
+    REFERENCE_SQUARE,
     dijkstra_dict,
     reference_euclid_window,
     reference_graph_window,
@@ -595,6 +596,41 @@ class TestModelTangents:
                 assert np.array_equal(w.space.dist, dist), (R, h)
                 assert w.base == base, (R, h)
 
+    @pytest.mark.parametrize("h", [1 / 4, 1 / 8, 1 / 3, 0.3])
+    def test_square_windows_match_frozen_reference_away_from_the_origin(self, h):
+        # corners, edge midpoints and inner nodes, so that the walk is clipped
+        # at 1 + TOL as well as at -TOL; at h = 0.3 the last node is 0.9
+        M = math.floor((1 + 1e-9) / h)
+        gen = make_generator("square")
+        for i in sorted({0, 1, M // 2, M}):
+            for j in sorted({0, M // 2, M - 1, M}):
+                center = (i * h, j * h)
+                for R in (0.25, 0.5, 1.0, 1.5):
+                    if h > R:
+                        continue
+                    labels, dist, base = reference_euclid_window(REFERENCE_SQUARE, R, h,
+                                                                 center=center)
+                    sp, b = gen.sample_ball(center, R, h)
+                    assert sp.labels == labels, (center, R)
+                    assert np.array_equal(sp.dist, dist), (center, R)
+                    assert b == base, (center, R)
+
+    @pytest.mark.parametrize("kind,center", [
+        ("t", (-0.5, 0.25)), ("t", (0.5, 0.0, "U")), ("t", (0.75, -0.125)),
+        ("l", (0.5, 0.0, "D")), ("l", (-0.25, 0.5, "H")), ("l", (0.25, -0.25)),
+        ("d", (0.5, 0.25, "A")), ("d", (0.0, 0.5)), ("d", (0.25, 0.75, "B"))])
+    def test_graph_model_windows_away_from_the_origin(self, kind, center):
+        # the model's box grows to hold the centre's: the window equals the
+        # frozen search on a graph wide enough for every path
+        R, h = 0.5, 1 / 8
+        sp, base = make_generator(kind).sample_ball(center, R, h)
+        big = fractal_gen._GRAPH_MODELS[kind](24, h).build()
+        labels, dist, ref_base = reference_graph_window(big, center, R)
+        order = [labels.index(label) for label in sp.labels]
+        assert sorted(order) == list(range(len(labels)))
+        assert np.array_equal(sp.dist, dist[np.ix_(order, order)])
+        assert sp.labels[base] == labels[ref_base] == center
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(DomainError):
             model_tangent_space("wedge", 1.0, 0.25)
@@ -728,6 +764,14 @@ class TestSpacePointBound:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2 ** 20
+
+    def test_a_region_window_walks_only_the_indices_that_meet_its_box(self):
+        # the quarter plane at h = 2^-11 reaches its 4097th point in its first
+        # three columns, a few thousand of the 4097^2 indices of its index box
+        t0 = time.process_time()
+        with pytest.raises(ResolutionError, match="gives 4097 or more points"):
+            model_tangent_space("quarter", 1.0, 2.0 ** -11)
+        assert time.process_time() - t0 < 0.25
 
     @pytest.mark.parametrize("pillows", [False, True])
     def test_the_grid_is_counted_before_the_graph_is_built(self, monkeypatch, pillows):

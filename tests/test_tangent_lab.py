@@ -430,9 +430,9 @@ class TestSlitCarpetScan:
         # constant fractions keep the slit visible at every scale: the table
         # is exploratory output; only its internal sanity is asserted.  Each
         # window builds only its box, so the scan reaches h = 2^-11
-        from metric_lab.fractal_gen import SlitCarpetGenerator, SlitSchedule
+        from metric_lab.fractal_gen import SlitSchedule
 
-        gen = SlitCarpetGenerator(SlitSchedule((0.5, 0.5)))
+        gen = make_generator("slit-carpet", sched=SlitSchedule((0.5, 0.5)))
         cfg = ScanConfig(generator=gen, center=(0.5, 0.25),
                          scales=tuple(2.0 ** -k for k in range(3, 9)),
                          window_radius=1.0, models=("t", "plane"),
