@@ -1,17 +1,18 @@
 """Generators for the explicit spaces of the lab.
 
 Slit carpets and pillow carpets live on 4-neighbor grid graphs with the
-shortest-path metric; snowflake curves are polylines carrying either their
-arc-length metric (the curve measured along itself) or the chordal metric
-induced from the plane (the one blow-up scans care about); Wu's line and the
-product rugs are closed-form metrics evaluated pairwise; every window kind,
-the seven model tangents included, is an entry of make_generator.
+shortest-path metric; the t, l and d model tangents carry the same grid
+metric, written in closed form as hop counts; snowflake curves are polylines
+carrying either their arc-length metric (the curve measured along itself) or
+the chordal metric induced from the plane (the one blow-up scans care
+about); Wu's line and the product rugs are closed-form metrics evaluated
+pairwise; every window kind, the seven model tangents included, is an entry
+of make_generator.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -96,9 +97,17 @@ class SlitSchedule:
     def harmonic(cls, levels: int) -> "SlitSchedule":
         """The square-summability-violating preset: the i-th generation
         (1-based) gets fraction 1/sqrt(i+1), staying strictly below 1.
-        A negative level count raises ScheduleError; 0 is the plain grid."""
+        A negative level count raises ScheduleError; 0 is the plain grid.
+        Level i centres its slits only when 1/h is divisible by 2^(i+1), so
+        more levels than log2(MAX_MESH_STEPS) raise ResolutionError before
+        the schedule is built."""
         if levels < 0:
             raise ScheduleError(f"slit generations must be non-negative, got {levels}")
+        if levels > MAX_MESH_STEPS.bit_length() - 1:
+            raise ResolutionError(
+                f"{levels} slit generations need 1/h divisible by 2^{levels}; no mesh "
+                f"of at most {MAX_MESH_STEPS} steps resolves more than "
+                f"{MAX_MESH_STEPS.bit_length() - 1}")
         return cls(tuple(1.0 / math.sqrt(i + 2) for i in range(levels)))
 
 
@@ -142,9 +151,9 @@ def _slit_carpet_box(sched: SlitSchedule, h: float, cx: int, cy: int, K: int,
                      tags: tuple, pillows: bool = False) -> GridGraph:
     """The carpet's graph on the index box [cx - K, cx + K] x [cy - K, cy + K]
     clipped to [0, M]^2, pillows to depth K past a pillow center's ("P", slit,
-    sheet, u, v), the box function of the carpet's windows.  The whole
-    carpet's loops run over the box in order with the same slit numbers, so
-    nodes off the box's low edges keep their order."""
+    sheet, u, v), on which a carpet window is measured.  The whole carpet's
+    loops run over the box in order with the same slit numbers, so nodes off
+    the box's low edges keep their order."""
     M = _mesh_steps(h)
     slits = _slit_table(sched, M)
     by_col: dict = {}
@@ -639,7 +648,7 @@ def product_rug_space(line_metric, extent=(-1.0, 1.0),
 
 
 # ---------------------------------------------------------------------------
-# Windows: Euclidean regions, graph models and carpets, one registry
+# Windows: Euclidean regions, closed-form models and carpets, one registry
 # ---------------------------------------------------------------------------
 
 # Closed boxes (x_lo, x_hi, y_lo, y_hi) of the Euclidean regions, the line as
@@ -674,75 +683,98 @@ def _index_span(c: int, K: int, lo: float, hi: float, h: float) -> range:
     return range(a, b + 1)
 
 
-def _build_t_graph(K: int, h: float) -> GraphBuilder:
-    b = GraphBuilder(h)
-
-    def node(ix, iy, lip=None):
-        pos = (ix * h, iy * h)
-        if iy == 0 and ix >= 1 and lip is not None:
-            return b.node(pos + (lip,))
-        return b.node(pos)
-
-    for ix in range(-K, K + 1):
-        for iy in range(-K, K + 1):
-            if ix < K:
-                if iy == 0 and ix >= 0:  # along the cut: one chain per lip
-                    b.edge(node(ix, 0, "U"), node(ix + 1, 0, "U"))
-                    b.edge(node(ix, 0, "D"), node(ix + 1, 0, "D"))
-                else:
-                    b.edge(node(ix, iy), node(ix + 1, iy))
-            if iy < K:
-                up = node(ix, iy + 1, "D" if iy + 1 == 0 else None)
-                lo = node(ix, iy, "U" if iy == 0 else None)
-                b.edge(lo, up)
-    return b
+# Tags of model points, by code: plain plane points, the upper and lower lips
+# of the slit, the half plane H of l, and the two open sheets of d.
+_TAGS = ((), ("U",), ("D",), ("H",), ("A",), ("B",))
+_PLAIN, _UP, _DOWN, _H, _A, _B = range(len(_TAGS))
 
 
-def _build_l_graph(K: int, h: float) -> GraphBuilder:
-    b = _build_t_graph(K, h)
-
-    def hnode(s, t):
-        if t == 0:  # the seam: the boundary cycle of T, arc length matched
-            if s == 0:
-                return b.node((0.0, 0.0))
-            return b.node((abs(s) * h, 0.0, "U" if s > 0 else "D"))
-        return b.node((s * h, t * h, "H"))
-
-    for s in range(-K, K + 1):
-        for t in range(0, K + 1):
-            if s < K and t >= 1:
-                b.edge(hnode(s, t), hnode(s + 1, t))
-            if t < K:
-                b.edge(hnode(s, t), hnode(s, t + 1))
-    return b
+def _part(x, y, keep, tag: int):
+    return x[keep], y[keep], np.full(np.count_nonzero(keep), tag)
 
 
-def _build_d_graph(K: int, h: float) -> GraphBuilder:
-    b = GraphBuilder(h)
-
-    def node(sheet, ix, iy):
-        pos = (ix * h, iy * h)
-        if ix == 0 or iy == 0:
-            return b.node(pos)  # glued boundary, shared by both sheets
-        return b.node(pos + (sheet,))
-
-    for sheet in ("A", "B"):
-        for ix in range(0, K + 1):
-            for iy in range(0, K + 1):
-                if ix < K:
-                    b.edge(node(sheet, ix, iy), node(sheet, ix + 1, iy))
-                if iy < K:
-                    b.edge(node(sheet, ix, iy), node(sheet, ix, iy + 1))
-    return b
+def _join(*parts):
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
-_GRAPH_MODELS = {"t": _build_t_graph, "l": _build_l_graph, "d": _build_d_graph}
+def _t_points(x, y):
+    """The points of t at grid indices (x, y): the plane, two lips on x > 0."""
+    lip = (y == 0) & (x >= 1)
+    return _join(_part(x, y, ~lip, _PLAIN), _part(x, y, lip, _UP), _part(x, y, lip, _DOWN))
 
 
-def _model_box(build, h: float, ix: int, iy: int, K: int, tags: tuple) -> GridGraph:
-    """The t, l or d model's graph around the origin, grown to hold every
-    node within K steps of (ix, iy): a step moves one index by one."""
-    return build(K + max(abs(ix), abs(iy)), h).build()
+def _l_points(x, y):
+    """The points of l whose folded indices are (x, y): t's, and H's (+-x, y)."""
+    up = y >= 1
+    return _join(_t_points(x, y), _part(x, y, up & (x >= 0), _H), _part(-x, y, up & (x >= 1), _H))
+
+
+def _d_points(x, y):
+    """The points of d at (x, y): the seam (the quarter's boundary), and the
+    two sheets off it."""
+    quarter = (x >= 0) & (y >= 0)
+    seam = quarter & ((x == 0) | (y == 0))
+    sheet = quarter & ~seam
+    return _join(_part(x, y, seam, _PLAIN), _part(x, y, sheet, _A), _part(x, y, sheet, _B))
+
+
+def _l1(p, q):
+    return np.abs(p[0] - q[0]) + np.abs(p[1] - q[1])
+
+
+def _side(y, g):
+    """+1 above the x-axis or on the upper lip, -1 below it or on the lower
+    lip, 0 on the axis off the slit."""
+    return np.sign(y) + (g == _UP) - (g == _DOWN)
+
+
+def _t_hops(p, q):
+    """Grid steps between points of t: l1, except between the sides of the
+    slit over x > 0, where the path goes round the tip."""
+    (x, y, g), (u, v, k) = p, q
+    around = (_side(y, g) * _side(v, k) < 0) & (x > 0) & (u > 0)
+    return np.where(around, x + u + np.abs(y) + np.abs(v), _l1(p, q))
+
+
+def _h_to_t_hops(p, q):
+    """Grid steps from H's point p = (s, t) to t's point q = (u, v): t to
+    the seam, along it, then into t.  H's seam is t's boundary unrolled, the
+    upper lip at s = u > 0, the lower lip at s = -u < 0, the origin at s = 0,
+    so q over the slit is |v| past seam point +-u on its side, and q
+    elsewhere |u| + |v| past the origin."""
+    (s, t, _), (u, v, k) = p, q
+    slit = u > 0
+    return (t + np.abs(s - np.where(slit, _side(v, k) * u, 0)) + np.abs(v)
+            + np.where(slit, 0, np.abs(u)))
+
+
+def _l_hops(p, q):
+    """Grid steps between points of l: t's within t, l1 within H, and across
+    the seam from H to t."""
+    hp, hq = p[2] == _H, q[2] == _H
+    return np.where(hp & hq, _l1(p, q),
+                    np.where(hp, _h_to_t_hops(p, q),
+                             np.where(hq, _h_to_t_hops(q, p), _t_hops(p, q))))
+
+
+def _d_hops(p, q):
+    """Grid steps between points of d: l1 within a sheet or from the seam;
+    from sheet to sheet through the x-axis or the y-axis, whichever is shorter."""
+    (x, y, g), (u, v, k) = p, q
+    across = (g != k) & (g != _PLAIN) & (k != _PLAIN)
+    return np.where(across, np.minimum(np.abs(x - u) + y + v, np.abs(y - v) + x + u),
+                    _l1(p, q))
+
+
+# The t, l and d models: (points at folded grid indices, grid steps between
+# points, window order as lexsort keys, last one first).  Every hop count is at
+# least the l1 distance of the folded indices, (|s|, t) for H's (s, t).
+_MODELS = {
+    "t": (_t_points, _t_hops, lambda x, y, g: (g, y, x)),
+    "l": (_l_points, _l_hops, lambda x, y, g: (g, y, x, g == _H)),
+    "d": (_d_points, _d_hops, lambda x, y, g: (x, y, np.where(g == _B, x, np.maximum(x, 1)),
+                                               g == _B)),
+}
 
 
 class _EuclideanRegionGenerator:
@@ -780,13 +812,62 @@ class _EuclideanRegionGenerator:
         return _euclidean_space(pts), base
 
 
-class _GraphWindowGenerator:
-    """Windows of a carpet or of the t, l or d model in its shortest-path
-    metric; box(h, ix, iy, K, tags) is the graph on the index box [ix - K,
-    ix + K] x [iy - K, iy + K], or one holding it, around the center node."""
+class _ModelWindowGenerator:
+    """Windows of the t, l or d model, closed form: a path of m grid steps
+    is T[m] long, T = [0, h, h + h, ...] summed as a shortest-path search sums
+    its edges, so the windows are those of the model's grid graph, bit for bit
+    and in its order."""
 
-    def __init__(self, box):
-        self._box = box
+    def __init__(self, points, hops, order):
+        self._points, self._hops, self._order = points, hops, order
+
+    def sample_ball(self, center, radius_phys: float, h: float):
+        """Model points within distance radius_phys of the center point (its
+        grid node (ix, iy), then its key's tags): (space, base index).  The
+        folded indices within K steps of the center's hold every point within
+        K steps of it; they are walked column by column, and the ball is
+        counted as it is found, before its matrix is built."""
+        _check_resolution(radius_phys, h)
+        ix, iy = _grid_node(center, h)
+        tags = tuple(center[2:])
+        c = np.array([[ix], [iy], [_TAGS.index(tags) if tags in _TAGS else -1]])
+        fx = abs(ix) if c[2, 0] == _H else ix
+        if not (np.stack(self._points(np.array([fx]), np.array([iy]))) == c).all(0).any():
+            raise DomainError(f"center {tuple(center)} is not a point of the model")
+        R = radius_phys + TOL
+        K = math.floor(R / h) + 1  # one step wider lest rounding drop one; T decides
+        T = np.concatenate(([0.0], np.cumsum(np.full(2 * K, h))))
+        parts, count = [], 0
+        for x in range(fx - K, fx + K + 1):
+            w = K - abs(x - fx)
+            ys = np.arange(iy - w, iy + w + 1)
+            P = self._points(np.full(len(ys), x), ys)
+            m = self._hops(c, P)
+            near = np.nonzero(m <= K)[0]
+            keep = near[T[m[near]] <= R]
+            parts.append(tuple(a[keep] for a in P))
+            count += len(keep)
+            _check_space_points(min(count, MAX_SPACE_POINTS + 1), h)
+        P = _join(*parts)
+        order = np.lexsort(self._order(*P))
+        P = tuple(a[order] for a in P)
+        n = len(P[0])
+        d = np.empty((n, n))
+        rows = max(1, 2 ** 18 // n)  # row blocks bound the hop arrays
+        for a in range(0, n, rows):
+            d[a:a + rows] = T[self._hops(tuple(v[a:a + rows, None] for v in P), P)]
+        labels = tuple((x * h, y * h) + _TAGS[g] for x, y, g in zip(*(a.tolist() for a in P)))
+        base = int(np.nonzero((np.stack(P) == c).all(0))[0][0])
+        return FiniteMetricSpace(d, labels), base
+
+
+class _GraphWindowGenerator:
+    """Windows of a slit or pillow carpet in its shortest-path metric, each
+    measured on _slit_carpet_box, the carpet's graph on the index box
+    [ix - K, ix + K] x [iy - K, iy + K] around the center node."""
+
+    def __init__(self, sched: SlitSchedule, pillows: bool):
+        self._sched, self._pillows = sched, pillows
 
     def sample_ball(self, center, radius_phys: float, h: float):
         """Nodes within distance radius_phys of the center node (snapped to
@@ -796,7 +877,8 @@ class _GraphWindowGenerator:
         _check_resolution(radius_phys, h)
         ix, iy = _grid_node(center, h)
         key = (ix * h, iy * h) + tuple(center[2:])
-        graph = self._box(h, ix, iy, math.ceil(2.0 * radius_phys / h) + 1, key[2:])
+        graph = _slit_carpet_box(self._sched, h, ix, iy, math.ceil(2.0 * radius_phys / h) + 1,
+                                 key[2:], pillows=self._pillows)
         if key not in graph.index:
             raise DomainError(f"center {tuple(center)} is not a node of the grid graph")
         base = graph.index[key]
@@ -816,13 +898,12 @@ def make_generator(name: str, **params):
     and "pillow-carpet" (param sched); each has sample_ball(center, R, h)."""
     if name in _REGIONS:
         return _EuclideanRegionGenerator(_REGIONS[name])
-    if name in _GRAPH_MODELS:
-        return _GraphWindowGenerator(partial(_model_box, _GRAPH_MODELS[name]))
+    if name in _MODELS:
+        return _ModelWindowGenerator(*_MODELS[name])
     if name == "flat-snowflake":
         return FlatSnowflakeGenerator(**params)
     if name in ("slit-carpet", "pillow-carpet"):
-        return _GraphWindowGenerator(partial(_slit_carpet_box, params["sched"],
-                                             pillows=name == "pillow-carpet"))
+        return _GraphWindowGenerator(params["sched"], name == "pillow-carpet")
     raise DomainError(f"unknown generator {name!r}")
 
 
@@ -833,7 +914,8 @@ def model_tangent_space(kind: str, R: float, h: float) -> PointedWindow:
     (seam origins), or the 1-d line.
 
     Each is make_generator(kind)'s window at the origin: Euclidean kinds are
-    exact restrictions; t, l, d are grid graphs with the shortest-path metric.
+    exact restrictions; t, l, d are the shortest-path metrics of their grid
+    graphs, closed-form hop counts mapped through the table of h-sums.
     R and h pass the window geometry check of every generator's sample_ball,
     _check_resolution.
     """

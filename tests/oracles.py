@@ -9,14 +9,15 @@ a frozen copy of the certified GH lower bound that both exact copies use,
 a hand-rolled heap Dijkstra with its own graph construction for intrinsic
 metrics, a plain Floyd-Warshall, a frozen copy of the Euclidean
 model-window sampler, a frozen unbounded, symmetrised graph-window search
-(over model graphs padded to 3R), a frozen copy of the flat-snowflake window
-sampler that refines segment by segment, a frozen metric-axiom check that scans
-every triangle slab, the nested-list space JSON that the streaming space
-writer must match byte for byte, a breakpoint-counting step evaluation of
-distortion envelopes, a frozen copy of the boundary expansion probe that
-translates both points of every pair and compares scalar visual distances,
-a pair-by-pair nearest-position seed, and a frozen blow-up scan loop that
-solves every window against every model.
+(over model graphs padded to 3R), frozen builders of the t, l and d model
+graphs (the library writes their metrics in closed form), a frozen copy of
+the flat-snowflake window sampler that refines segment by segment, a frozen
+metric-axiom check that scans every triangle slab, the nested-list space
+JSON that the streaming space writer must match byte for byte, a
+breakpoint-counting step evaluation of distortion envelopes, a frozen copy
+of the boundary expansion probe that translates both points of every pair
+and compares scalar visual distances, a pair-by-pair nearest-position seed,
+and a frozen blow-up scan loop that solves every window against every model.
 """
 from __future__ import annotations
 
@@ -38,7 +39,6 @@ from metric_lab.boundary_free_group import (
 )
 from metric_lab.errors import DomainError
 from metric_lab.fractal_gen import (
-    _GRAPH_MODELS,
     _flatness_values,
     _refine_polyline,
     model_tangent_space,
@@ -51,6 +51,7 @@ from metric_lab.gh_solver import (
     gh_bounds,
     pointed_gh_bounds,
 )
+from metric_lab.grids import GraphBuilder
 from metric_lab.metric_core import AxiomViolation
 from metric_lab.tangent_lab import _seed_coordinates, extract_window, nearest_position_seed
 
@@ -578,11 +579,79 @@ def reference_graph_window(graph, key, R: float):
     return tuple(graph.keys[i] for i in sel), d, int(np.nonzero(sel == base)[0][0])
 
 
+# Frozen builders of the t, l and d models' grid graphs on the index box
+# [-K, K]^2 (d: [0, K]^2), each node keyed by its planar position and tags.
+
+def _build_t_graph(K: int, h: float) -> GraphBuilder:
+    b = GraphBuilder(h)
+
+    def node(ix, iy, lip=None):
+        pos = (ix * h, iy * h)
+        if iy == 0 and ix >= 1 and lip is not None:
+            return b.node(pos + (lip,))
+        return b.node(pos)
+
+    for ix in range(-K, K + 1):
+        for iy in range(-K, K + 1):
+            if ix < K:
+                if iy == 0 and ix >= 0:  # along the cut: one chain per lip
+                    b.edge(node(ix, 0, "U"), node(ix + 1, 0, "U"))
+                    b.edge(node(ix, 0, "D"), node(ix + 1, 0, "D"))
+                else:
+                    b.edge(node(ix, iy), node(ix + 1, iy))
+            if iy < K:
+                up = node(ix, iy + 1, "D" if iy + 1 == 0 else None)
+                lo = node(ix, iy, "U" if iy == 0 else None)
+                b.edge(lo, up)
+    return b
+
+
+def _build_l_graph(K: int, h: float) -> GraphBuilder:
+    b = _build_t_graph(K, h)
+
+    def hnode(s, t):
+        if t == 0:  # the seam: the boundary cycle of T, arc length matched
+            if s == 0:
+                return b.node((0.0, 0.0))
+            return b.node((abs(s) * h, 0.0, "U" if s > 0 else "D"))
+        return b.node((s * h, t * h, "H"))
+
+    for s in range(-K, K + 1):
+        for t in range(0, K + 1):
+            if s < K and t >= 1:
+                b.edge(hnode(s, t), hnode(s + 1, t))
+            if t < K:
+                b.edge(hnode(s, t), hnode(s, t + 1))
+    return b
+
+
+def _build_d_graph(K: int, h: float) -> GraphBuilder:
+    b = GraphBuilder(h)
+
+    def node(sheet, ix, iy):
+        pos = (ix * h, iy * h)
+        if ix == 0 or iy == 0:
+            return b.node(pos)  # glued boundary, shared by both sheets
+        return b.node(pos + (sheet,))
+
+    for sheet in ("A", "B"):
+        for ix in range(0, K + 1):
+            for iy in range(0, K + 1):
+                if ix < K:
+                    b.edge(node(sheet, ix, iy), node(sheet, ix + 1, iy))
+                if iy < K:
+                    b.edge(node(sheet, ix, iy), node(sheet, ix, iy + 1))
+    return b
+
+
+REFERENCE_MODEL_GRAPHS = {"t": _build_t_graph, "l": _build_l_graph, "d": _build_d_graph}
+
+
 def reference_model_graph_window(kind: str, R: float, h: float):
     """Frozen t/l/d model window: reference_graph_window at the origin of
     the model graph padded to half-width 3R."""
     K = math.ceil(3.0 * R / h) + 1
-    return reference_graph_window(_GRAPH_MODELS[kind](K, h).build(), (0.0, 0.0), R)
+    return reference_graph_window(REFERENCE_MODEL_GRAPHS[kind](K, h).build(), (0.0, 0.0), R)
 
 
 def reference_snowflake_window(gen, center, R: float, h: float):

@@ -667,6 +667,11 @@ class TestStartup:
             ["corner scan", ["scan", "--space", "square", "--center", "0,0", "--scales",
                              "2^-3..2^-5", "--models", "quarter,half", "--rule",
                              "lambda/8", "--out", str(tmp_path / "s.csv")]],
+            ["model-t", ["gen", "--kind", "model-t", "--radius", "1", "--h", "1/4",
+                         "--out", str(tmp_path / "t.json")]],
+            ["corner scan t", ["scan", "--space", "square", "--center", "0,0", "--scales",
+                               "2^-3..2^-4", "--models", "t", "--rule", "lambda/4",
+                               "--out", str(tmp_path / "st.csv")]],
             # the probe sees scipy once a step does load it
             ["slit-carpet", ["gen", "--kind", "slit-carpet", "--levels", "1", "--h", "1/8",
                              "--out", str(tmp_path / "k.json")]],
@@ -674,12 +679,14 @@ class TestStartup:
         ]
         loaded = run_startup_probe(steps)
         for step in ("import metric_lab", "import metric_lab.cli", "gh", "qs", "boundary",
-                     "model-quarter", "snowflake-pair", "corner scan"):
+                     "model-quarter", "snowflake-pair", "corner scan", "model-t",
+                     "corner scan t"):
             assert loaded[step] == [], f"{step} loaded {loaded[step][:5]}"
         assert "scipy.sparse.csgraph" in loaded["slit-carpet"]
         assert "scipy.spatial" not in loaded["slit-carpet"]
         assert "scipy.spatial" in loaded["validate_above_the_limit"]
-        for name in ("gh.json", "env.csv", "b.json", "q.json", "d.json", "s.csv", "k.json"):
+        for name in ("gh.json", "env.csv", "b.json", "q.json", "d.json", "s.csv", "t.json",
+                     "st.csv", "k.json"):
             assert (tmp_path / name).exists()
 
     def test_no_module_imports_scipy_until_a_function_calls_it(self):
@@ -857,6 +864,17 @@ CONTRACTS = [
     pytest.param(["gen", "--kind", "model-quarter", "--radius", "1", "--h", "2^-11",
                   "--out", "{out}"], 1, "gives 4097 or more points",
                  id="model-quarter-h-2^-11-point-bound"),
+    # a t, l or d window walks its ball's columns and stops at its 4097th
+    # point: the graph window it replaced built about 4.2 million box nodes first
+    pytest.param(["gen", "--kind", "model-t", "--radius", "1", "--h", "1/512",
+                  "--out", "{out}"], 1,
+                 "Error: ResolutionError: mesh 0.001953125 gives 4097 or more points",
+                 id="model-t-h-1/512-point-bound"),
+    # no mesh resolves more than log2(MAX_MESH_STEPS) = 12 slit generations, and
+    # the schedule is refused before it is built (10^8 levels took gigabytes)
+    pytest.param(["gen", "--kind", "slit-carpet", "--levels", "100000000", "--out", "{out}"],
+                 1, "Error: ResolutionError: 100000000 slit generations",
+                 id="carpet-levels-100000000"),
     # the line is the x-axis: a centre off it lies outside the region
     pytest.param(["scan", "--space", "line", "--center", "0,0.5", "--scales", "2^-3..2^-4",
                   "--models", "line", "--rule", "lambda/8", "--out", "{out}"], 1,
@@ -952,7 +970,7 @@ OPTION_SLOTS = [
 ]
 # (command without the drawn option, option, value)
 INTEGER_DRAWS = [(base, option, value) for base, option, values in [
-    (["gen", "--kind", "slit-carpet"], "--levels", ("-1", "0", "1", "3")),
+    (["gen", "--kind", "slit-carpet"], "--levels", ("-1", "0", "1", "3", "12", "13")),
     (["gen", "--kind", "snowflake"], "--stage", ("-1", "0", "1", "3", "7")),
     (["gen", "--kind", "wu-rug", "--h", "1/4"], "--truncation", ("-1", "0", "1", "3", "26")),
     (["boundary", "--rank", "2", "--cylinder", "a:2"], "--depth",

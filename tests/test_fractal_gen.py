@@ -41,6 +41,7 @@ from metric_lab.metric_core import validate_metric
 
 from .oracles import (
     REFERENCE_EUCLID_MODELS,
+    REFERENCE_MODEL_GRAPHS,
     REFERENCE_SQUARE,
     dijkstra_dict,
     reference_euclid_window,
@@ -56,6 +57,15 @@ class TestSlitCarpet:
         assert SlitSchedule.harmonic(0) == SlitSchedule(())
         with pytest.raises(ScheduleError, match="-2"):
             SlitSchedule.harmonic(-2)
+
+    def test_more_levels_than_any_mesh_resolves_are_refused_before_building(self):
+        # level i needs 1/h divisible by 2^(i + 1), and 1/h <= MAX_MESH_STEPS = 2^12
+        assert len(SlitSchedule.harmonic(12).r) == 12
+        t0 = time.perf_counter()
+        for levels in (13, 10 ** 8):
+            with pytest.raises(ResolutionError, match=f"{levels} slit generations"):
+                SlitSchedule.harmonic(levels)
+        assert time.perf_counter() - t0 < 0.1
 
     def test_zero_levels_is_plain_grid(self):
         sp = slit_carpet_space(SlitSchedule(()), 1 / 8)
@@ -133,6 +143,27 @@ class TestGraphWindows:
         assert np.array_equal(w.space.dist, dist)
         assert w.base == base
         assert np.array_equal(w.space.dist, w.space.dist.T)
+
+    @pytest.mark.parametrize("h,R", [(1 / 8, 1.5), (1 / 16, 0.5), (0.3, 1.5), (1 / 3, 1.0),
+                                     (0.1, 0.5)])
+    @pytest.mark.parametrize("kind,centers", [
+        # grid indices and tags: the tip, lips, both sides and the negative axis
+        ("t", [(0, 0), (3, 0, "U"), (2, 0, "D"), (1, 2), (2, -1), (-2, 0)]),
+        # lips, H (above the lips and the negative axis), and t off the seam
+        ("l", [(2, 0, "U"), (3, 0, "D"), (2, 1, "H"), (-1, 2, "H"), (1, -2), (-2, 1)]),
+        # the seam on both axes and both sheets
+        ("d", [(0, 0), (2, 0), (0, 3), (1, 2, "A"), (3, 1, "B")]),
+    ])
+    def test_model_windows_off_the_origin_match_the_frozen_graphs(self, kind, centers, h, R):
+        # the frozen graph is wide enough for every path between window points
+        graph = REFERENCE_MODEL_GRAPHS[kind](math.ceil(3 * R / h) + 4, h).build()
+        for ix, iy, *tags in centers:
+            center = (ix * h, iy * h, *tags)
+            sp, base = make_generator(kind).sample_ball(center, R, h)
+            labels, dist, ref_base = reference_graph_window(graph, center, R)
+            assert sp.labels == labels, center
+            assert np.array_equal(sp.dist, dist), center
+            assert base == ref_base, center
 
     @pytest.mark.parametrize("M", [16, 32, 64])
     @pytest.mark.parametrize("pillows", [False, True])
@@ -624,7 +655,7 @@ class TestModelTangents:
         # frozen search on a graph wide enough for every path
         R, h = 0.5, 1 / 8
         sp, base = make_generator(kind).sample_ball(center, R, h)
-        big = fractal_gen._GRAPH_MODELS[kind](24, h).build()
+        big = REFERENCE_MODEL_GRAPHS[kind](24, h).build()
         labels, dist, ref_base = reference_graph_window(big, center, R)
         order = [labels.index(label) for label in sp.labels]
         assert sorted(order) == list(range(len(labels)))
@@ -751,9 +782,13 @@ class TestSpacePointBound:
         (lambda: model_tangent_space("plane", 1.0, 1 / 37), 4097),
         (lambda: model_tangent_space("line", 1.0, 1 / 2048), 4097),
         (lambda: make_generator("square").sample_ball((0.5, 0.5), 0.5, 1 / 80), 4097),
+        # so does a t, l or d window, one mesh finer than the finest admitted
+        (lambda: model_tangent_space("t", 1.0, 1 / 45), 4097),
+        (lambda: model_tangent_space("l", 1.0, 1 / 37), 4097),
+        (lambda: model_tangent_space("d", 1.0, 1 / 64), 4097),
     ], ids=["slit-0", "slit-1", "slit-2", "pillow-0", "pillow-1", "pillow-1-graph",
             "rickman-rug", "wu-rug", "unit-mesh-rug", "plane-window", "line-window",
-            "square-window"])
+            "square-window", "t-window", "l-window", "d-window"])
     def test_a_space_above_the_bound_is_refused_before_its_matrix(self, build, n):
         # an n x n float64 matrix of 4225 points alone takes 136 MiB
         tracemalloc.start()
@@ -783,19 +818,31 @@ class TestSpacePointBound:
             space(SlitSchedule.harmonic(1), 2.0 ** -12)
 
     @pytest.mark.parametrize("build,n", [
-        # a ball of radius K steps holds 2K^2 + 2K + 1 grid nodes, and the t
-        # ball K lip nodes more: 4141 + 45 at K = 45 (3961 + 44 at K = 44),
-        # and the carpet ball, clear of the slit, 4325 at K = 46
-        (lambda: model_tangent_space("t", 1.0, 1 / 45), 4186),
+        # a ball of radius K steps holds 2K^2 + 2K + 1 grid nodes: the carpet
+        # ball, clear of the slit, 4325 at K = 46
         (lambda: make_generator("slit-carpet", sched=SlitSchedule.harmonic(1))
          .sample_ball((0.25, 0.25), 0.25, 1 / 184), 4325),
-    ], ids=["t-window", "carpet-window"])
+    ], ids=["carpet-window"])
     def test_a_graph_window_is_counted_before_its_matrix(self, monkeypatch, build, n):
         def space_on(*args):
             raise AssertionError("window matrix built before the ball was counted")
         monkeypatch.setattr(GridGraph, "space_on", space_on)
         with pytest.raises(ResolutionError, match=f"gives {n} or more points"):
             build()
+
+    # the finest admitted meshes at R = 1: the t ball holds 2K^2 + 2K + 1 grid
+    # points and K lips, 4005 at K = 44; l holds 3997 at K = 36, d 4033 at K = 63
+    @pytest.mark.parametrize("kind,K,n", [("t", 44, 4005), ("l", 36, 3997), ("d", 63, 4033)])
+    def test_the_finest_admitted_model_window_stays_under_one_gib(self, kind, K, n):
+        tracemalloc.start()
+        try:
+            w = model_tangent_space(kind, 1.0, 1 / K)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w.space.n == n and peak < 2 ** 30
+        with pytest.raises(ResolutionError, match="gives 4097 or more points"):
+            model_tangent_space(kind, 1.0, 1 / (K + 1))
 
 
 @pytest.mark.parametrize("window",[(1.0, 0.0), (0.0, math.inf), (math.nan, 1.0)])
