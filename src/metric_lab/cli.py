@@ -6,8 +6,8 @@ runs of one spec produce identical bytes; wall-clock columns are zeroed when
 METRIC_LAB_DETERMINISTIC is set (the reproduce runner sets it).
 
 No lab module imports scipy at import time, so the CLI starts without it.
-Only grid graphs (carpets; the t, l and d models) load it, and validating a
-space of more than metric_core._NUMPY_SLABS_MAX points; `gh`, `qs` and
+Only the carpets' grid graphs load it, and validating a space of more than
+metric_core._NUMPY_SLABS_MAX points; the model tangents, `gh`, `qs` and
 `boundary` never do.
 """
 from __future__ import annotations

@@ -1,13 +1,13 @@
 """Generators for the explicit spaces of the lab.
 
 Slit carpets and pillow carpets live on 4-neighbor grid graphs with the
-shortest-path metric; the t, l and d model tangents carry the same grid
-metric, written in closed form as hop counts; snowflake curves are polylines
-carrying either their arc-length metric (the curve measured along itself) or
-the chordal metric induced from the plane (the one blow-up scans care
-about); Wu's line and the product rugs are closed-form metrics evaluated
-pairwise; every window kind, the seven model tangents included, is an entry
-of make_generator.
+shortest-path metric.  The unit square and the seven model tangents are
+lattice kinds, one table walked and filled by one sampler: the Euclidean
+metric of their grid nodes, or the grid metric of t, l and d in closed form.
+Snowflake curves are polylines with their arc-length metric or the chordal
+metric of the plane (the one blow-up scans care about); Wu's line and the
+product rugs are closed-form metrics evaluated pairwise; every window kind
+is an entry of make_generator.
 """
 from __future__ import annotations
 
@@ -38,11 +38,29 @@ MAX_FLATNESS = 6.0
 MAX_SNOWFLAKE_WINDOW = 2.0 ** 64
 
 
+def _pairwise(P, dist) -> np.ndarray:
+    """Matrix dist(P_i, P_j) of coordinate rows P, filled 2^18 entries at a time."""
+    n = len(P[0])
+    d = np.empty((n, n))
+    rows = max(1, 2 ** 18 // max(n, 1))
+    for a in range(0, n, rows):
+        d[a:a + rows] = dist(P[:, a:a + rows, None], P)
+    return d
+
+
+def _squares(p, q):
+    """Squared distances of planar points, inf past the float range as in
+    Python; np.linalg.norm is their sqrt."""
+    with np.errstate(over="ignore"):
+        dx, dy = p[0] - q[0], p[1] - q[1]
+        return dx * dx + dy * dy
+
+
 def _euclidean_space(points) -> FiniteMetricSpace:
     """Planar points with the Euclidean metric, labelled by their coordinates."""
     P = np.asarray(points, dtype=float)
-    d = np.linalg.norm(P[:, None, :] - P[None, :, :], axis=-1)
-    return FiniteMetricSpace(d, tuple((float(x), float(y)) for x, y in P))
+    return FiniteMetricSpace(_pairwise(P.T, lambda p, q: np.sqrt(_squares(p, q))),
+                             tuple(map(tuple, P.tolist())))
 
 
 def _mesh_steps(h: float, span: float = 1.0) -> int:
@@ -293,10 +311,13 @@ def _segments_intersect(P: np.ndarray) -> bool:
 
 
 def _stage_polyline(window, flatness, stage: int) -> np.ndarray:
-    """Vertices of the stage-`stage` construction over the window [a, b],
-    which must have a < b within +-MAX_SNOWFLAKE_WINDOW."""
+    """Vertices of the stage-`stage` construction, at most stage 6, over the
+    window [a, b], which must have a < b within +-MAX_SNOWFLAKE_WINDOW."""
     if stage < 0:
         raise DomainError(f"snowflake stage must be non-negative, got {stage}")
+    if stage > 6:
+        raise ConstructionError(f"a stage-{stage} polyline has more than 4097 vertices, "
+                                "the most the self-intersection sweep checks (stage 6)")
     a, b = float(window[0]), float(window[1])
     if not -MAX_SNOWFLAKE_WINDOW <= a < b <= MAX_SNOWFLAKE_WINDOW:  # also refuses nan
         raise DomainError(f"window must be a finite nondegenerate interval within "
@@ -321,9 +342,6 @@ def snowflake_polyline(stage: int, flatness="standard",
     Stages whose segments cross are rejected by a pairwise sweep, which
     stops at 4097 vertices (stage 6); later stages raise ConstructionError.
     """
-    if 4 ** stage + 1 > 4097:  # before any O(n^2) array of the stage is built
-        raise ConstructionError(f"stage-{stage} polyline has {4 ** stage + 1} vertices; "
-                                "the self-intersection sweep stops at 4097 (stage 6)")
     P = _stage_polyline(window, flatness, stage)
     if _segments_intersect(P):
         raise ConstructionError(f"stage-{stage} polyline self-intersects")
@@ -366,7 +384,7 @@ class FlatSnowflakeGenerator:
 
     def sample_ball(self, center, radius_phys: float, h: float):
         """Vertices within chordal distance radius_phys of the center vertex,
-        refined until every nearby segment is shorter than h."""
+        refined until every nearby segment is shorter than h, and counted."""
         _check_resolution(radius_phys, h)
         cpos = np.asarray(self._center_position(center))
         span = self.window[1] - self.window[0]
@@ -386,6 +404,7 @@ class FlatSnowflakeGenerator:
         base_candidates = np.nonzero(dist_to_c[keep] <= 1e-12)[0]
         if base_candidates.size == 0:
             raise DomainError(f"center {tuple(cpos)} is not a vertex of the curve")
+        _check_space_points(len(keep), h)
         return _euclidean_space(P[keep]), int(base_candidates[0])
 
 
@@ -648,43 +667,33 @@ def product_rug_space(line_metric, extent=(-1.0, 1.0),
 
 
 # ---------------------------------------------------------------------------
-# Windows: Euclidean regions, closed-form models and carpets, one registry
+# Windows: lattice kinds and carpets, one registry
 # ---------------------------------------------------------------------------
-
-# Closed boxes (x_lo, x_hi, y_lo, y_hi) of the Euclidean regions, the line as
-# y = 0; a grid node belongs to a region when it lies in its box padded by TOL.
-_REGIONS = {
-    "square": (0.0, 1.0, 0.0, 1.0),
-    "plane": (-math.inf, math.inf, -math.inf, math.inf),
-    "half": (-math.inf, math.inf, 0.0, math.inf),
-    "quarter": (0.0, math.inf, 0.0, math.inf),
-    "line": (-math.inf, math.inf, 0.0, 0.0),
-}
-
 
 def _grid_node(center, h: float):
     """Grid indices (ix, iy) of a planar center, which must lie within 1e-9
-    of a node of the h-grid; both window kinds snap their center with it."""
+    of a node of the h-grid, to which lattice and carpet windows snap it."""
     try:
         cx, cy = float(center[0]), float(center[1])
     except (TypeError, ValueError, IndexError):
         raise DomainError(f"center {center!r} is not a planar position") from None
     icx, icy = round(cx / h), round(cy / h)
-    if abs(icx * h - cx) > 1e-9 or abs(icy * h - cy) > 1e-9:
-        raise DomainError(f"center {center} is not a node of the h={h} grid")
+    if (abs(icx * h - cx) > 1e-9 or abs(icy * h - cy) > 1e-9
+            or max(abs(icx), abs(icy)) > 2 ** 53):  # past it nodes share float positions
+        raise DomainError(f"center {center} is not a node of the h={h} grid within 2^53 steps")
     return icx, icy
 
 
-def _index_span(c: int, K: int, lo: float, hi: float, h: float) -> range:
+def _index_span(c: int, K: int, lo: float, hi: float, h: float) -> np.ndarray:
     """The indices of [c - K, c + K] whose node i*h can lie in [lo - TOL, hi +
     TOL], one wider on each side lest rounding drop one; the caller decides."""
     a = c - K if lo == -math.inf else max(c - K, math.floor((lo - TOL) / h) - 1)
     b = c + K if hi == math.inf else min(c + K, math.ceil((hi + TOL) / h) + 1)
-    return range(a, b + 1)
+    return np.arange(a, b + 1)
 
 
-# Tags of model points, by code: plain plane points, the upper and lower lips
-# of the slit, the half plane H of l, and the two open sheets of d.
+# Tags of lattice points, by code: plain points (all of a region's), the upper
+# and lower lips of the slit, the half plane H of l, and the two sheets of d.
 _TAGS = ((), ("U",), ("D",), ("H",), ("A",), ("B",))
 _PLAIN, _UP, _DOWN, _H, _A, _B = range(len(_TAGS))
 
@@ -695,6 +704,10 @@ def _part(x, y, keep, tag: int):
 
 def _join(*parts):
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def _nodes(x, y):  # a region's points at grid indices (x, y) before its box test
+    return x, y, np.full(len(x), _PLAIN)
 
 
 def _t_points(x, y):
@@ -766,99 +779,71 @@ def _d_hops(p, q):
                     _l1(p, q))
 
 
-# The t, l and d models: (points at folded grid indices, grid steps between
-# points, window order as lexsort keys, last one first).  Every hop count is at
-# least the l1 distance of the folded indices, (|s|, t) for H's (s, t).
-_MODELS = {
-    "t": (_t_points, _t_hops, lambda x, y, g: (g, y, x)),
-    "l": (_l_points, _l_hops, lambda x, y, g: (g, y, x, g == _H)),
-    "d": (_d_points, _d_hops, lambda x, y, g: (x, y, np.where(g == _B, x, np.maximum(x, 1)),
-                                               g == _B)),
+# The lattice kinds: (closed box (x_lo, x_hi, y_lo, y_hi) of the points, padded
+# by TOL; points at folded grid indices; grid steps, at least the l1 distance of
+# the folded indices, or None: Euclidean; lexsort keys, or None: x, y, then tag).
+_LATTICE = {
+    "square": ((0.0, 1.0, 0.0, 1.0), _nodes, None, None),
+    "plane": ((-math.inf, math.inf, -math.inf, math.inf), _nodes, None, None),
+    "half": ((-math.inf, math.inf, 0.0, math.inf), _nodes, None, None),
+    "quarter": ((0.0, math.inf, 0.0, math.inf), _nodes, None, None),
+    "line": ((-math.inf, math.inf, 0.0, 0.0), _nodes, None, None),
+    "t": ((-math.inf, math.inf, -math.inf, math.inf), _t_points, _t_hops, None),
+    "l": ((-math.inf, math.inf, -math.inf, math.inf), _l_points, _l_hops,
+          lambda x, y, g: (g, y, x, g == _H)),
+    "d": ((0.0, math.inf, 0.0, math.inf), _d_points, _d_hops,
+          lambda x, y, g: (x, y, np.where(g == _B, x, np.maximum(x, 1)), g == _B)),
 }
 
 
-class _EuclideanRegionGenerator:
-    """Samples a box of the plane (the unit square or a Euclidean model
-    tangent) on an h-grid; the intrinsic metric of a convex region is the
-    Euclidean restriction, exact per pair."""
+class _LatticeWindowGenerator:
+    """Windows of a _LATTICE kind: a region's Euclidean metric is its intrinsic
+    one; a model's m grid steps are T[m] long, T = [0, h, h + h, ...] summed as
+    a shortest-path search sums edges, so its windows are its grid graph's."""
 
-    def __init__(self, box):
-        self._box = box
-
-    def sample_ball(self, center, radius_phys: float, h: float):
-        """Grid nodes in the box within radius_phys of the center node, both
-        padded by TOL: (space, base index).  Only each axis's index span that
-        can meet the box is walked; points are counted as they are found."""
-        _check_resolution(radius_phys, h)
-        icx, icy = _grid_node(center, h)
-        cx, cy = float(center[0]), float(center[1])
-        x_lo, x_hi, y_lo, y_hi = self._box
-        R = radius_phys + TOL
-        K = math.floor(R / h)
-        iys = _index_span(icy, K, y_lo, y_hi, h)
-        pts, base = [], None
-        for ix in _index_span(icx, K, x_lo, x_hi, h):
-            for iy in iys:
-                x, y = ix * h, iy * h
-                # products, not ** 2: a radius past 1e154 squares to inf, not OverflowError
-                if (x_lo - TOL <= x <= x_hi + TOL and y_lo - TOL <= y <= y_hi + TOL
-                        and (x - cx) * (x - cx) + (y - cy) * (y - cy) <= R * R):
-                    if ix == icx and iy == icy:
-                        base = len(pts)
-                    pts.append((x, y))
-                    _check_space_points(len(pts), h)
-        if base is None:
-            raise DomainError(f"center {center} lies outside the region")
-        return _euclidean_space(pts), base
-
-
-class _ModelWindowGenerator:
-    """Windows of the t, l or d model, closed form: a path of m grid steps
-    is T[m] long, T = [0, h, h + h, ...] summed as a shortest-path search sums
-    its edges, so the windows are those of the model's grid graph, bit for bit
-    and in its order."""
-
-    def __init__(self, points, hops, order):
-        self._points, self._hops, self._order = points, hops, order
+    def __init__(self, name: str):
+        self._name, (self._box, self._points, self._hops, self._order) = name, _LATTICE[name]
 
     def sample_ball(self, center, radius_phys: float, h: float):
-        """Model points within distance radius_phys of the center point (its
-        grid node (ix, iy), then its key's tags): (space, base index).  The
-        folded indices within K steps of the center's hold every point within
-        K steps of it; they are walked column by column, and the ball is
-        counted as it is found, before its matrix is built."""
+        """Points within radius_phys + TOL of the center point (its grid node,
+        then its key's tags; a region measures from the center as given):
+        (space, base index).  The ball is counted column by column of the index
+        box of radius K, clipped to the kind's box, then filled in row blocks."""
         _check_resolution(radius_phys, h)
         ix, iy = _grid_node(center, h)
         tags = tuple(center[2:])
         c = np.array([[ix], [iy], [_TAGS.index(tags) if tags in _TAGS else -1]])
-        fx = abs(ix) if c[2, 0] == _H else ix
-        if not (np.stack(self._points(np.array([fx]), np.array([iy]))) == c).all(0).any():
-            raise DomainError(f"center {tuple(center)} is not a point of the model")
+        fx = abs(ix) if c[2, 0] == _H else ix  # l's H is walked folded
+        outside = DomainError(f"center {tuple(center)} lies outside the region {self._name!r}")
+        if not (np.stack(self._points(np.array([fx]), c[1])) == c).all(0).any():
+            raise outside
         R = radius_phys + TOL
-        K = math.floor(R / h) + 1  # one step wider lest rounding drop one; T decides
-        T = np.concatenate(([0.0], np.cumsum(np.full(2 * K, h))))
-        parts, count = [], 0
-        for x in range(fx - K, fx + K + 1):
-            w = K - abs(x - fx)
-            ys = np.arange(iy - w, iy + w + 1)
-            P = self._points(np.full(len(ys), x), ys)
-            m = self._hops(c, P)
-            near = np.nonzero(m <= K)[0]
-            keep = near[T[m[near]] <= R]
-            parts.append(tuple(a[keep] for a in P))
-            count += len(keep)
+        if self._hops is None:  # squared distances of the nodes (x * h, y * h), sqrt
+            K, scale, gauge, reach, finish = math.floor(R / h), h, _squares, R * R, np.sqrt
+            o = (float(center[0]), float(center[1]))
+        else:  # grid steps, m of them T[m] long; one step wider lest rounding drop one
+            K, scale, o, gauge = math.floor(R / h) + 1, 1, c, self._hops
+            T = np.concatenate(([0.0], np.cumsum(np.full(2 * K, h))))
+            finish, reach = T.__getitem__, np.searchsorted(T, R, "right") - 1  # T[reach] <= R
+        x_lo, x_hi, y_lo, y_hi = self._box
+        ys = _index_span(iy, K, y_lo, y_hi, h)
+        parts, count = [np.empty((3, 0), dtype=int)], 0  # no column may meet the box
+        for x in _index_span(fx, K, x_lo, x_hi, h):
+            P = np.stack(self._points(np.full(len(ys), x), ys))
+            X, Y = P[:2] * h
+            keep = ((x_lo - TOL <= X) & (X <= x_hi + TOL) & (y_lo - TOL <= Y)
+                    & (Y <= y_hi + TOL) & (gauge(o, P * scale) <= reach))
+            parts.append(P[:, keep])
+            count += np.count_nonzero(keep)
             _check_space_points(min(count, MAX_SPACE_POINTS + 1), h)
-        P = _join(*parts)
-        order = np.lexsort(self._order(*P))
-        P = tuple(a[order] for a in P)
-        n = len(P[0])
-        d = np.empty((n, n))
-        rows = max(1, 2 ** 18 // n)  # row blocks bound the hop arrays
-        for a in range(0, n, rows):
-            d[a:a + rows] = T[self._hops(tuple(v[a:a + rows, None] for v in P), P)]
-        labels = tuple((x * h, y * h) + _TAGS[g] for x, y, g in zip(*(a.tolist() for a in P)))
-        base = int(np.nonzero((np.stack(P) == c).all(0))[0][0])
-        return FiniteMetricSpace(d, labels), base
+        P = np.concatenate(parts, axis=1)
+        P = P[:, np.lexsort(self._order(*P) if self._order else P[::-1])]
+        base = np.nonzero((P == c).all(0))[0]
+        if not base.size:
+            raise outside
+        d = _pairwise(P * scale, lambda p, q: finish(gauge(p, q)))
+        labels = tuple((x * h, y * h) + _TAGS[k] for x, y, k in P.T.tolist())
+        return FiniteMetricSpace(d, labels), int(base[0])
 
 
 class _GraphWindowGenerator:
@@ -888,18 +873,17 @@ class _GraphWindowGenerator:
         return graph.space_on(sel, 2 * R), int(np.nonzero(sel == base)[0][0])
 
 
-def unit_square_generator() -> _EuclideanRegionGenerator:
+def unit_square_generator() -> _LatticeWindowGenerator:
     return make_generator("square")
 
 
 def make_generator(name: str, **params):
-    """The one registry of window kinds: the regions of _REGIONS, the models
-    t, l and d, "flat-snowflake" (params flatness, window) and "slit-carpet"
-    and "pillow-carpet" (param sched); each has sample_ball(center, R, h)."""
-    if name in _REGIONS:
-        return _EuclideanRegionGenerator(_REGIONS[name])
-    if name in _MODELS:
-        return _ModelWindowGenerator(*_MODELS[name])
+    """The one registry of window kinds: the lattice kinds of _LATTICE (the
+    square, the Euclidean models and t, l and d), "flat-snowflake" (params
+    flatness, window) and "slit-carpet" and "pillow-carpet" (param sched);
+    each has sample_ball(center, R, h)."""
+    if name in _LATTICE:
+        return _LatticeWindowGenerator(name)
     if name == "flat-snowflake":
         return FlatSnowflakeGenerator(**params)
     if name in ("slit-carpet", "pillow-carpet"):
@@ -911,13 +895,8 @@ def model_tangent_space(kind: str, R: float, h: float) -> PointedWindow:
     """Pointed window of radius R around the distinguished point of a model
     tangent: plane, half plane (origin on the edge), quarter plane (corner),
     the slit plane t (tip), the gluings l = t+half and d = quarter+quarter
-    (seam origins), or the 1-d line.
-
-    Each is make_generator(kind)'s window at the origin: Euclidean kinds are
-    exact restrictions; t, l, d are the shortest-path metrics of their grid
-    graphs, closed-form hop counts mapped through the table of h-sums.
-    R and h pass the window geometry check of every generator's sample_ball,
-    _check_resolution.
+    (seam origins), or the 1-d line: make_generator(kind)'s lattice window
+    at the origin, whose R and h pass _check_resolution.
     """
     if kind not in MODEL_KINDS:
         raise DomainError(f"unknown model tangent kind {kind!r}; "

@@ -75,12 +75,12 @@ class GhResult:
         return obj
 
 
-def _pair_distortion(DX, DY, I, J, chunk: int = 1024) -> float:
-    """max over pair-pairs of |DX[i,i'] - DY[j,j']|, chunked to bound memory."""
+def _pair_distortion(DX, DY, I, J) -> float:
+    """max over pair-pairs of |DX[i,i'] - DY[j,j']|, 1024 rows at a time."""
     k = len(I)
     worst = 0.0
-    for lo in range(0, k, chunk):
-        hi = min(lo + chunk, k)
+    for lo in range(0, k, 1024):
+        hi = min(lo + 1024, k)
         a = DX[I[lo:hi]][:, I]
         b = DY[J[lo:hi]][:, J]
         worst = max(worst, float(np.abs(a - b).max()))

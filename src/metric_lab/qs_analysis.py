@@ -98,13 +98,13 @@ def envelope_from_samples(t, s) -> DistortionEnvelope:
     return DistortionEnvelope(t[keep], run[keep])
 
 
-def _triple_samples_all(f: SampledMap, chunk: int = 64):
+def _triple_samples_all(f: SampledMap):
     DX, DY = f.domain.dist, f.codomain.dist
     n = f.domain.n
     img = DY[np.ix_(f.assignment, f.assignment)]
     ts, ss = [], []
-    for x0 in range(0, n, chunk):
-        xs = np.arange(x0, min(x0 + chunk, n))
+    for x0 in range(0, n, 64):  # 64 base points at a time, n^2 ratios each
+        xs = np.arange(x0, min(x0 + 64, n))
         dx, ix = DX[xs], img[xs]
         with np.errstate(divide="ignore", invalid="ignore"):
             t = dx[:, None, :] / dx[:, :, None]   # [x, z, y] = d(x,y)/d(x,z)

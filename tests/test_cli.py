@@ -870,6 +870,28 @@ CONTRACTS = [
                   "--out", "{out}"], 1,
                  "Error: ResolutionError: mesh 0.001953125 gives 4097 or more points",
                  id="model-t-h-1/512-point-bound"),
+    # a snowflake window is counted before its matrix: at lambda = 1/2 the
+    # ball holds 5802 vertices, whose local search used to end in numpy's
+    # _ArrayMemoryError on a 9459 x 9459 pair matrix
+    pytest.param(["scan", "--space", "flat-snowflake", "--center", "0,0", "--scales",
+                  "2^-1,2^-2,2^-3", "--models", "line", "--rule", "lambda/2047",
+                  "--out", "{out}"], 1,
+                 "Error: ResolutionError: mesh 0.0002442598925256473 gives 5802 or more points",
+                 id="scan-snowflake-lambda/2047-point-bound"),
+    # a snowflake stage past 6 is refused before it is built: stage 8000 used
+    # to end in a ValueError traceback from formatting 4 ** stage + 1, stage
+    # 10^9 spent 32 s on that integer first, and a vertex:30:0 centre built
+    # the stage-30 polyline until memory ran out
+    pytest.param(["gen", "--kind", "snowflake", "--stage", "8000", "--out", "{out}"], 1,
+                 "Error: ConstructionError: a stage-8000 polyline has more than 4097 "
+                 "vertices", id="snowflake-stage-8000"),
+    pytest.param(["gen", "--kind", "snowflake", "--stage", "1000000000", "--out", "{out}"],
+                 1, "Error: ConstructionError: a stage-1000000000 polyline",
+                 id="snowflake-stage-10^9"),
+    pytest.param(["scan", "--space", "flat-snowflake", "--center", "vertex:30:0",
+                  "--scales", "2^-1,2^-2", "--models", "line", "--rule", "lambda/8",
+                  "--out", "{out}"], 1, "Error: ConstructionError: a stage-30 polyline",
+                 id="scan-snowflake-vertex-30-point-bound"),
     # no mesh resolves more than log2(MAX_MESH_STEPS) = 12 slit generations, and
     # the schedule is refused before it is built (10^8 levels took gigabytes)
     pytest.param(["gen", "--kind", "slit-carpet", "--levels", "100000000", "--out", "{out}"],

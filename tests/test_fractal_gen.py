@@ -646,6 +646,49 @@ class TestModelTangents:
                     assert np.array_equal(sp.dist, dist), (center, R)
                     assert b == base, (center, R)
 
+    @pytest.mark.parametrize("h,centers", [
+        (0.1, [(0.3, 0.1), (0.7, 0.9), (0.5, 0.5), (1.0, 0.3), (0.0, 0.6)]),
+        (0.15, [(0.45, 0.3), (0.9, 0.15)]),
+        (0.3, [(0.6, 0.9), (0.3, 0.0)]),
+        (1 / 3, [(0.333333333333, 0.666666666667), (1.0, 0.333333333333)])])
+    def test_square_windows_match_frozen_reference_at_decimal_centres(self, h, centers):
+        # a decimal centre differs from its node (ix * h, iy * h) by rounding,
+        # by 3e-13 at h = 1/3: the ball is measured from the centre as given
+        gen = make_generator("square")
+        for center in centers:
+            for R in (0.25, 0.5, 1.0, 1.5):
+                if h > R:
+                    continue
+                labels, dist, base = reference_euclid_window(REFERENCE_SQUARE, R, h,
+                                                             center=center)
+                sp, b = gen.sample_ball(center, R, h)
+                assert sp.labels == labels, (center, R)
+                assert np.array_equal(sp.dist, dist), (center, R)
+                assert b == base, (center, R)
+
+    @pytest.mark.parametrize("kind", ["square", "plane", "half", "quarter", "line"])
+    @pytest.mark.parametrize("tag", ["U", "D", "H", "A", "B", "Z"])
+    def test_a_tagged_centre_lies_outside_a_region(self, kind, tag):
+        # a region's points are untagged grid nodes; the tag used to be dropped
+        with pytest.raises(DomainError, match="lies outside the region"):
+            make_generator(kind).sample_ball((0.0, 0.0, tag), 0.5, 1 / 8)
+
+    @pytest.mark.parametrize("kind", ["plane", "line", "t", "slit-carpet"])
+    @pytest.mark.parametrize("center", [(1e300, 0.0), (0.0, -1e17)])
+    def test_a_centre_past_2_53_grid_steps_is_refused(self, kind, center):
+        # nodes that far out share float positions, and their indices overflow
+        # int64: the plane used to return a window of coinciding points at 1e17
+        gen = make_generator(kind, sched=SlitSchedule((0.5,)))
+        with pytest.raises(DomainError, match="within 2\\^53 steps"):
+            gen.sample_ball(center, 0.5, 1 / 8)
+
+    @pytest.mark.parametrize("kind,center", [("square", (6.5, 0.0)), ("quarter", (-2.0, 0.5)),
+                                             ("line", (0.0, 3.0))])
+    def test_a_centre_whose_index_box_misses_the_region_lies_outside_it(self, kind, center):
+        # no column (square, quarter) or no row (line) of the walk meets the box
+        with pytest.raises(DomainError, match="lies outside the region"):
+            make_generator(kind).sample_ball(center, 0.5, 0.5)
+
     @pytest.mark.parametrize("kind,center", [
         ("t", (-0.5, 0.25)), ("t", (0.5, 0.0, "U")), ("t", (0.75, -0.125)),
         ("l", (0.5, 0.0, "D")), ("l", (-0.25, 0.5, "H")), ("l", (0.25, -0.25)),
@@ -786,9 +829,11 @@ class TestSpacePointBound:
         (lambda: model_tangent_space("t", 1.0, 1 / 45), 4097),
         (lambda: model_tangent_space("l", 1.0, 1 / 37), 4097),
         (lambda: model_tangent_space("d", 1.0, 1 / 64), 4097),
+        # a snowflake window is counted once refined: 5802 vertices at h = 2^-1/2047
+        (lambda: FlatSnowflakeGenerator().sample_ball((0.0, 0.0), 0.5, 0.5 / 2047), 5802),
     ], ids=["slit-0", "slit-1", "slit-2", "pillow-0", "pillow-1", "pillow-1-graph",
             "rickman-rug", "wu-rug", "unit-mesh-rug", "plane-window", "line-window",
-            "square-window", "t-window", "l-window", "d-window"])
+            "square-window", "t-window", "l-window", "d-window", "snowflake-window"])
     def test_a_space_above_the_bound_is_refused_before_its_matrix(self, build, n):
         # an n x n float64 matrix of 4225 points alone takes 136 MiB
         tracemalloc.start()
@@ -830,19 +875,25 @@ class TestSpacePointBound:
         with pytest.raises(ResolutionError, match=f"gives {n} or more points"):
             build()
 
-    # the finest admitted meshes at R = 1: the t ball holds 2K^2 + 2K + 1 grid
-    # points and K lips, 4005 at K = 44; l holds 3997 at K = 36, d 4033 at K = 63
-    @pytest.mark.parametrize("kind,K,n", [("t", 44, 4005), ("l", 36, 3997), ("d", 63, 4033)])
+    # the finest admitted meshes at R = 1 (the square's at R = 1.5, all of it):
+    # the t ball holds 2K^2 + 2K + 1 grid points and K lips, 4005 at K = 44; l
+    # holds 3997 at K = 36, d 4033 at K = 63, the plane's disc 4053 at K = 36
+    @pytest.mark.parametrize("kind,K,n", [
+        ("t", 44, 4005), ("l", 36, 3997), ("d", 63, 4033), ("plane", 36, 4053),
+        ("half", 50, 3973), ("quarter", 71, 4025), ("line", 2047, 4095), ("square", 63, 4096)])
     def test_the_finest_admitted_model_window_stays_under_one_gib(self, kind, K, n):
+        # the matrix and the space's copy of it take 2 n^2 * 8 bytes, 256 MiB at
+        # n = 4096; an n x n x 2 broadcast of a region's matrix takes 700-770 MiB
+        R = 1.5 if kind == "square" else 1.0
         tracemalloc.start()
         try:
-            w = model_tangent_space(kind, 1.0, 1 / K)
+            space, _ = make_generator(kind).sample_ball((0.0, 0.0), R, 1 / K)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert w.space.n == n and peak < 2 ** 30
+        assert space.n == n and peak < 400 * 2 ** 20
         with pytest.raises(ResolutionError, match="gives 4097 or more points"):
-            model_tangent_space(kind, 1.0, 1 / (K + 1))
+            make_generator(kind).sample_ball((0.0, 0.0), R, 1 / (K + 1))
 
 
 @pytest.mark.parametrize("window",[(1.0, 0.0), (0.0, math.inf), (math.nan, 1.0)])
