@@ -22,7 +22,9 @@ from .metric_core import FiniteMetricSpace
 DEFAULT_BASE = 2.0  # visual parameter a
 # Most words one cylinder may enumerate.  Its visual matrix is n x n: the
 # largest admitted cylinder, 3750 words (rank 3, depth 5, m = 0), takes 0.7 s
-# and 277 MB through `boundary --probe-expansion`, the peak without the probe.
+# and 92 MB through `boundary --probe-expansion` (its n(n - 1)/2 ratios) on a
+# 2-core x86 machine, and 0.3 s and 36 MB without the probe, whose summary
+# reads no matrix.
 MAX_CYLINDER_WORDS = 2 ** 12
 
 
@@ -245,6 +247,18 @@ def cylinder_ball(p: BoundaryPoint, m: int, depth: int, count="all",
     words = _cylinder_words(p, m, depth, count, a, seed)
     return FiniteMetricSpace(_visual_block(np.asarray(words, dtype=int), a),
                              tuple(word_to_string(w) for w in words))
+
+
+def cylinder_summary(p: BoundaryPoint, m: int, depth: int, count="all",
+                     a: float = DEFAULT_BASE, seed: int = 0) -> tuple[int, float]:
+    """(points, diameter) of cylinder_ball with the same arguments, without
+    its n x n matrix.  The words come in lexicographic order, so the least
+    common-prefix length k of two of them is that of the first and the last,
+    and the diameter is the same float a^-k, or 0 for a single word."""
+    words = _cylinder_words(p, m, depth, count, a, seed)
+    first, last = words[0], words[-1]
+    k = next((i for i, (u, v) in enumerate(zip(first, last)) if u != v), depth)
+    return len(words), (float(a) ** -k if k < depth else 0.0)
 
 
 def translate_boundary(g: ReducedWord, x: BoundaryPoint) -> BoundaryPoint:

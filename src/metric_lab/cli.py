@@ -6,9 +6,11 @@ runs of one spec produce identical bytes; wall-clock columns are zeroed when
 METRIC_LAB_DETERMINISTIC is set (the reproduce runner sets it).
 
 No lab module imports scipy at import time, so the CLI starts without it.
-Only the carpets' grid graphs load it, and validating a space of more than
-metric_core._NUMPY_SLABS_MAX points; the model tangents, `gh`, `qs` and
-`boundary` never do.
+Only the carpets' grid graphs load it (scipy.sparse.csgraph), and validating
+a space of more than metric_core._NUMPY_SLABS_MAX points (scipy.spatial); a
+whole carpet's matrix is certified by its own graph's hop counts instead, so
+`gen` of a carpet never loads scipy.spatial, and the model tangents, `gh`,
+`qs` and `boundary` load no scipy at all.
 """
 from __future__ import annotations
 
@@ -216,10 +218,11 @@ def gen_cmd(kind, r_spec, levels, h_spec, stage, flatness, window, epsilon_spec,
             extent, truncation, radius_spec, points, out, out_codomain, out_map):
     """Generate a space and write it as JSON (validated before writing)."""
     h, epsilon, radius = map(parse_number, (h_spec, epsilon_spec, radius_spec))
+    graph = None
     if kind in ("slit-carpet", "pillow-carpet"):
-        sched = _slit_schedule(r_spec, levels)
-        space = (fg.pillow_carpet_space if kind == "pillow-carpet"
-                 else fg.slit_carpet_space)(sched, h)
+        graph = fg.whole_carpet_graph(_slit_schedule(r_spec, levels), h,
+                                      pillows=kind == "pillow-carpet")
+        space = graph.space()
     elif kind == "snowflake":
         space = fg.snowflake_polyline(stage, parse_flatness(flatness),
                                       parse_pair(window, "--window takes a,b"))
@@ -240,7 +243,8 @@ def gen_cmd(kind, r_spec, levels, h_spec, stage, flatness, window, epsilon_spec,
         gaps = np.abs(pts[:, None] - pts[None, :])
         dom = mc.FiniteMetricSpace(gaps, tuple(float(p) for p in pts))
         cod = mc.FiniteMetricSpace(gaps ** epsilon, tuple(float(p) for p in pts))
-        _check_metric(dom, cod)
+        _check_metric(dom)
+        _check_metric(cod)
         mc.write_space(dom, out)
         mc.write_space(cod, out_codomain)
         write_json_atomic({"assignment": list(range(len(pts)))}, out_map)
@@ -249,17 +253,21 @@ def gen_cmd(kind, r_spec, levels, h_spec, stage, flatness, window, epsilon_spec,
     else:  # model tangents
         space = fg.model_tangent_space(kind.removeprefix("model-"), radius, h).space
 
-    _check_metric(space)
+    _check_metric(space, graph)
     mc.write_space(space, out)
     click.echo(f"gen {kind}: {space.n} points, diameter {fmt(space.diameter())} -> {out}")
 
 
-def _check_metric(*spaces):
-    """Exit 1 before anything is written unless every space is a metric."""
-    for space in spaces:
-        report = mc.validate_metric(space)
-        if report:
-            raise MalformedMatrixError(f"generated space violates {report[0].axiom}")
+def _check_metric(space, graph=None):
+    """Exit 1 before anything is written unless the space is a metric: a
+    whole carpet's matrix certified as h times the hop metric of its own
+    graph, or any space that validate_metric accepts (a carpet on a mesh
+    whose path sums are not exact takes this fallback)."""
+    if graph is not None and graph.is_hop_metric(space.dist):
+        return
+    report = mc.validate_metric(space)
+    if report:
+        raise MalformedMatrixError(f"generated space violates {report[0].axiom}")
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +367,9 @@ def boundary_cmd(rank, depth, visual_base, cylinder_spec, probe_expansion,
     m = int(m_text)
     prefix = bfg.reduce_word(prefix_text, rank)
     p = bfg.BoundaryPoint(bfg.first_extension(prefix, depth))
-    ball = bfg.cylinder_ball(p, m, depth, count=count_val, a=a, seed=seed)
+    points, diameter = bfg.cylinder_summary(p, m, depth, count=count_val, a=a, seed=seed)
     payload["cylinder"] = {"prefix": str(prefix), "m": m,
-                           "points": ball.n, "diameter": ball.diameter()}
+                           "points": points, "diameter": diameter}
     if probe_expansion:
         stats = bfg.expansion_factor_probe(p, m, samples=count_val, depth=depth,
                                            a=a, seed=seed)

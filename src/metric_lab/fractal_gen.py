@@ -223,31 +223,23 @@ def _slit_carpet_box(sched: SlitSchedule, h: float, cx: int, cy: int, K: int,
     return b.build()
 
 
-def slit_carpet_space(sched: SlitSchedule, h: float) -> FiniteMetricSpace:
-    """All grid nodes of the slit carpet with the shortest-path metric.
+def whole_carpet_graph(sched: SlitSchedule, h: float, pillows: bool = False) -> GridGraph:
+    """The graph of the whole slit carpet, with a two-sheet pillow glued
+    mouth-to-slit at every slit when pillows is set; its space() is every
+    grid node with the shortest-path metric.
 
-    Cost is quadratic in the node count, so a mesh that gives more than
+    The node count is checked twice: the (M + 1)^2 grid nodes before the
+    graph is built, which would take gigabytes near MAX_MESH_STEPS, and the
+    graph's nodes, lips and pillows included, before any matrix exists.  Cost
+    is quadratic in the node count, so a mesh that gives more than
     MAX_SPACE_POINTS nodes raises ResolutionError; for fine meshes prefer a
     window, make_generator("slit-carpet", sched=sched).sample_ball, which
     builds only the box around its center.
     """
-    return _whole_carpet(sched, h, False)
-
-
-def pillow_carpet_space(sched: SlitSchedule, h: float) -> FiniteMetricSpace:
-    """Slit carpet with a two-sheet pillow glued mouth-to-slit at every slit."""
-    return _whole_carpet(sched, h, True)
-
-
-def _whole_carpet(sched: SlitSchedule, h: float, pillows: bool) -> FiniteMetricSpace:
-    """The whole carpet's space, its node count checked twice: the (M + 1)^2
-    grid nodes before the graph is built, which would take gigabytes near
-    MAX_MESH_STEPS, and the graph's nodes, lips and pillows included, before
-    its matrix is allocated."""
     _check_space_points((_mesh_steps(h) + 1) ** 2, h)
     graph = slit_carpet_graph(sched, h, pillows)
     _check_space_points(graph.n, h)
-    return graph.space()
+    return graph
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,12 @@ def validate_metric(m: FiniteMetricSpace) -> list[AxiomViolation]:
     adds 440-500 ms to the filter in a process that has loaded only numpy,
     and 95-150 ms once scipy.sparse is loaded (the grid-graph generators), so
     the slabs are cheaper up to about 600 and 450 points respectively.
+
+    `gen` does not call this on a whole carpet whose matrix
+    grids.GridGraph.is_hop_metric certifies as h times its graph's hop metric
+    (an O(n E) check of the same matrix, whose answer here would be []); it
+    falls back to this check when the certificate fails, and every other
+    space, windows of a graph included, is checked here.
     """
     d = m.dist
     n = m.n

@@ -15,6 +15,11 @@ from .errors import DegenerateEnvelopeError, DomainError
 from .metric_core import FiniteMetricSpace
 
 TRIPLE_BUDGET_DEFAULT = 10 ** 6
+# Largest sampled budget: the draw holds three budget-long int64 vectors and
+# their ratios, about 62 bytes per triple (659 MB measured at 10^7 on 250
+# points); a larger budget is refused unless it enumerates every triple.
+MAX_TRIPLE_BUDGET = 10 ** 7
+_ENVELOPE_ROWS = 8  # x rows per part of the all-triples envelope
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,6 +40,11 @@ class SampledMap:
         if np.unique(f).size != f.size:
             raise DomainError("assignment must be injective (image ratios need "
                               "nonzero denominators)")
+        coincide = self.codomain.dist[np.ix_(f, f)] == 0
+        np.fill_diagonal(coincide, False)
+        if coincide.any():
+            raise DomainError("distinct points must have distinct images (image "
+                              "ratios need nonzero denominators)")
         object.__setattr__(self, "assignment", f)
 
 
@@ -98,22 +108,32 @@ def envelope_from_samples(t, s) -> DistortionEnvelope:
     return DistortionEnvelope(t[keep], run[keep])
 
 
-def _triple_samples_all(f: SampledMap):
-    DX, DY = f.domain.dist, f.codomain.dist
+def _envelope_all(f: SampledMap) -> DistortionEnvelope:
+    """envelope_from_samples of every ordered triple (x, y, z) with x != z,
+    without holding them all: the samples of _ENVELOPE_ROWS x rows at a time
+    are reduced to their staircase and merged into the running one.  A sample
+    dominated within its part is dominated in the whole, so the staircase of
+    the parts' staircases is the staircase of all samples, built from the
+    same divisions, comparisons and maxima; SampledMap's distinct images keep
+    every image ratio a number (no 0/0), which the merge needs."""
+    DX = f.domain.dist
+    img = f.codomain.dist[np.ix_(f.assignment, f.assignment)]
     n = f.domain.n
-    img = DY[np.ix_(f.assignment, f.assignment)]
-    ts, ss = [], []
-    for x0 in range(0, n, 64):  # 64 base points at a time, n^2 ratios each
-        xs = np.arange(x0, min(x0 + 64, n))
+    env = None
+    for x0 in range(0, n, _ENVELOPE_ROWS):
+        xs = np.arange(x0, min(x0 + _ENVELOPE_ROWS, n))
         dx, ix = DX[xs], img[xs]
         with np.errstate(divide="ignore", invalid="ignore"):
             t = dx[:, None, :] / dx[:, :, None]   # [x, z, y] = d(x,y)/d(x,z)
             s = ix[:, None, :] / ix[:, :, None]
         zmask = np.ones((len(xs), n), dtype=bool)   # z != x
         zmask[np.arange(len(xs)), xs] = False
-        ts.append(t[zmask].ravel())
-        ss.append(s[zmask].ravel())
-    return np.concatenate(ts), np.concatenate(ss)
+        part = envelope_from_samples(t[zmask].ravel(), s[zmask].ravel())
+        if env is not None:  # two sorted runs: the stable sort merges them
+            part = envelope_from_samples(np.concatenate((env.ts, part.ts)),
+                                         np.concatenate((env.ss, part.ss)))
+        env = part
+    return env
 
 
 def _triple_samples_budget(f: SampledMap, budget: int, seed: int):
@@ -138,7 +158,7 @@ def distortion_envelope(f: SampledMap, triple_budget=TRIPLE_BUDGET_DEFAULT,
     "all" enumerates every ordered triple (x, y, z) with x != z; an integer
     budget, at least 1, draws that many seeded uniform triples instead.  A
     budget at least the number of ordered triples falls back to full
-    enumeration.
+    enumeration; any other budget above MAX_TRIPLE_BUDGET is refused.
     """
     n = f.domain.n
     if n < 3:
@@ -148,10 +168,12 @@ def distortion_envelope(f: SampledMap, triple_budget=TRIPLE_BUDGET_DEFAULT,
     if triple_budget != "all" and int(triple_budget) >= n * n * (n - 1):
         triple_budget = "all"
     if triple_budget == "all":
-        t, s = _triple_samples_all(f)
-    else:
-        t, s = _triple_samples_budget(f, int(triple_budget), seed)
-    return envelope_from_samples(t, s)
+        return _envelope_all(f)
+    if int(triple_budget) > MAX_TRIPLE_BUDGET:
+        raise DomainError(
+            f"triple budget {triple_budget} exceeds {MAX_TRIPLE_BUDGET} sampled triples; "
+            f"'all' enumerates the {n * n * (n - 1)} ordered triples")
+    return envelope_from_samples(*_triple_samples_budget(f, int(triple_budget), seed))
 
 
 def envelope_invert(eta: DistortionEnvelope) -> DistortionEnvelope:

@@ -13,7 +13,8 @@ model-window sampler, a frozen unbounded, symmetrised graph-window search
 graphs (the library writes their metrics in closed form), a frozen copy of
 the flat-snowflake window sampler that refines segment by segment, a frozen
 metric-axiom check that scans every triangle slab, the nested-list space
-JSON that the streaming space writer must match byte for byte, a
+JSON that the streaming space writer must match byte for byte, a frozen
+all-triples distortion envelope that sorts every triple at once, a
 breakpoint-counting step evaluation of distortion envelopes, a frozen copy
 of the boundary expansion probe that translates both points of every pair
 and compares scalar visual distances, a pair-by-pair nearest-position seed,
@@ -747,6 +748,36 @@ def reference_space_json(m) -> dict:
     """The space as nested lists: json.dump(indent=1, sort_keys=True) of it,
     newline-terminated, is the byte reference for metric_core.write_space."""
     return {"labels": [_reference_label(l) for l in m.labels], "dist": m.dist.tolist()}
+
+
+def reference_envelope_all(f):
+    """Frozen all-triples distortion envelope, (ts, ss): every ordered triple's
+    (source ratio, image ratio) held at once and sorted once, then the running
+    maximum by ascending t, kept where it strictly increases."""
+    DX, DY = f.domain.dist, f.codomain.dist
+    n = f.domain.n
+    img = DY[np.ix_(f.assignment, f.assignment)]
+    ts, ss = [], []
+    for x0 in range(0, n, 64):
+        xs = np.arange(x0, min(x0 + 64, n))
+        dx, ix = DX[xs], img[xs]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = dx[:, None, :] / dx[:, :, None]
+            s = ix[:, None, :] / ix[:, :, None]
+        zmask = np.ones((len(xs), n), dtype=bool)
+        zmask[np.arange(len(xs)), xs] = False
+        ts.append(t[zmask].ravel())
+        ss.append(s[zmask].ravel())
+    t, s = np.concatenate(ts), np.concatenate(ss)
+    order = np.argsort(t, kind="stable")
+    t, s = t[order], s[order]
+    run = np.maximum.accumulate(s)
+    last_of_group = np.append(t[1:] != t[:-1], True)
+    t, run = t[last_of_group], run[last_of_group]
+    keep = np.empty(t.size, dtype=bool)
+    keep[0] = True
+    keep[1:] = run[1:] > np.maximum.accumulate(run)[:-1]
+    return t[keep], run[keep]
 
 
 def reference_eval_step(env, t):

@@ -134,6 +134,8 @@ def test_05_ultrametric_and_four_point_condition():
     pts = [BoundaryPoint(ReducedWord(w, rank)) for w in enumerate_words(rank, depth)]
     n = len(pts)
     D = np.array([[visual_distance(x, y) for y in pts] for x in pts])
+    # the cylinder U(p, 0) is the whole boundary, realized as the same matrix
+    assert np.array_equal(cylinder_ball(pts[0], 0, depth).dist, D)
     assert np.all(D[:, :, None] <= np.maximum(D[:, None, :], D[None, :, :]) + 0)
     for x in range(n):
         lhs = D[x][:, None, None] + D[None, :, :]

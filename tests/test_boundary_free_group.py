@@ -13,6 +13,7 @@ from metric_lab.boundary_free_group import (
     BoundaryPoint,
     ReducedWord,
     cylinder_ball,
+    cylinder_summary,
     enumerate_words,
     expanding_cover,
     expansion_factor_probe,
@@ -215,6 +216,45 @@ class TestCylinders:
         stats = expansion_factor_probe(p, 1, samples=4, depth=4, seed=5)
         assert ball.n == 4
         assert stats.count == 4 * 3 // 2  # distinct depth-4 words: no zero distance
+
+
+class TestCylinderSummary:
+    def test_points_and_diameter_equal_the_matrix_ones(self):
+        # every cylinder prefix of ranks 1..3 up to depth 4 (rank 3: 3), whole
+        # and sampled, at bases whose powers round, and at 1e300, whose a^-2
+        # underflows to 0
+        cases = 0
+        for rank, deepest in ((1, 4), (2, 4), (3, 3)):
+            for depth in range(1, deepest + 1):
+                for m in range(depth + 1):
+                    for w in enumerate_words(rank, m):
+                        p = BoundaryPoint(first_extension(ReducedWord(w, rank), depth))
+                        for count, seed in (("all", 0), (1, 0), (3, 7)):
+                            for a in (2.0, 1.1, 1e300):
+                                ball = cylinder_ball(p, m, depth, count, a, seed)
+                                got = cylinder_summary(p, m, depth, count, a, seed)
+                                assert got == (ball.n, ball.diameter()), (w, depth, count, a)
+                                assert type(got[1]) is float
+                                cases += 1
+        assert cases == 4_419
+
+    def test_the_largest_cylinder_needs_no_matrix(self):
+        # 3750 words: cylinder_ball's matrix alone takes 107 MiB
+        p = BoundaryPoint(first_extension(reduce_word("", 3), 5))
+        tracemalloc.start()
+        try:
+            points, diameter = cylinder_summary(p, 0, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (points, diameter) == (3750, 1.0)
+        assert peak < 16 * 2 ** 20
+
+    def test_refuses_what_cylinder_ball_refuses(self):
+        with pytest.raises(DomainError, match="must exceed 1"):
+            cylinder_summary(point("abab", 2), 0, 4, a=1.0)
+        with pytest.raises(DomainError, match="at most"):
+            cylinder_summary(BoundaryPoint(first_extension(reduce_word("a", 2), 40)), 0, 40)
 
 
 class TestTranslation:

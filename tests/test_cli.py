@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import metric_lab
-from metric_lab import errors
+from metric_lab import errors, metric_core
 from metric_lab.cli import (GEN_KINDS, MAX_DEPTH, MAX_PAIR_POINTS, fmt, main, parse_center,
                             parse_number, parse_scales)
 from metric_lab.fractal_gen import MODEL_KINDS
@@ -69,6 +69,34 @@ class TestGen:
         with open(out) as fh:
             space = space_from_json(json.load(fh))
         assert space.n > 0
+
+    @pytest.mark.parametrize("kind,h", [("slit-carpet", "1/16"), ("slit-carpet", "1/32"),
+                                        ("pillow-carpet", "1/16")])
+    def test_whole_carpets_are_certified_without_validate_metric(self, runner, tmp_path,
+                                                                  monkeypatch, kind, h):
+        # the `reproduce` carpet and the benchmark's two: each matrix is
+        # certified by its own graph's hop counts, never by the fallback
+        def refuse(space):
+            raise AssertionError("validate_metric ran on a certified carpet")
+        monkeypatch.setattr(metric_core, "validate_metric", refuse)
+        out = tmp_path / "carpet.json"
+        result = runner.invoke(main, ["gen", "--kind", kind, "--r", "harmonic", "--levels",
+                                      "2", "--h", h, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert out.exists()
+
+    def test_a_carpet_whose_path_sums_are_inexact_takes_the_fallback(self, runner, tmp_path,
+                                                                      monkeypatch):
+        # on the mesh 0.1 Dijkstra's sums differ from rint(d / h) * h
+        calls = []
+        validate = metric_core.validate_metric
+        monkeypatch.setattr(metric_core, "validate_metric",
+                            lambda space: calls.append(space.n) or validate(space))
+        out = tmp_path / "carpet.json"
+        result = runner.invoke(main, ["gen", "--kind", "slit-carpet", "--r", "0.5", "--h",
+                                      "0.1", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert calls == [126]
 
     def test_snowflake_pair_emits_three_files(self, runner, tmp_path):
         result = runner.invoke(main, [
@@ -600,8 +628,10 @@ class TestReproduce:
 # each step and reports the scipy modules loaded so far.  No module imports
 # scipy at import time; the function that calls scipy imports it, and only
 # two do: GridGraph (scipy.sparse.csgraph) and validate_metric above
-# _NUMPY_SLABS_MAX points (scipy.spatial).  A step is [name, CLI argv] or the
-# name of a function of the probe; the modules are reported under the name.
+# _NUMPY_SLABS_MAX points (scipy.spatial).  `gen` certifies a whole carpet by
+# its graph's hop counts instead of validate_metric, so even a carpet above
+# that limit loads no scipy.spatial.  A step is [name, CLI argv] or the name
+# of a function of the probe; the modules are reported under the name.
 STARTUP_PROBE = """
 import importlib, json, pkgutil, sys
 import numpy as np
@@ -675,6 +705,9 @@ class TestStartup:
             # the probe sees scipy once a step does load it
             ["slit-carpet", ["gen", "--kind", "slit-carpet", "--levels", "1", "--h", "1/8",
                              "--out", str(tmp_path / "k.json")]],
+            # 1146 points, above _NUMPY_SLABS_MAX
+            ["slit-carpet-1146", ["gen", "--kind", "slit-carpet", "--levels", "2", "--h",
+                                  "1/32", "--out", str(tmp_path / "k32.json")]],
             "validate_above_the_limit",
         ]
         loaded = run_startup_probe(steps)
@@ -684,9 +717,11 @@ class TestStartup:
             assert loaded[step] == [], f"{step} loaded {loaded[step][:5]}"
         assert "scipy.sparse.csgraph" in loaded["slit-carpet"]
         assert "scipy.spatial" not in loaded["slit-carpet"]
+        assert "scipy.sparse.csgraph" in loaded["slit-carpet-1146"]
+        assert "scipy.spatial" not in loaded["slit-carpet-1146"]
         assert "scipy.spatial" in loaded["validate_above_the_limit"]
         for name in ("gh.json", "env.csv", "b.json", "q.json", "d.json", "s.csv", "t.json",
-                     "st.csv", "k.json"):
+                     "st.csv", "k.json", "k32.json"):
             assert (tmp_path / name).exists()
 
     def test_no_module_imports_scipy_until_a_function_calls_it(self):
@@ -897,6 +932,27 @@ CONTRACTS = [
     pytest.param(["gen", "--kind", "slit-carpet", "--levels", "100000000", "--out", "{out}"],
                  1, "Error: ResolutionError: 100000000 slit generations",
                  id="carpet-levels-100000000"),
+    # the all-triples envelope merges the staircases of 8 x rows at a time:
+    # 400 points (63.8 million triples) used to end in numpy's
+    # _ArrayMemoryError after 1548 MB, and now peak near 160 MB
+    pytest.param(["qs", "--domain", "{d}/snow400-d.json", "--codomain", "{d}/snow400-c.json",
+                  "--map", "{d}/snow400-m.json", "--budget", "all", "--out", "{out}"], 0,
+                 "qs envelope: 321745 breakpoints ->", id="qs-400-points-point-bound"),
+    # a sampled budget holds about 62 bytes per triple: above MAX_TRIPLE_BUDGET
+    # it is refused unless it covers every triple, and then it enumerates them
+    pytest.param(["qs", "--domain", "{d}/snow400-d.json", "--codomain", "{d}/snow400-c.json",
+                  "--map", "{d}/snow400-m.json", "--budget", "10000001", "--out", "{out}"], 1,
+                 "Error: DomainError: triple budget 10000001 exceeds 10000000",
+                 id="qs-budget-10000001-point-bound"),
+    pytest.param(["qs", "--domain", "{d}/snow-d.json", "--codomain", "{d}/snow-c.json",
+                  "--map", "{d}/snow-m.json", "--budget", "1000000000", "--out", "{out}"], 0,
+                 "qs envelope: 214 breakpoints ->", id="qs-budget-above-every-triple"),
+    # the largest admitted cylinder is summarised from its first and last
+    # words: its 3750 x 3750 matrix took 277 MB
+    pytest.param(["boundary", "--rank", "3", "--depth", "5", "--cylinder", ":0",
+                  "--out", "{out}"], 0,
+                 "sha256 82f26e700e8bd2142c98e1293349610cfecfd884dec129fc6cb2db02f03e7ee7",
+                 id="boundary-3750-words"),
     # the line is the x-axis: a centre off it lies outside the region
     pytest.param(["scan", "--space", "line", "--center", "0,0.5", "--scales", "2^-3..2^-4",
                   "--models", "line", "--rule", "lambda/8", "--out", "{out}"], 1,
@@ -914,7 +970,10 @@ def contract_inputs(tmp_path_factory):
                   "--out", f"{d}/half.json"],
                  ["gen", "--kind", "snowflake-pair", "--points", "12", "--out",
                   f"{d}/snow-d.json", "--out-codomain", f"{d}/snow-c.json",
-                  "--out-map", f"{d}/snow-m.json"]):
+                  "--out-map", f"{d}/snow-m.json"],
+                 ["gen", "--kind", "snowflake-pair", "--points", "400", "--out",
+                  f"{d}/snow400-d.json", "--out-codomain", f"{d}/snow400-c.json",
+                  "--out-map", f"{d}/snow400-m.json"]):
         assert CliRunner().invoke(main, argv).exit_code == 0
     return d
 

@@ -24,10 +24,8 @@ from metric_lab.fractal_gen import (
     make_generator,
     model_tangent_space,
     phi_half_disk_sample,
-    pillow_carpet_space,
     product_rug_space,
     slit_carpet_graph,
-    slit_carpet_space,
     slit_plane_distance,
     snowflake_polyline,
     square_map_phi,
@@ -35,6 +33,7 @@ from metric_lab.fractal_gen import (
     wu_L,
     wu_line_metric,
     WuSchedule,
+    whole_carpet_graph,
 )
 from metric_lab.grids import GridGraph
 from metric_lab.metric_core import validate_metric
@@ -50,6 +49,14 @@ from .oracles import (
     reference_snowflake_window,
     single_slit_grid_adjacency,
 )
+
+
+def slit_carpet_space(sched, h):
+    return whole_carpet_graph(sched, h).space()
+
+
+def pillow_carpet_space(sched, h):
+    return whole_carpet_graph(sched, h, pillows=True).space()
 
 
 class TestSlitCarpet:

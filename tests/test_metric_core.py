@@ -11,7 +11,7 @@ from scipy.spatial.distance import cdist
 
 from metric_lab import metric_core
 from metric_lab.errors import DomainError, MalformedMatrixError
-from metric_lab.fractal_gen import SlitSchedule, slit_carpet_space, unit_square_generator
+from metric_lab.fractal_gen import SlitSchedule, unit_square_generator, whole_carpet_graph
 from metric_lab.metric_core import (
     TOL,
     FiniteMetricSpace,
@@ -286,7 +286,7 @@ class TestJsonFormat:
         FiniteMetricSpace([[-0.0, 1e16, 5e-324], [1e16, 0.0, 0.1 + 0.2],
                            [5e-324, 0.1 + 0.2, -0.0]],
                           (0.5, (1, (2.5, "x")), np.int64(7))),
-        slit_carpet_space(SlitSchedule((0.5,)), 1 / 8),
+        whole_carpet_graph(SlitSchedule((0.5,)), 1 / 8).space(),
     ], ids=["n0", "n1", "n2", "n3-floats", "carpet"])
     def test_space_bytes_equal_json_dump(self, tmp_path, m):
         path = tmp_path / "space.json"

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from metric_lab import qs_analysis
 from metric_lab.errors import DegenerateEnvelopeError, DomainError
 from metric_lab.metric_core import FiniteMetricSpace, rescale
 from metric_lab.qs_analysis import (
+    MAX_TRIPLE_BUDGET,
     DistortionEnvelope,
     SampledMap,
     distortion_envelope,
@@ -13,7 +15,7 @@ from metric_lab.qs_analysis import (
     envelope_invert,
 )
 
-from .oracles import reference_eval_step
+from .oracles import reference_envelope_all, reference_eval_step
 
 
 def line_space(points):
@@ -85,7 +87,80 @@ class TestEnvelope:
             distortion_envelope(identity_map(m, m))
 
 
+def l1_space(points):
+    P = np.asarray(points, dtype=float)
+    return FiniteMetricSpace(np.abs(P[:, None, :] - P[None, :, :]).sum(axis=-1))
+
+
+def seeded_pairs():
+    """(name, map) of seeded spaces whose ratios repeat across x rows: integer
+    points of a line or a grid, so equal-t groups span the 8-row parts."""
+    rng = np.random.default_rng(20261020)
+    out = []
+    for k, n in enumerate((3, 7, 8, 9, 17, 24, 33, 41)):
+        dom = line_space(rng.choice(3 * n, size=n, replace=False))
+        grid = rng.choice(49, size=n, replace=False)
+        cod = l1_space(np.stack([grid % 7, grid // 7], axis=1))
+        out.append((f"line-grid-{n}", SampledMap(dom, cod, rng.permutation(n))))
+        dom = l1_space(rng.integers(0, 4, size=(n, 2)))  # coincident points: 0/0 source ratios
+        cod = snowflake_space(rng.choice(5 * n, size=n, replace=False), 0.5)
+        out.append((f"coincident-domain-{n}", SampledMap(dom, cod, np.arange(n))))
+        pts = rng.random((n, 2))
+        out.append((f"random-{n}", SampledMap(
+            FiniteMetricSpace(np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)),
+            snowflake_space(rng.random(n), 0.7), rng.permutation(n))))
+    return out
+
+
+class TestEnvelopeAgainstFrozenReference:
+    @pytest.mark.parametrize("n", [30, 120])
+    def test_reproduce_and_benchmark_pairs(self, n):
+        # the `reproduce` pair (30 points) and the benchmark's (120 points)
+        pts = np.linspace(0.0, 1.0, n)
+        env = distortion_envelope(identity_map(line_space(pts), snowflake_space(pts, 0.5)), "all")
+        ts, ss = reference_envelope_all(identity_map(line_space(pts), snowflake_space(pts, 0.5)))
+        assert env.ts.tobytes() == ts.tobytes() and env.ss.tobytes() == ss.tobytes()
+
+    @pytest.mark.parametrize("name,f", seeded_pairs())
+    def test_seeded_spaces_with_repeated_ratios(self, name, f):
+        env = distortion_envelope(f, "all")
+        ts, ss = reference_envelope_all(f)
+        assert env.ts.tobytes() == ts.tobytes() and env.ss.tobytes() == ss.tobytes()
+
+    def test_parts_are_merged_into_one_staircase(self, monkeypatch):
+        # parts of 1, 2 and 3 rows give the bytes of one sort of every triple
+        f = dict(seeded_pairs())["coincident-domain-17"]
+        ts, ss = reference_envelope_all(f)
+        for rows in (1, 2, 3):
+            monkeypatch.setattr(qs_analysis, "_ENVELOPE_ROWS", rows)
+            env = distortion_envelope(f, "all")
+            assert env.ts.tobytes() == ts.tobytes() and env.ss.tobytes() == ss.tobytes()
+
+
+class TestTripleBudget:
+    def test_a_budget_above_the_bound_is_refused_before_sampling(self, monkeypatch):
+        # 217^2 * 216 ordered triples exceed the bound, so no fallback to "all"
+        pts = np.arange(217.0)
+        f = identity_map(line_space(pts), snowflake_space(pts, 0.5))
+        monkeypatch.setattr(qs_analysis, "_triple_samples_budget", None)
+        with pytest.raises(DomainError, match=f"exceeds {MAX_TRIPLE_BUDGET}"):
+            distortion_envelope(f, MAX_TRIPLE_BUDGET + 1)
+
+    @pytest.mark.parametrize("budget", [30 * 30 * 29, MAX_TRIPLE_BUDGET + 1, 10 ** 12])
+    def test_a_budget_covering_every_triple_enumerates_them(self, snowflake30, budget):
+        full = distortion_envelope(snowflake30, "all")
+        env = distortion_envelope(snowflake30, budget)
+        assert env.ts.tobytes() == full.ts.tobytes() and env.ss.tobytes() == full.ss.tobytes()
+
+
 class TestSampledMap:
+    def test_distinct_points_with_one_image_are_refused(self):
+        # their image ratio would be 0/0
+        m, c = line_space([0, 1, 2]), line_space([0, 1, 1, 3])
+        SampledMap(m, c, np.array([0, 1, 3]))
+        with pytest.raises(DomainError, match="distinct images"):
+            SampledMap(m, c, np.array([0, 1, 2]))
+
     @pytest.mark.parametrize("assignment,match", [
         ([0, 1], "cover all 3"), ([0, 1, 2, 3], "cover all 3"),
         ([-1, 0, 1], "out of range"), ([0, 1, 4], "out of range")])
