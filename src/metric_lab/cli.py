@@ -7,10 +7,9 @@ METRIC_LAB_DETERMINISTIC is set (the reproduce runner sets it).
 
 No lab module imports scipy at import time, so the CLI starts without it.
 Only the carpets' grid graphs load it (scipy.sparse.csgraph), and validating
-a space of more than metric_core._NUMPY_SLABS_MAX points (scipy.spatial); a
-whole carpet's matrix is certified by its own graph's hop counts instead, so
-`gen` of a carpet never loads scipy.spatial, and the model tangents, `gh`,
-`qs` and `boundary` load no scipy at all.
+a space of more than metric_core._NUMPY_SLABS_MAX points that is not a grid
+metric (scipy.spatial), so `gen` of a carpet never loads scipy.spatial, and
+the model tangents, `gh`, `qs` and `boundary` load no scipy at all.
 """
 from __future__ import annotations
 
@@ -218,11 +217,9 @@ def gen_cmd(kind, r_spec, levels, h_spec, stage, flatness, window, epsilon_spec,
             extent, truncation, radius_spec, points, out, out_codomain, out_map):
     """Generate a space and write it as JSON (validated before writing)."""
     h, epsilon, radius = map(parse_number, (h_spec, epsilon_spec, radius_spec))
-    graph = None
     if kind in ("slit-carpet", "pillow-carpet"):
-        graph = fg.whole_carpet_graph(_slit_schedule(r_spec, levels), h,
-                                      pillows=kind == "pillow-carpet")
-        space = graph.space()
+        space = fg.whole_carpet_graph(_slit_schedule(r_spec, levels), h,
+                                      pillows=kind == "pillow-carpet").space()
     elif kind == "snowflake":
         space = fg.snowflake_polyline(stage, parse_flatness(flatness),
                                       parse_pair(window, "--window takes a,b"))
@@ -253,18 +250,13 @@ def gen_cmd(kind, r_spec, levels, h_spec, stage, flatness, window, epsilon_spec,
     else:  # model tangents
         space = fg.model_tangent_space(kind.removeprefix("model-"), radius, h).space
 
-    _check_metric(space, graph)
+    _check_metric(space)
     mc.write_space(space, out)
     click.echo(f"gen {kind}: {space.n} points, diameter {fmt(space.diameter())} -> {out}")
 
 
-def _check_metric(space, graph=None):
-    """Exit 1 before anything is written unless the space is a metric: a
-    whole carpet's matrix certified as h times the hop metric of its own
-    graph, or any space that validate_metric accepts (a carpet on a mesh
-    whose path sums are not exact takes this fallback)."""
-    if graph is not None and graph.is_hop_metric(space.dist):
-        return
+def _check_metric(space):
+    """Exit 1 before anything is written unless validate_metric accepts the space."""
     report = mc.validate_metric(space)
     if report:
         raise MalformedMatrixError(f"generated space violates {report[0].axiom}")

@@ -8,18 +8,16 @@ its node keys, its undirected edges and the one length h of every edge; an
 edge given twice counts once.  Every distance request is one scipy Dijkstra
 call, optionally bounded by a distance limit.  With one edge length, a path
 of k edges sums to the same float in either direction, so distance matrices
-are exactly symmetric; on a dyadic mesh every sum is exact, and
-GridGraph.is_hop_metric certifies a whole graph's matrix in O(n E) instead of
-the O(n^3) triangle scan.
+are exactly symmetric, and metric_core.validate_metric certifies a whole
+graph's matrix from its hop counts in O(n^2) instead of the O(n^3) triangle
+scan.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import DomainError
-from .metric_core import TOL, FiniteMetricSpace
-
-_CERTIFY_ROWS = 64  # source rows per block of GridGraph.is_hop_metric
+from .metric_core import FiniteMetricSpace
 
 
 class GridGraph:
@@ -33,11 +31,10 @@ class GridGraph:
         self.index = {k: i for i, k in enumerate(self.keys)}
         if len(self.index) != len(self.keys):
             raise DomainError("duplicate node keys in grid graph")
-        self.h = float(h)
         n = len(self.keys)
         pairs = {(u, v) if u < v else (v, u) for u, v in edges}  # csr would sum duplicates
         uv = np.array(list(pairs), dtype=int).reshape(-1, 2)
-        self.adjacency = csr_matrix((np.full(len(uv), self.h), (uv[:, 0], uv[:, 1])),
+        self.adjacency = csr_matrix((np.full(len(uv), float(h)), (uv[:, 0], uv[:, 1])),
                                     shape=(n, n))
 
     @property
@@ -67,48 +64,6 @@ class GridGraph:
 
     def space(self) -> FiniteMetricSpace:
         return self.space_on(np.arange(self.n))
-
-    def is_hop_metric(self, dist) -> bool:
-        """Whether the n x n matrix dist is exactly h times this graph's
-        hop-count metric, which makes it a metric that validate_metric accepts.
-
-        Checked on the matrix itself, in blocks of _CERTIFY_ROWS source rows,
-        with H = rint(dist / h): H * h == dist bit for bit; exact symmetry,
-        H >= 0 and a zero diagonal; |H[i,u] - H[i,v]| <= 1 on every edge
-        (u, v), so H is at most the hop distance; every off-diagonal H[i,j]
-        has a neighbour k of j with H[i,k] = H[i,j] - 1, so H is at least it.
-        The integer triangle inequality then holds in floats too, because
-        h > TOL and 4 eps max(dist) <= TOL bound every rounding of a sum.
-        """
-        d = np.asarray(dist, dtype=float)
-        n, h = self.n, self.h
-        if d.shape != (n, n) or not h > TOL:
-            return False
-        if n and not 4 * np.finfo(float).eps * float(d.max()) <= TOL:
-            return False
-        # neighbour table, each row padded with the node itself (a zero step)
-        both = (self.adjacency + self.adjacency.T).tocsr()
-        degree = np.diff(both.indptr)
-        nbr = np.repeat(np.arange(n), degree.max(initial=0) + 1).reshape(n, -1)
-        nbr[np.repeat(np.arange(n), degree),
-            np.arange(both.nnz) - np.repeat(both.indptr[:-1], degree)] = both.indices
-        for lo in range(0, n, _CERTIFY_ROWS):
-            rows = d[lo:lo + _CERTIFY_ROWS]
-            own = (np.arange(len(rows)), np.arange(lo, lo + len(rows)))
-            H = np.rint(rows / h)
-            exact = np.array_equal(H * h, rows) and np.array_equal(rows, d[:, lo:lo + len(rows)].T)
-            if not (exact and H.min() >= 0 and not H[own].any()):
-                return False
-            down = np.zeros(H.shape, dtype=bool)
-            down[own] = True
-            for k in nbr.T:  # one neighbour slot at a time: H[i,j] - H[i,k] per node j
-                step = H - H[:, k]
-                if np.abs(step).max() > 1:
-                    return False
-                down |= step == 1
-            if not down.all():
-                return False
-        return True
 
 
 class GraphBuilder:

@@ -21,6 +21,11 @@ from .errors import DomainError, MalformedMatrixError
 TOL = 1e-9
 
 _NUMPY_SLABS_MAX = 512  # points up to which validate_metric needs no scipy
+_CERTIFY_ROWS = 64  # source rows per block of _is_grid_metric
+# Largest degree of G in _is_grid_metric: the d model has 4, carpets and t 5,
+# pillows and l 6.  Unbounded, an equilateral 1024-point space (degree 1023)
+# took 5.6 s in the certificate against 0.5 s in the full check (2-core x86).
+_CERTIFY_DEGREE_MAX = 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,31 +110,43 @@ def validate_metric(m: FiniteMetricSpace) -> list[AxiomViolation]:
     """Check the metric axioms, returning one entry per violated axiom.
 
     Empty list iff identity, symmetry, positivity and the triangle inequality
-    all hold within TOL.  Each entry carries the worst witness.  The triangle
-    check walks the n k-slabs in ascending k.  Up to _NUMPY_SLABS_MAX points
-    it evaluates every slab in numpy; above that, one Chebyshev cdist bounds
-    every slab's excess from above and only the slabs that bound cannot rule
-    out are evaluated.  Either way it reports the same witness and magnitude
-    as a scan of all n slabs.
+    all hold within TOL.  Each entry carries the worst witness.
+
+    A grid metric (a carpet; the t, l and d models) is certified in O(n^2)
+    by _is_grid_metric.  With h the least off-diagonal entry, H = rint(D/h)
+    and G the graph of the pairs with H = 1, of degree <= _CERTIFY_DEGREE_MAX,
+    it checks |H h - D| <= TOL/4, exact symmetry, a zero diagonal in H,
+    h > 2 TOL, 16 eps max D <= TOL, |H[i,u] - H[i,v]| <= 1 on every edge
+    (u, v) of G, and a G-neighbour k of j with H[i,k] = H[i,j] - 1 for every
+    off-diagonal H[i,j].  Then H is the hop metric of G: along a G-path
+    H[i,.] grows by at most 1 per edge from H[i,i] = 0, and as D >= h makes
+    H >= 1 off the diagonal, the descending neighbours lead from j to i in
+    H[i,j] edges.  Each entry is within TOL/4 + (eps/2) max D of H h (the
+    check's own rounding, up to O(eps TOL)) and a slab's float sum and
+    difference add at most eps max D, so every triangle excess is below
+    3 TOL/4 + 3 eps max D < TOL.  With the diagonal within TOL/4 of 0 and
+    every other entry at least h > 2 TOL, the full check returns [] too.
+
+    Any other space takes the full check.  The triangle check walks the n
+    k-slabs in ascending k: up to _NUMPY_SLABS_MAX points every slab in
+    numpy; above, one Chebyshev cdist bounds every slab's excess from above
+    and only the slabs it cannot rule out are evaluated.  Either way the
+    witness and magnitude are those of a scan of all n slabs.
 
     The limit sits between the two crossovers measured on a 2-core x86
     machine (best of 5 on valid planar spaces, numpy slabs vs cdist filter):
     n = 120: 3.4 vs 1.1 ms; 257: 32 vs 10; 400: 144 vs 50; 512: 358 vs 119;
-    600: 597 vs 152; 1146: 7108 vs 1192.  Importing scipy.spatial.distance
-    adds 440-500 ms to the filter in a process that has loaded only numpy,
-    and 95-150 ms once scipy.sparse is loaded (the grid-graph generators), so
-    the slabs are cheaper up to about 600 and 450 points respectively.
-
-    `gen` does not call this on a whole carpet whose matrix
-    grids.GridGraph.is_hop_metric certifies as h times its graph's hop metric
-    (an O(n E) check of the same matrix, whose answer here would be []); it
-    falls back to this check when the certificate fails, and every other
-    space, windows of a graph included, is checked here.
+    600: 597 vs 152; 1146: 7108 vs 1192; 1024-1025 (best of 3: the snowflake
+    pair's domain and codomain, snowflake stage 5): 2.5-2.7 vs 0.53-0.58 s.
+    Importing scipy.spatial.distance adds 440-500 ms to the filter in a
+    process that has loaded only numpy, and 95-150 ms once scipy.sparse is
+    loaded (the grid-graph generators), so the slabs are cheaper up to about
+    600 and 450 points respectively.
     """
     d = m.dist
     n = m.n
     out: list[AxiomViolation] = []
-    if n == 0:
+    if n == 0 or _is_grid_metric(d):
         return out
 
     diag = np.abs(np.diag(d))
@@ -181,6 +198,41 @@ def validate_metric(m: FiniteMetricSpace) -> list[AxiomViolation]:
     if worst_excess > TOL and worst_triple is not None:
         out.append(AxiomViolation("triangle", worst_triple, worst_excess))
     return out
+
+
+def _is_grid_metric(d: np.ndarray) -> bool:
+    """validate_metric's certificate that d is h times a hop metric (proof there)."""
+    n = len(d)
+    blocks = [(d[lo:lo + _CERTIFY_ROWS], np.arange(lo, min(lo + _CERTIFY_ROWS, n)))
+              for lo in range(0, n, _CERTIFY_ROWS)]
+    h = min(np.delete(rows, (ids - ids[0]) * n + ids).min(initial=math.inf) for rows, ids in blocks)
+    top = max(rows.max() for rows, _ in blocks)
+    if not (2 * TOL < h < math.inf and 16 * np.finfo(float).eps * top <= TOL):
+        return False
+    nbr = np.tile(np.arange(n)[:, None], _CERTIFY_DEGREE_MAX)  # self-padded: zero steps
+    width = 0
+    for rows, ids in blocks:
+        H = np.rint(rows / h)
+        if not (np.abs(H * h - rows).max() <= TOL / 4 and not H[ids - ids[0], ids].any()
+                and np.array_equal(rows, d[:, ids].T)):
+            return False
+        i, j = np.nonzero(H == 1)
+        degree = np.bincount(i, minlength=len(rows))
+        width = max(width, int(degree.max()))
+        if width > _CERTIFY_DEGREE_MAX:
+            return False
+        nbr[ids[i], np.arange(len(i)) - np.repeat(np.cumsum(degree) - degree, degree)] = j
+    for rows, _ in blocks:
+        H = np.rint(rows / h)
+        down = H == 0  # the diagonal: every other entry is at least h
+        for k in nbr[:, :width].T:  # one neighbour slot: H[i,j] - H[i,k] for every node j
+            step = H - H[:, k]
+            if np.abs(step).max() > 1:
+                return False
+            down |= step == 1
+        if not down.all():
+            return False
+    return True
 
 
 def rescale(m: FiniteMetricSpace, lam: float) -> FiniteMetricSpace:

@@ -70,33 +70,35 @@ class TestGen:
             space = space_from_json(json.load(fh))
         assert space.n > 0
 
-    @pytest.mark.parametrize("kind,h", [("slit-carpet", "1/16"), ("slit-carpet", "1/32"),
-                                        ("pillow-carpet", "1/16")])
-    def test_whole_carpets_are_certified_without_validate_metric(self, runner, tmp_path,
-                                                                  monkeypatch, kind, h):
-        # the `reproduce` carpet and the benchmark's two: each matrix is
-        # certified by its own graph's hop counts, never by the fallback
-        def refuse(space):
-            raise AssertionError("validate_metric ran on a certified carpet")
-        monkeypatch.setattr(metric_core, "validate_metric", refuse)
-        out = tmp_path / "carpet.json"
-        result = runner.invoke(main, ["gen", "--kind", kind, "--r", "harmonic", "--levels",
-                                      "2", "--h", h, "--out", str(out)])
-        assert result.exit_code == 0, result.output
-        assert out.exists()
+    @pytest.mark.parametrize("argv", [
+        ["slit-carpet", "--r", "harmonic", "--levels", "2", "--h", "1/16"],
+        ["slit-carpet", "--r", "harmonic", "--levels", "2", "--h", "1/32"],
+        ["pillow-carpet", "--r", "harmonic", "--levels", "2", "--h", "1/16"],
+        # on the mesh 0.1 Dijkstra's sums differ from rint(d / h) * h within TOL/4
+        ["slit-carpet", "--r", "0.5", "--h", "0.1"],
+        ["model-t", "--radius", "1", "--h", "1/16"],
+    ], ids=["slit-1/16", "slit-1/32", "pillow-1/16", "slit-0.1", "model-t-1/16"])
+    def test_whole_carpets_are_certified_without_the_triangle_scan(self, runner, tmp_path,
+                                                                   monkeypatch, argv):
+        # the `reproduce` carpet, the benchmark's two and a model window: each
+        # matrix is certified from its own hop counts, and no k-slab (each one
+        # an np.add into the excess buffer) is evaluated
+        certified = []
+        certify = metric_core._is_grid_metric
+        monkeypatch.setattr(metric_core, "_is_grid_metric",
+                            lambda d: certified.append(certify(d)) or certified[-1])
 
-    def test_a_carpet_whose_path_sums_are_inexact_takes_the_fallback(self, runner, tmp_path,
-                                                                      monkeypatch):
-        # on the mesh 0.1 Dijkstra's sums differ from rint(d / h) * h
-        calls = []
-        validate = metric_core.validate_metric
-        monkeypatch.setattr(metric_core, "validate_metric",
-                            lambda space: calls.append(space.n) or validate(space))
-        out = tmp_path / "carpet.json"
-        result = runner.invoke(main, ["gen", "--kind", "slit-carpet", "--r", "0.5", "--h",
-                                      "0.1", "--out", str(out)])
+        class NoSlabs:
+            def __getattr__(self, name):
+                if name == "add":
+                    raise AssertionError("a triangle slab ran on a certified space")
+                return getattr(np, name)
+        monkeypatch.setattr(metric_core, "np", NoSlabs())
+        out = tmp_path / "space.json"
+        result = runner.invoke(main, ["gen", "--kind", *argv, "--out", str(out)])
         assert result.exit_code == 0, result.output
-        assert calls == [126]
+        assert certified == [True]
+        assert out.exists()
 
     def test_snowflake_pair_emits_three_files(self, runner, tmp_path):
         result = runner.invoke(main, [
@@ -627,11 +629,12 @@ class TestReproduce:
 # alone costs more than numpy and click together.  A fresh interpreter runs
 # each step and reports the scipy modules loaded so far.  No module imports
 # scipy at import time; the function that calls scipy imports it, and only
-# two do: GridGraph (scipy.sparse.csgraph) and validate_metric above
-# _NUMPY_SLABS_MAX points (scipy.spatial).  `gen` certifies a whole carpet by
-# its graph's hop counts instead of validate_metric, so even a carpet above
-# that limit loads no scipy.spatial.  A step is [name, CLI argv] or the name
-# of a function of the probe; the modules are reported under the name.
+# two do: GridGraph (scipy.sparse.csgraph) and validate_metric's full check
+# above _NUMPY_SLABS_MAX points (scipy.spatial).  validate_metric certifies a
+# grid metric by its hop counts before that check, so even a carpet or model
+# window above that limit loads no scipy.spatial.  A step is [name, CLI argv]
+# or the name of a function of the probe; the modules are reported under the
+# name.
 STARTUP_PROBE = """
 import importlib, json, pkgutil, sys
 import numpy as np
@@ -653,7 +656,7 @@ def seed_two_quarter_windows():
     windows = [model_tangent_space("quarter", 1, 1 / 2) for _ in range(2)]
     assert nearest_position_seed(*windows) is not None
 def validate_above_the_limit():
-    x = np.arange(_NUMPY_SLABS_MAX + 1.0)
+    x = np.arange(_NUMPY_SLABS_MAX + 1.0) ** 1.5  # a line metric off any h-grid
     assert validate_metric(FiniteMetricSpace(np.abs(np.subtract.outer(x, x)))) == []
 for step in json.loads(sys.argv[1]):
     if isinstance(step, str):
@@ -702,6 +705,9 @@ class TestStartup:
             ["corner scan t", ["scan", "--space", "square", "--center", "0,0", "--scales",
                                "2^-3..2^-4", "--models", "t", "--rule", "lambda/4",
                                "--out", str(tmp_path / "st.csv")]],
+            # 2145 points, above _NUMPY_SLABS_MAX: certified, so no scipy.spatial
+            ["model-t-2145", ["gen", "--kind", "model-t", "--radius", "1", "--h", "1/32",
+                              "--out", str(tmp_path / "t32.json")]],
             # the probe sees scipy once a step does load it
             ["slit-carpet", ["gen", "--kind", "slit-carpet", "--levels", "1", "--h", "1/8",
                              "--out", str(tmp_path / "k.json")]],
@@ -713,7 +719,7 @@ class TestStartup:
         loaded = run_startup_probe(steps)
         for step in ("import metric_lab", "import metric_lab.cli", "gh", "qs", "boundary",
                      "model-quarter", "snowflake-pair", "corner scan", "model-t",
-                     "corner scan t"):
+                     "corner scan t", "model-t-2145"):
             assert loaded[step] == [], f"{step} loaded {loaded[step][:5]}"
         assert "scipy.sparse.csgraph" in loaded["slit-carpet"]
         assert "scipy.spatial" not in loaded["slit-carpet"]
@@ -721,7 +727,7 @@ class TestStartup:
         assert "scipy.spatial" not in loaded["slit-carpet-1146"]
         assert "scipy.spatial" in loaded["validate_above_the_limit"]
         for name in ("gh.json", "env.csv", "b.json", "q.json", "d.json", "s.csv", "t.json",
-                     "st.csv", "k.json", "k32.json"):
+                     "st.csv", "t32.json", "k.json", "k32.json"):
             assert (tmp_path / name).exists()
 
     def test_no_module_imports_scipy_until_a_function_calls_it(self):
@@ -795,6 +801,15 @@ CONTRACTS = [
                   "--out", "{out}"], 1, "Error: ScheduleError", id="flatness-too-short"),
     pytest.param(["gen", "--kind", "rickman-rug", "--h", "0.3", "--out", "{out}"], 1,
                  "Error: ResolutionError", id="rug-mesh-does-not-divide"),
+    # 2145 and 3169 points, certified as grid metrics without the triangle scan
+    pytest.param(["gen", "--kind", "model-t", "--radius", "1", "--h", "1/32", "--out",
+                  "{out}"], 0,
+                 "sha256 c2995dc20755edd3fc71f80633988c22176298c5c5f35294c00ed033334aaed5",
+                 id="gen-model-t-1/32"),
+    pytest.param(["gen", "--kind", "model-l", "--radius", "1", "--h", "1/32", "--out",
+                  "{out}"], 0,
+                 "sha256 c7cf77c1a069002ed65a09d8330004ff0d7504cf7f150169ebef8dfec03e7a4f",
+                 id="gen-model-l-1/32"),
     pytest.param(["gen", "--kind", "snowflake-pair", "--points", "12", "--out", "{out}",
                   "--out-codomain", "{out}.c", "--out-map", "{out}.m"], 0,
                  "gen snowflake-pair: 12 points ->", id="gen-snowflake-pair"),

@@ -1,11 +1,12 @@
-"""Tests for the grid-graph layer."""
+"""Tests for the grid-graph layer and the certificate of its matrices."""
 
 import numpy as np
 import pytest
 
 from metric_lab.fractal_gen import SlitSchedule, whole_carpet_graph
+from metric_lab import metric_core
 from metric_lab.grids import GridGraph
-from metric_lab.metric_core import TOL, FiniteMetricSpace, validate_metric
+from metric_lab.metric_core import TOL, FiniteMetricSpace, _is_grid_metric, validate_metric
 
 from .oracles import reference_validate_metric
 
@@ -24,22 +25,18 @@ def path_graph(n, h):
     return GridGraph(range(n), [(i, i + 1) for i in range(n - 1)], h)
 
 
-def checked(graph, d):
-    """What `gen` concludes about a matrix: [] if the graph certifies it,
-    else validate_metric's report."""
-    return [] if graph.is_hop_metric(d) else validate_metric(FiniteMetricSpace(d))
+def agrees(d):
+    """validate_metric's report on d, asserted equal to the full reference."""
+    m = FiniteMetricSpace(d)
+    report = validate_metric(m)
+    assert report == reference_validate_metric(m)
+    return report
 
 
-def edge_list(graph):
-    coo = graph.adjacency.tocoo()
-    return list(zip(coo.row.tolist(), coo.col.tolist()))
-
-
-def mutations(graph, d, seed):
-    """(name, graph, matrix) of each planted error: nine symmetric edits of one
-    entry by +h, -h or +2h, one broken symmetry, one non-dyadic entry, and the
-    true matrix against an edge list missing one edge or holding one extra."""
-    h, n = graph.h, graph.n
+def mutations(d, h, seed):
+    """(name, matrix) of each planted error: nine symmetric edits of one entry
+    by +h, -h or +2h, one broken symmetry and one entry off the h-grid."""
+    n = len(d)
     rng = np.random.default_rng(seed)
     out = []
     for k in range(11):
@@ -52,11 +49,7 @@ def mutations(graph, d, seed):
             m[i, j] += h
         else:
             m[i, j] = m[j, i] = d[i, j] + h / 3
-        out.append((f"edit-{k}", graph, m))
-    edges = edge_list(graph)
-    out.append(("edge-missing", GridGraph(graph.keys, edges[1:], h), d))
-    i, j = np.argwhere(np.isclose(d, 2 * h, rtol=0, atol=TOL))[0]
-    out.append(("edge-extra", GridGraph(graph.keys, edges + [(i, j)], h), d))
+        out.append((f"edit-{k}", m))
     return out
 
 
@@ -67,52 +60,66 @@ CARPET_IDS = ["slit-1/8", "slit-1/16", "slit-1/32", "pillow-1/8", "pillow-1/16"]
 @pytest.fixture(scope="module", params=CARPETS, ids=CARPET_IDS)
 def carpet(request):
     h, pillows = request.param
-    graph = whole_carpet_graph(SlitSchedule.harmonic(2), h, pillows)
-    return graph, graph.space().dist
+    return h, whole_carpet_graph(SlitSchedule.harmonic(2), h, pillows).space().dist
 
 
 class TestHopMetricCertificate:
+    """validate_metric's certificate that a matrix is h times the hop metric
+    of its own unit graph (metric_core._is_grid_metric), held to the
+    brute-force reference."""
+
     def test_every_generated_carpet_is_certified_and_is_a_metric(self, carpet):
         # the reproduce carpet (1/16), and the benchmark's (slit 1/32, pillow
-        # 1/16), are certified: `gen` never takes the fallback on them
-        graph, d = carpet
-        assert graph.is_hop_metric(d)
+        # 1/16), are certified: `gen` never runs the triangle scan on them
+        _, d = carpet
+        assert _is_grid_metric(d)
         assert reference_validate_metric(FiniteMetricSpace(d)) == []
 
-    def test_every_planted_error_is_refused_and_the_fallback_matches(self, carpet):
+    def test_every_planted_error_is_refused_and_the_report_matches(self, carpet):
         # the brute-force reference costs O(n^3) (8 s at 1146 points), so the
-        # fallback is compared with it up to 312 points; above, the fallback is
-        # validate_metric, held to the reference on seeded matrices elsewhere
-        graph, d = carpet
-        for name, g, m in mutations(graph, d, graph.n):
-            assert not g.is_hop_metric(m), name
-            if graph.n <= 312:
-                assert checked(g, m) == reference_validate_metric(FiniteMetricSpace(m)), name
+        # report is compared with it up to 312 points; above, the full check
+        # is validate_metric's, held to the reference on seeded matrices elsewhere
+        h, d = carpet
+        for name, m in mutations(d, h, len(d)):
+            assert not _is_grid_metric(m), name
+            if len(d) <= 312:
+                agrees(m)
 
     def test_row_blocks_cover_a_graph_of_several_blocks(self):
         # 200 nodes: four blocks, the last one partial
-        g = path_graph(200, 0.25)
-        d = g.space().dist.copy()
-        assert g.is_hop_metric(d)
+        d = path_graph(200, 0.25).space().dist.copy()
+        assert _is_grid_metric(d)
         d[150, 199] = d[199, 150] = d[150, 199] + 0.25
-        assert not g.is_hop_metric(d)
+        assert not _is_grid_metric(d)
+        assert [v.axiom for v in agrees(d)] == ["triangle"]
 
-    @pytest.mark.parametrize("h", [0.1, 1 / 3, 0.3])
-    def test_a_mesh_whose_sums_are_inexact_takes_the_fallback(self, h):
-        # 10 * 0.1 sums to 0.9999999999999999, not rint(10) * 0.1
-        g = path_graph(40, h)
-        d = g.space().dist
-        assert not g.is_hop_metric(d)
-        assert checked(g, d) == reference_validate_metric(FiniteMetricSpace(d)) == []
+    @pytest.mark.parametrize("h", [0.1, 1 / 3, 0.3, 1 / 44])
+    def test_a_mesh_whose_sums_are_inexact_is_certified(self, h):
+        # 10 * 0.1 sums to 0.9999999999999999, not rint(10) * 0.1: within TOL/4
+        d = path_graph(40, h).space().dist
+        assert _is_grid_metric(d)
+        assert agrees(d) == []
 
     @pytest.mark.parametrize("h", [TOL / 2, 2.0 ** 20])
     def test_meshes_whose_rounding_tol_does_not_cover_are_refused(self, h):
         # h <= TOL would fail positivity; at 2^20 a float sum may round by more than TOL
-        g = path_graph(4, h)
-        assert not g.is_hop_metric(g.space().dist)
+        d = path_graph(4, h).space().dist
+        assert not _is_grid_metric(d)
+        agrees(d)
 
-    @pytest.mark.parametrize("d", [np.zeros((3, 3)), np.zeros((4, 4)),
+    @pytest.mark.parametrize("d", [np.zeros((1, 1)), np.zeros((3, 3)), np.zeros((4, 4)),
                                    np.array([[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1],
                                              [3, 2, 1, 0]]) * -1.0])
-    def test_a_matrix_of_another_shape_or_sign_is_refused(self, d):
-        assert not path_graph(4, 1.0).is_hop_metric(d)
+    def test_a_matrix_without_a_positive_mesh_is_refused(self, d):
+        assert not _is_grid_metric(d)
+        agrees(d)
+
+    def test_the_degree_bound_sends_an_equilateral_space_to_the_full_check(self):
+        # equilateral = the hop metric of a complete graph: certified up to
+        # degree _CERTIFY_DEGREE_MAX, the full check above it
+        k = metric_core._CERTIFY_DEGREE_MAX
+        assert _is_grid_metric(1.0 - np.eye(k + 1))
+        for n in (k + 2, 100):
+            d = 1.0 - np.eye(n)
+            assert not _is_grid_metric(d)
+            assert agrees(d) == []

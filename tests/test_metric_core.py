@@ -25,7 +25,7 @@ from metric_lab.metric_core import (
     write_text_atomic,
 )
 from metric_lab.tangent_lab import ScanConfig
-from .oracles import reference_space_json, reference_validate_metric
+from .oracles import floyd_warshall, reference_space_json, reference_validate_metric
 
 
 def line_space(points):
@@ -178,6 +178,35 @@ class TestValidateMetric:
         [violation] = validate_metric(m)
         assert violation.witness == (3 * 23 + 5, 75, 6 * 23 + 9)
         assert violation.magnitude == 0.5
+
+    def test_grid_metrics_and_their_near_misses_match_the_reference(self):
+        # h times the hop metric of a random connected graph (the certificate's
+        # domain, on exact and inexact meshes, some above its degree bound or
+        # its rounding bound), two in three with one entry or pair moved by an
+        # amount near TOL/4, TOL or h: certified or not, the report is the
+        # reference's
+        rng = np.random.default_rng(20261020)
+        certified = violated = 0
+        for t in range(500):
+            n = int(rng.integers(2, 41))
+            w = np.full((n, n), np.inf)
+            for i in range(1, n):
+                for j in {int(rng.integers(i))} | set(rng.integers(n, size=int(rng.integers(3)))):
+                    if j != i:
+                        w[i, j] = w[j, i] = 1.0
+            h = float(rng.choice([0.1, 1 / 3, 2.0 ** -5, 1.7, 3e-9, 2.0 ** 20]))
+            d = floyd_warshall(w) * h
+            if t % 3:
+                i, j = rng.integers(n, size=2)
+                d[i, j] += rng.choice([-1, 1]) * rng.choice([TOL / 5, TOL / 3, TOL, h / 2, h])
+                if rng.random() < 0.7:
+                    d[j, i] = d[i, j]
+            m = FiniteMetricSpace(d)
+            expected = reference_validate_metric(m)
+            assert validate_metric(m) == expected, (t, h, d.tolist())
+            certified += metric_core._is_grid_metric(d)
+            violated += bool(expected)
+        assert certified >= 80 and violated >= 100, (certified, violated)
 
     def test_non_square_matrix_is_malformed(self):
         with pytest.raises(MalformedMatrixError):
