@@ -6,10 +6,11 @@ runs of one spec produce identical bytes; wall-clock columns are zeroed when
 METRIC_LAB_DETERMINISTIC is set (the reproduce runner sets it).
 
 No lab module imports scipy at import time, so the CLI starts without it.
-Only the carpets' grid graphs load it (scipy.sparse.csgraph), and validating
-a space of more than metric_core._NUMPY_SLABS_MAX points that is not a grid
-metric (scipy.spatial), so `gen` of a carpet never loads scipy.spatial, and
-the model tangents, `gh`, `qs` and `boundary` load no scipy at all.
+Only validating a space of more than metric_core._NUMPY_SLABS_MAX points that
+is not a grid metric loads it (scipy.spatial).  Carpets are measured by a
+breadth-first search for hop counts in numpy and certified as grid metrics,
+so `gen` and `scan` of a carpet or a model tangent, `gh`, `qs` and
+`boundary` load no scipy at all.
 """
 from __future__ import annotations
 

@@ -1,9 +1,11 @@
 """Generators for the explicit spaces of the lab.
 
 Slit carpets and pillow carpets live on 4-neighbor grid graphs with the
-shortest-path metric.  The unit square and the seven model tangents are
-lattice kinds, one table walked and filled by one sampler: the Euclidean
-metric of their grid nodes, or the grid metric of t, l and d in closed form.
+shortest-path metric, hop counts from a breadth-first search.  The unit
+square and the seven model tangents are lattice kinds, one table walked and
+filled by one sampler: the Euclidean metric of their grid nodes, or the grid
+metric of t, l and d in closed form.  A carpet's or a model's path of m grid
+steps is grids.grid_steps(h, m)[m] long either way.
 Snowflake curves are polylines with their arc-length metric or the chordal
 metric of the plane (the one blow-up scans care about); Wu's line and the
 product rugs are closed-form metrics evaluated pairwise; every window kind
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, DomainError, ResolutionError, ScheduleError
-from .grids import GraphBuilder, GridGraph
+from .grids import GraphBuilder, GridGraph, grid_steps
 from .metric_core import TOL, FiniteMetricSpace, PointedWindow
 
 MODEL_KINDS = ("plane", "half", "quarter", "t", "l", "d", "line")
@@ -790,8 +792,8 @@ _LATTICE = {
 
 class _LatticeWindowGenerator:
     """Windows of a _LATTICE kind: a region's Euclidean metric is its intrinsic
-    one; a model's m grid steps are T[m] long, T = [0, h, h + h, ...] summed as
-    a shortest-path search sums edges, so its windows are its grid graph's."""
+    one; a model's m grid steps are T[m] long, T = grid_steps(h, ...) as for a
+    carpet's grid graph, so its windows are its grid graph's."""
 
     def __init__(self, name: str):
         self._name, (self._box, self._points, self._hops, self._order) = name, _LATTICE[name]
@@ -815,7 +817,7 @@ class _LatticeWindowGenerator:
             o = (float(center[0]), float(center[1]))
         else:  # grid steps, m of them T[m] long; one step wider lest rounding drop one
             K, scale, o, gauge = math.floor(R / h) + 1, 1, c, self._hops
-            T = np.concatenate(([0.0], np.cumsum(np.full(2 * K, h))))
+            T = grid_steps(h, 2 * K)
             finish, reach = T.__getitem__, np.searchsorted(T, R, "right") - 1  # T[reach] <= R
         x_lo, x_hi, y_lo, y_hi = self._box
         ys = _index_span(iy, K, y_lo, y_hi, h)

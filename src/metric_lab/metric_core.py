@@ -32,6 +32,9 @@ _CERTIFY_DEGREE_MAX = 6
 class FiniteMetricSpace:
     """Labelled point set with a full symmetric matrix of pairwise distances.
 
+    The space holds a read-only float64 matrix: an owned, read-only float64
+    array is kept without a copy, any other array or view is copied, so a
+    caller who writes into its array later leaves the space unchanged.
     Construction only enforces well-formedness (square, finite).  Whether the
     matrix actually satisfies the metric axioms is the job of
     :func:`validate_metric`, which reports violations instead of raising.
@@ -46,8 +49,9 @@ class FiniteMetricSpace:
             raise MalformedMatrixError(f"distance matrix must be square, got shape {d.shape}")
         if d.size and not bool(np.all(np.isfinite(d))):
             raise MalformedMatrixError("distance matrix contains NaN or infinite entries")
-        d = d.copy()
-        d.flags.writeable = False
+        if d.base is not None or d.flags.writeable:  # an owned, frozen array is kept as is
+            d = d.copy()
+            d.flags.writeable = False
         object.__setattr__(self, "dist", d)
         labels = tuple(self.labels) if len(self.labels) else tuple(range(d.shape[0]))
         if len(labels) != d.shape[0]:
@@ -139,9 +143,9 @@ def validate_metric(m: FiniteMetricSpace) -> list[AxiomViolation]:
     600: 597 vs 152; 1146: 7108 vs 1192; 1024-1025 (best of 3: the snowflake
     pair's domain and codomain, snowflake stage 5): 2.5-2.7 vs 0.53-0.58 s.
     Importing scipy.spatial.distance adds 440-500 ms to the filter in a
-    process that has loaded only numpy, and 95-150 ms once scipy.sparse is
-    loaded (the grid-graph generators), so the slabs are cheaper up to about
-    600 and 450 points respectively.
+    process that has loaded only numpy, as every lab process has (no lab
+    module loads scipy.sparse), so the slabs are cheaper up to about 600
+    points.
     """
     d = m.dist
     n = m.n

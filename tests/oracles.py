@@ -8,9 +8,12 @@ a frozen copy of the exact search's slot loop before its pair-mismatch table,
 a frozen copy of the certified GH lower bound that both exact copies use,
 a hand-rolled heap Dijkstra with its own graph construction for intrinsic
 metrics, a plain Floyd-Warshall, a frozen copy of the Euclidean
-model-window sampler, a frozen unbounded, symmetrised graph-window search
-(over model graphs padded to 3R), frozen builders of the t, l and d model
-graphs (the library writes their metrics in closed form), a frozen copy of
+model-window sampler, a frozen scipy-backed grid graph (csr adjacency and
+Dijkstra; the library counts hops by breadth-first search) with a frozen
+builder of the whole slit carpet, a frozen unbounded, symmetrised
+graph-window search (over model graphs padded to 3R), frozen builders of
+the t, l and d model graphs (the library writes their metrics in closed
+form), a frozen copy of
 the flat-snowflake window sampler that refines segment by segment, a frozen
 metric-axiom check that scans every triangle slab, the nested-list space
 JSON that the streaming space writer must match byte for byte, a frozen
@@ -28,6 +31,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from metric_lab.boundary_free_group import (
@@ -42,6 +46,7 @@ from metric_lab.errors import DomainError
 from metric_lab.fractal_gen import (
     _flatness_values,
     _refine_polyline,
+    _slit_table,
     model_tangent_space,
 )
 from metric_lab.gh_solver import (
@@ -52,7 +57,6 @@ from metric_lab.gh_solver import (
     gh_bounds,
     pointed_gh_bounds,
 )
-from metric_lab.grids import GraphBuilder
 from metric_lab.metric_core import AxiomViolation
 from metric_lab.tangent_lab import _seed_coordinates, extract_window, nearest_position_seed
 
@@ -567,6 +571,108 @@ def reference_euclid_window(pred, R: float, h: float, one_dim: bool = False,
 # Graph windows
 # ---------------------------------------------------------------------------
 
+class ReferenceGridGraph:
+    """Frozen scipy-backed grid graph: node keys, the edge list as given and
+    a symmetric csr adjacency of the deduplicated edges, each of length h."""
+
+    def __init__(self, keys, edges, h: float):
+        self.keys = tuple(keys)
+        self.index = {k: i for i, k in enumerate(self.keys)}
+        self.edges = list(edges)
+        n = len(self.keys)
+        pairs = {(u, v) if u < v else (v, u) for u, v in self.edges}  # csr would sum duplicates
+        uv = np.array(list(pairs), dtype=int).reshape(-1, 2)
+        self.adjacency = csr_matrix((np.full(len(uv), float(h)), (uv[:, 0], uv[:, 1])),
+                                    shape=(n, n))
+
+
+class ReferenceGraphBuilder:
+    """Accumulates node keys and edges of length h, then freezes a
+    ReferenceGridGraph."""
+
+    def __init__(self, h: float):
+        self.h = h
+        self._index: dict = {}
+        self._edges: list = []
+
+    def node(self, key) -> int:
+        return self._index.setdefault(key, len(self._index))
+
+    def edge(self, u: int, v: int) -> None:
+        self._edges.append((u, v))
+
+    def build(self) -> ReferenceGridGraph:
+        return ReferenceGridGraph(self._index, self._edges, self.h)
+
+
+def reference_carpet_graph(sched, h: float, pillows: bool = False) -> ReferenceGridGraph:
+    """Frozen builder of the whole slit carpet's graph (pillows optional):
+    slit-interior nodes are split into an "L" and an "R" copy, slit ends stay
+    single, and a pillow's two sheets are glued to a slit's lips, its nodes
+    keyed (x, y, "P", slit, sheet or "G", u, v), in the library's node order."""
+    M = round(1.0 / h)
+    slits = _slit_table(sched, M)
+    by_col: dict = {}
+    for (_, col, y0, y1) in slits:
+        by_col.setdefault(col, []).append((y0, y1))
+    b = ReferenceGraphBuilder(h)
+
+    def key(ix, iy, side=None):
+        pos = (ix * h, iy * h)
+        if side is not None:
+            for (y0, y1) in by_col.get(ix, ()):
+                if y0 < iy < y1:
+                    return b.node(pos + (side,))
+        return b.node(pos)
+
+    for ix in range(M + 1):
+        for iy in range(M + 1):
+            if ix < M:
+                b.edge(key(ix, iy, "R"), key(ix + 1, iy, "L"))
+            if iy < M:
+                if any(y0 <= iy < y1 for (y0, y1) in by_col.get(ix, ())):
+                    b.edge(key(ix, iy, "L"), key(ix, iy + 1, "L"))
+                    b.edge(key(ix, iy, "R"), key(ix, iy + 1, "R"))
+                else:
+                    b.edge(key(ix, iy), key(ix, iy + 1))
+
+    for slit_id, (_, col, y0, y1) in enumerate(slits if pillows else ()):
+        m = y1 - y0
+
+        def pnode(sheet, u, v):
+            if v == 0:
+                return key(col, y0 + u, "L" if sheet == "A" else "R")
+            tag = "G" if (u == 0 or u == m or v == m) else sheet
+            return b.node((col * h, (y0 + u) * h, "P", slit_id, tag, u, v))
+
+        for sheet in ("A", "B"):
+            for u in range(m + 1):
+                for v in range(m + 1):
+                    if u < m:
+                        b.edge(pnode(sheet, u, v), pnode(sheet, u + 1, v))
+                    if v < m:
+                        b.edge(pnode(sheet, u, v), pnode(sheet, u, v + 1))
+    return b.build()
+
+
+def reference_carpet_matrix(sched, h: float, pillows: bool = False):
+    """Frozen whole-carpet space: one unbounded scipy Dijkstra from every
+    node of reference_carpet_graph: (labels, dist)."""
+    graph = reference_carpet_graph(sched, h, pillows)
+    return graph.keys, dijkstra(graph.adjacency, directed=False)
+
+
+def reference_graph_adjacency(graph) -> dict:
+    """The adjacency dict {key: [(key, h), ...]} of a ReferenceGridGraph's
+    edges as given, for dijkstra_dict, which needs no scipy."""
+    h = float(graph.adjacency.data[0])
+    adj: dict = {k: [] for k in graph.keys}
+    for u, v in graph.edges:
+        adj[graph.keys[u]].append((graph.keys[v], h))
+        adj[graph.keys[v]].append((graph.keys[u], h))
+    return adj
+
+
 def reference_graph_window(graph, key, R: float):
     """Frozen graph window around the node key: one unbounded scipy Dijkstra
     from it selects the nodes within R + TOL, unbounded Dijkstra rows from
@@ -583,8 +689,8 @@ def reference_graph_window(graph, key, R: float):
 # Frozen builders of the t, l and d models' grid graphs on the index box
 # [-K, K]^2 (d: [0, K]^2), each node keyed by its planar position and tags.
 
-def _build_t_graph(K: int, h: float) -> GraphBuilder:
-    b = GraphBuilder(h)
+def _build_t_graph(K: int, h: float) -> ReferenceGraphBuilder:
+    b = ReferenceGraphBuilder(h)
 
     def node(ix, iy, lip=None):
         pos = (ix * h, iy * h)
@@ -607,7 +713,7 @@ def _build_t_graph(K: int, h: float) -> GraphBuilder:
     return b
 
 
-def _build_l_graph(K: int, h: float) -> GraphBuilder:
+def _build_l_graph(K: int, h: float) -> ReferenceGraphBuilder:
     b = _build_t_graph(K, h)
 
     def hnode(s, t):
@@ -626,8 +732,8 @@ def _build_l_graph(K: int, h: float) -> GraphBuilder:
     return b
 
 
-def _build_d_graph(K: int, h: float) -> GraphBuilder:
-    b = GraphBuilder(h)
+def _build_d_graph(K: int, h: float) -> ReferenceGraphBuilder:
+    b = ReferenceGraphBuilder(h)
 
     def node(sheet, ix, iy):
         pos = (ix * h, iy * h)

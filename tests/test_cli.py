@@ -629,12 +629,12 @@ class TestReproduce:
 # alone costs more than numpy and click together.  A fresh interpreter runs
 # each step and reports the scipy modules loaded so far.  No module imports
 # scipy at import time; the function that calls scipy imports it, and only
-# two do: GridGraph (scipy.sparse.csgraph) and validate_metric's full check
-# above _NUMPY_SLABS_MAX points (scipy.spatial).  validate_metric certifies a
-# grid metric by its hop counts before that check, so even a carpet or model
-# window above that limit loads no scipy.spatial.  A step is [name, CLI argv]
-# or the name of a function of the probe; the modules are reported under the
-# name.
+# one does: validate_metric's full check above _NUMPY_SLABS_MAX points
+# (scipy.spatial).  Carpets are measured by a breadth-first search in numpy,
+# and validate_metric certifies a grid metric by its hop counts before that
+# check, so even a carpet or model window above that limit loads no scipy.
+# A step is [name, CLI argv] or the name of a function of the probe; the
+# modules are reported under the name.
 STARTUP_PROBE = """
 import importlib, json, pkgutil, sys
 import numpy as np
@@ -708,26 +708,28 @@ class TestStartup:
             # 2145 points, above _NUMPY_SLABS_MAX: certified, so no scipy.spatial
             ["model-t-2145", ["gen", "--kind", "model-t", "--radius", "1", "--h", "1/32",
                               "--out", str(tmp_path / "t32.json")]],
-            # the probe sees scipy once a step does load it
             ["slit-carpet", ["gen", "--kind", "slit-carpet", "--levels", "1", "--h", "1/8",
                              "--out", str(tmp_path / "k.json")]],
             # 1146 points, above _NUMPY_SLABS_MAX
             ["slit-carpet-1146", ["gen", "--kind", "slit-carpet", "--levels", "2", "--h",
                                   "1/32", "--out", str(tmp_path / "k32.json")]],
+            ["pillow-carpet", ["gen", "--kind", "pillow-carpet", "--levels", "1", "--h",
+                               "1/16", "--out", str(tmp_path / "p.json")]],
+            ["carpet scan", ["scan", "--space", "slit-carpet", "--r", "0.5", "--levels", "1",
+                             "--center", "0.5,0.25", "--scales", "2^-3..2^-4", "--models",
+                             "t,half", "--rule", "lambda/8", "--out", str(tmp_path / "sk.csv")]],
+            # the probe sees scipy once a step does load it
             "validate_above_the_limit",
         ]
         loaded = run_startup_probe(steps)
         for step in ("import metric_lab", "import metric_lab.cli", "gh", "qs", "boundary",
                      "model-quarter", "snowflake-pair", "corner scan", "model-t",
-                     "corner scan t", "model-t-2145"):
+                     "corner scan t", "model-t-2145", "slit-carpet", "slit-carpet-1146",
+                     "pillow-carpet", "carpet scan"):
             assert loaded[step] == [], f"{step} loaded {loaded[step][:5]}"
-        assert "scipy.sparse.csgraph" in loaded["slit-carpet"]
-        assert "scipy.spatial" not in loaded["slit-carpet"]
-        assert "scipy.sparse.csgraph" in loaded["slit-carpet-1146"]
-        assert "scipy.spatial" not in loaded["slit-carpet-1146"]
         assert "scipy.spatial" in loaded["validate_above_the_limit"]
         for name in ("gh.json", "env.csv", "b.json", "q.json", "d.json", "s.csv", "t.json",
-                     "st.csv", "t32.json", "k.json", "k32.json"):
+                     "st.csv", "t32.json", "k.json", "k32.json", "p.json", "sk.csv"):
             assert (tmp_path / name).exists()
 
     def test_no_module_imports_scipy_until_a_function_calls_it(self):

@@ -25,7 +25,6 @@ from metric_lab.fractal_gen import (
     model_tangent_space,
     phi_half_disk_sample,
     product_rug_space,
-    slit_carpet_graph,
     slit_plane_distance,
     snowflake_polyline,
     square_map_phi,
@@ -43,7 +42,10 @@ from .oracles import (
     REFERENCE_MODEL_GRAPHS,
     REFERENCE_SQUARE,
     dijkstra_dict,
+    reference_carpet_graph,
+    reference_carpet_matrix,
     reference_euclid_window,
+    reference_graph_adjacency,
     reference_graph_window,
     reference_model_graph_window,
     reference_snowflake_window,
@@ -180,7 +182,7 @@ class TestGraphWindows:
         # carpet.  Centres: the corners and edge midpoints (boxes clipped at
         # the carpet's edges), seeded grid nodes, slit lips and pillow nodes
         h, sched = 1 / M, SlitSchedule.harmonic(levels)
-        graph = slit_carpet_graph(sched, h, pillows)
+        graph = reference_carpet_graph(sched, h, pillows)
         gen = make_generator("pillow-carpet" if pillows else "slit-carpet", sched=sched)
         rng = np.random.default_rng(1000 * levels + 10 * pillows + M)
         centers = [(x, y) for x in (0.0, 0.5, 1.0) for y in (0.0, 0.5, 1.0) if (x, y) in graph.index]
@@ -196,6 +198,27 @@ class TestGraphWindows:
                 assert sp.labels == labels, (center, R)
                 assert np.array_equal(sp.dist, dist), (center, R)
                 assert base == ref_base, (center, R)
+
+    @pytest.mark.parametrize("levels,M,pillows", [(2, 16, False), (2, 32, False),
+                                                  (2, 16, True), (3, 56, False)])
+    def test_whole_carpets_match_frozen_dijkstra(self, levels, M, pillows):
+        # the breadth-first hop counts through T against scipy's Dijkstra
+        # over the frozen csr graph: 312, 1146, 705 and 3428 points
+        sched = SlitSchedule.harmonic(levels)
+        labels, dist = reference_carpet_matrix(sched, 1 / M, pillows)
+        sp = whole_carpet_graph(sched, 1 / M, pillows).space()
+        assert sp.labels == labels
+        assert np.array_equal(sp.dist, dist)
+
+    def test_small_carpet_with_lips_and_pillows_matches_hand_written_dijkstra(self):
+        # an oracle without scipy: the heap Dijkstra over the frozen edge list
+        sched, h = SlitSchedule.harmonic(2), 1 / 8
+        sp = whole_carpet_graph(sched, h, pillows=True).space()
+        adj = reference_graph_adjacency(reference_carpet_graph(sched, h, pillows=True))
+        assert {len(k) for k in sp.labels} == {2, 3, 7}  # grid nodes, lips, pillows
+        rows = [dijkstra_dict(adj, u) for u in sp.labels]
+        oracle = np.array([[row[v] for v in sp.labels] for row in rows])
+        assert np.array_equal(sp.dist, oracle)
 
     @pytest.mark.parametrize("pillows", [False, True])
     def test_fine_carpet_window_builds_only_its_box(self, pillows):
@@ -881,6 +904,22 @@ class TestSpacePointBound:
         monkeypatch.setattr(GridGraph, "space_on", space_on)
         with pytest.raises(ResolutionError, match=f"gives {n} or more points"):
             build()
+
+    @pytest.mark.parametrize("pillows", [False, True])
+    def test_a_carpet_window_holds_no_rows_over_its_box(self, pillows):
+        # 2113 points at h = 2^-8 in a box of about 131^2 nodes: the search
+        # keeps only the window's columns (Dijkstra rows over the box took
+        # 334 MiB, 761 MiB with pillows); the matrix alone is 34 MiB
+        gen = make_generator("pillow-carpet" if pillows else "slit-carpet",
+                             sched=SlitSchedule.harmonic(2))
+        tracemalloc.start()
+        try:
+            sp, base = gen.sample_ball((0.375, 0.5), 2.0 ** -3, 2.0 ** -8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sp.n == 2113 and sp.labels[base] == (0.375, 0.5)
+        assert peak < 128 * 2 ** 20
 
     # the finest admitted meshes at R = 1 (the square's at R = 1.5, all of it):
     # the t ball holds 2K^2 + 2K + 1 grid points and K lips, 4005 at K = 44; l

@@ -5,7 +5,8 @@ import pytest
 
 from metric_lab.fractal_gen import SlitSchedule, whole_carpet_graph
 from metric_lab import metric_core
-from metric_lab.grids import GridGraph
+from metric_lab.errors import DomainError
+from metric_lab.grids import GridGraph, grid_steps
 from metric_lab.metric_core import TOL, FiniteMetricSpace, _is_grid_metric, validate_metric
 
 from .oracles import reference_validate_metric
@@ -19,6 +20,27 @@ class TestGridGraph:
         g = GridGraph(["a", "b", "c"], edges, 0.5)
         assert g.distance(0, 1) == 0.5
         assert g.distance(0, 2) == 1.0
+
+    def test_a_limit_below_the_requested_spread_is_refused(self):
+        g = path_graph(5, 0.25)
+        assert g.space_on([0, 2, 4], 1.0).dist[0, 2] == 1.0
+        with pytest.raises(DomainError, match="not mutually connected within 0.75"):
+            g.space_on([0, 2, 4], 0.75)
+        assert g.distances_from([0], 0.75)[0].tolist() == [0.0, 0.25, 0.5, 0.75, np.inf]
+
+    def test_disconnected_nodes_are_refused_and_read_inf(self):
+        g = GridGraph(["a", "b", "c"], [(0, 1)], 0.5)
+        assert g.distances_from([0, 2]).tolist() == [[0.0, 0.5, np.inf], [np.inf, np.inf, 0.0]]
+        with pytest.raises(DomainError, match="not mutually connected"):
+            g.space()
+        assert g.space_on([]).n == 0
+
+    @pytest.mark.parametrize("h", [0.1, 0.3, 1 / 3])
+    def test_more_than_one_word_of_sources_sums_the_steps_of_grid_steps(self, h):
+        # 150 sources fill three 64-bit words; a path of m edges is grid_steps(h, m)[m]
+        d = path_graph(150, h).space().dist
+        T = grid_steps(h, 149)
+        assert np.array_equal(d, T[np.abs(np.subtract.outer(np.arange(150), np.arange(150)))])
 
 
 def path_graph(n, h):

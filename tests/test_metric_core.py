@@ -213,6 +213,43 @@ class TestValidateMetric:
             FiniteMetricSpace([[0, 1, 2], [1, 0, 1]])
 
 
+class TestOneMatrixPerSpace:
+    def test_a_writeable_array_or_view_is_copied(self):
+        d = np.array([[0.0, 1.0], [1.0, 0.0]])
+        for given in (d, d[:, :], d.T):
+            sp = FiniteMetricSpace(given)
+            assert sp.dist is not given and not np.shares_memory(sp.dist, d)
+            d[0, 1] = d[1, 0] = 5.0
+            assert sp.dist.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+            d[0, 1] = d[1, 0] = 1.0
+        assert not sp.dist.flags.writeable
+
+    def test_a_read_only_view_is_copied(self):
+        d = np.array([[0.0, 1.0], [1.0, 0.0]])
+        view = d[:, :]
+        view.flags.writeable = False
+        sp = FiniteMetricSpace(view)
+        d[0, 1] = d[1, 0] = 5.0
+        assert sp.dist.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+    def test_a_frozen_owned_array_is_kept_without_a_copy(self):
+        d = np.array([[0.0, 1.0], [1.0, 0.0]])
+        d.flags.writeable = False
+        assert FiniteMetricSpace(d).dist is d
+
+    def test_a_carpet_space_keeps_the_matrix_its_search_filled(self, monkeypatch):
+        given = []
+        post_init = FiniteMetricSpace.__post_init__
+
+        def spy(space):
+            given.append(space.dist)
+            post_init(space)
+
+        monkeypatch.setattr(FiniteMetricSpace, "__post_init__", spy)
+        sp = whole_carpet_graph(SlitSchedule.harmonic(1), 1 / 8).space()
+        assert sp.dist is given[-1]
+
+
 class TestRescale:
     def test_identity_rescale(self):
         m = line_space([0, 1, 3])
