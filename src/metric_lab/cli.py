@@ -5,16 +5,20 @@ error.  All numeric output is formatted to 12 significant digits so repeated
 runs of one spec produce identical bytes; wall-clock columns are zeroed when
 METRIC_LAB_DETERMINISTIC is set (the reproduce runner sets it).
 
-No lab module imports scipy at import time, so the CLI starts without it.
-Only validating a space of more than metric_core._NUMPY_SLABS_MAX points that
-is not a grid metric loads it (scipy.spatial).  Carpets are measured by a
-breadth-first search for hop counts in numpy and certified as grid metrics,
-so `gen` and `scan` of a carpet or a model tangent, `gh`, `qs` and
-`boundary` load no scipy at all.
+No lab module imports scipy or hashlib at import time, so the CLI starts
+without either.  Only validating a space of more than
+metric_core._NUMPY_SLABS_MAX points that is not a grid metric loads scipy
+(scipy.spatial).  Carpets are measured by a breadth-first search for hop
+counts in numpy and certified as grid metrics, so `gen` and `scan` of a
+carpet or a model tangent, `gh`, `qs` and `boundary` load no scipy at all.
+hashlib, and with it OpenSSL's _hashlib (about 3.6 MB of RSS), loads only in
+`reproduce`, which checksums its outputs, in `scan`, which keys its solved
+windows by a digest, and with numpy.random (through secrets and hmac), which
+gh_bounds' random restarts and a sampled `qs --budget` draw from; `gen`,
+`boundary` and `qs --budget all` never load it.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -433,6 +437,8 @@ def scan_cmd(space_name, r_spec, levels, flatness, center, scales, radius_spec,
 # ---------------------------------------------------------------------------
 
 def _sha256(path: str) -> str:
+    import hashlib  # OpenSSL's _hashlib loads here, not at start-up
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):

@@ -27,8 +27,9 @@ MODEL_KINDS = ("plane", "half", "quarter", "t", "l", "d", "line")
 # Most mesh steps across an extent or window radius; 2^12 admits h = 2^-12.
 MAX_MESH_STEPS = 2 ** 12
 # Most points of a whole carpet or rug, or of a window: its n x n float64
-# matrix is then at most 128 MiB, and `gen` holds about four such matrices at
-# its peak (about 600 MB measured at the bound on a 2-core x86 machine).
+# matrix is then at most 128 MiB.  At the bound `gen` of a carpet holds one
+# such matrix at its peak (about 180 MB) and of a rug about four (580 MB),
+# measured on a 2-core x86 machine.
 MAX_SPACE_POINTS = 2 ** 12
 # Flatness values lie in [1, MAX_FLATNESS): a bump's legs, l/6 of the segment
 # they refine, are then shorter than it, so refining shrinks segments and
@@ -131,11 +132,18 @@ class SlitSchedule:
         return cls(tuple(1.0 / math.sqrt(i + 2) for i in range(levels)))
 
 
-def _slit_table(sched: SlitSchedule, M: int):
-    """Slits in grid units: (level, column, y0, y1) with endpoints snapped
-    to grid nodes.  The 2^i slits of a level-i column share it; slits of
-    different levels never share a column."""
+def _slit_table(sched: SlitSchedule, M: int, box=None):
+    """Slits in grid units: (number, column, y0, y1) with endpoints snapped
+    to grid nodes, listed by number.  Slits are numbered level by level,
+    column by column, bottom to top over the whole square, and only those
+    that meet the index box (xa, xb, ya, yb), by default [0, M]^2, are
+    listed: column in [xa, xb] and [y0, y1] meeting [ya, yb].  The 2^i slits
+    of a level-i column share it; slits of different levels never share a
+    column.  A slit's ends depend on its row alone, so every row of every
+    level is checked, and a box refuses what the whole table refuses."""
+    xa, xb, ya, yb = (0, M, 0, M) if box is None else box
     slits = []
+    first = 0  # number of the level's first slit
     for i, ri in enumerate(sched.r):
         if M % (2 ** (i + 1)):
             raise ResolutionError(
@@ -143,16 +151,21 @@ def _slit_table(sched: SlitSchedule, M: int):
                 "to center the slits on grid nodes")
         size = M >> i
         half = ri * size / 2.0
-        for kx in range(2 ** i):
+        rows = []
+        for ky in range(2 ** i):
+            cy = ky * size + size // 2
+            y0, y1 = round(cy - half), round(cy + half)
+            if y1 - y0 < 2:
+                raise ResolutionError(
+                    f"level {i}: mesh 1/{M} too coarse to resolve slits of "
+                    f"length {ri}/2^{i} (need at least 2 grid edges)")
+            if y0 <= yb and ya <= y1:
+                rows.append((ky, y0, y1))
+        for kx in range(max(-((size // 2 - xa) // size), 0),
+                        min((xb - size // 2) // size, 2 ** i - 1) + 1):
             col = kx * size + size // 2
-            for ky in range(2 ** i):
-                cy = ky * size + size // 2
-                y0, y1 = round(cy - half), round(cy + half)
-                if y1 - y0 < 2:
-                    raise ResolutionError(
-                        f"level {i}: mesh 1/{M} too coarse to resolve slits of "
-                        f"length {ri}/2^{i} (need at least 2 grid edges)")
-                slits.append((i, col, y0, y1))
+            slits.extend((first + kx * 2 ** i + ky, col, y0, y1) for ky, y0, y1 in rows)
+        first += 4 ** i
     return slits
 
 
@@ -175,11 +188,11 @@ def _slit_carpet_box(sched: SlitSchedule, h: float, cx: int, cy: int, K: int,
     loops run over the box in order with the same slit numbers, so nodes off
     the box's low edges keep their order."""
     M = _mesh_steps(h)
-    slits = _slit_table(sched, M)
+    xa, xb, ya, yb = max(cx - K, 0), min(cx + K, M), max(cy - K, 0), min(cy + K, M)
+    slits = _slit_table(sched, M, (xa, xb, ya, yb))
     by_col: dict = {}
     for (_, col, y0, y1) in slits:
         by_col.setdefault(col, []).append((y0, y1))
-    xa, xb, ya, yb = max(cx - K, 0), min(cx + K, M), max(cy - K, 0), min(cy + K, M)
     cv = int(tags[4]) if len(tags) == 5 and tags[0] == "P" and tags[4] in range(M + 1) else 0
 
     b = GraphBuilder(h)
@@ -203,11 +216,9 @@ def _slit_carpet_box(sched: SlitSchedule, h: float, cx: int, cy: int, K: int,
                 else:
                     b.edge(key(ix, iy), key(ix, iy + 1))
 
-    for slit_id, (_, col, y0, y1) in enumerate(slits if pillows else ()):
+    for slit_id, col, y0, y1 in (slits if pillows else ()):
         m = y1 - y0
         ua, ub, vb = max(ya - y0, 0), min(yb - y0, m), min(K + cv, m)
-        if not (xa <= col <= xb and ua <= ub):
-            continue
 
         def pnode(sheet, u, v):
             if v == 0:

@@ -29,6 +29,7 @@ _RESTARTS = 200  # default gh_bounds seeds, deterministic ones included
 _LOCAL_MOVES = 80  # repair moves per gh_bounds seed
 _MAX_PAIR_BUDGET = 4e8  # seeds of k pairs with k^2 above this run no moves
 _PARALLEL_WORK = 1.6e7  # restarts * (nx+ny)^2 from which restarts run in worker processes
+_DISTORTION_ENTRIES = 2 ** 16  # pair-pairs per block of _pair_distortion
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,14 +77,15 @@ class GhResult:
 
 
 def _pair_distortion(DX, DY, I, J) -> float:
-    """max over pair-pairs of |DX[i,i'] - DY[j,j']|, 1024 rows at a time."""
+    """max over pair-pairs of |DX[i,i'] - DY[j,j']|, in blocks of rows of at
+    most _DISTORTION_ENTRIES entries per temporary."""
     k = len(I)
+    rows = max(_DISTORTION_ENTRIES // max(k, 1), 1)
     worst = 0.0
-    for lo in range(0, k, 1024):
-        hi = min(lo + 1024, k)
-        a = DX[I[lo:hi]][:, I]
-        b = DY[J[lo:hi]][:, J]
-        worst = max(worst, float(np.abs(a - b).max()))
+    for lo in range(0, k, rows):
+        a = DX[I[lo:lo + rows]][:, I]
+        a -= DY[J[lo:lo + rows]][:, J]
+        worst = max(worst, float(np.abs(a, out=a).max()))
     return worst
 
 

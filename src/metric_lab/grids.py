@@ -11,7 +11,10 @@ breadth-first search for hop counts H, optionally stopped at a distance
 limit, and a path of m edges is T[m] = grid_steps(h, m)[m] long, the running
 sum the t, l and d models use too.  Distance matrices are therefore exactly
 symmetric, and metric_core.validate_metric certifies a whole graph's matrix
-from its hop counts in O(n^2) instead of the O(n^3) triangle scan.
+from its hop counts in O(n^2) instead of the O(n^3) triangle scan.  The
+search keeps H as bit planes, one bitset over the sources per target and
+bit of H, and the distance matrix is filled from them a block of rows at a
+time, so no n x n array but the matrix itself is ever held.
 """
 from __future__ import annotations
 
@@ -19,6 +22,8 @@ import numpy as np
 
 from .errors import DomainError
 from .metric_core import FiniteMetricSpace
+
+_FILL_ENTRIES = 2 ** 15  # matrix entries per block of GridGraph._fill
 
 
 def grid_steps(h: float, m: int) -> np.ndarray:
@@ -54,14 +59,15 @@ class GridGraph:
         return len(self.keys)
 
     def _hops(self, sources, targets, limit: float):
-        """Hop counts from sources to targets, one BFS level at a time up to
-        the last level whose length is at most limit: (H, reached, T), with
-        H[t, s] the hops from sources[s] to targets[t] where reached[t, s].
+        """Hop counts from sources to targets as bit planes, one BFS level at
+        a time up to the last level whose length is at most limit:
+        (planes, unseen, T).  Bit s of row t of plane p is bit p of the hops
+        from sources[s] to targets[t]; bit s of unseen[t] is set where
+        sources[s] did not reach targets[t].
 
         Each node holds a bitset row over the sources (uint64 words); a level
-        is new = OR_k frontier[nbr_k] & unseen, and H is kept as bit planes:
-        the pairs first reached at level l are OR-ed into plane p for every
-        set bit p of l, and the planes are unpacked once at the end."""
+        is new = OR_k frontier[nbr_k] & unseen, and the pairs first reached at
+        level l are OR-ed into plane p for every set bit p of l."""
         n, k = self.n, len(sources)
         words = (k + 63) // 64
         T = grid_steps(self.h, n)
@@ -88,21 +94,41 @@ class GridGraph:
                 if level >> p & 1:
                     plane |= reached_now
             frontier, new = new, frontier
+        return planes, unseen[targets], T
+
+    def _fill(self, sources, targets, limit: float):
+        """(d, complete): d[t, s] = T[H[t, s]] the distance from sources[s] to
+        targets[t], inf where the search did not reach; complete tells whether
+        every pair was reached.  The planes are unpacked a block of target
+        rows of at most _FILL_ENTRIES entries at a time straight into d, so no
+        n x n hop array exists and the block's index temporaries stay small."""
+        planes, unseen, T = self._hops(sources, targets, limit)
+        k = len(sources)
+        d = np.empty((len(targets), k))
+        hops = np.min_scalar_type(2 ** len(planes) - 1)
+        complete = True
 
         def unpack(rows):
             return np.unpackbits(rows.view(np.uint8), axis=1, count=k, bitorder="little")
 
-        H = np.zeros((len(targets), k), dtype=np.min_scalar_type(2 ** len(planes) - 1))
-        for p, plane in enumerate(planes):
-            H |= unpack(plane).astype(H.dtype) << p
-        return H, unpack(~unseen[targets]).astype(bool), T
+        rows = max(_FILL_ENTRIES // max(k, 1), 1)
+        for lo in range(0, len(targets), rows):
+            block = slice(lo, lo + rows)
+            H = np.zeros(d[block].shape, dtype=hops)
+            for p, plane in enumerate(planes):
+                H |= unpack(plane[block]).astype(hops) << p
+            np.take(T, H, out=d[block], mode="clip")  # H <= n: no out buffer
+            missed = unpack(unseen[block]).view(bool)
+            if missed.any():
+                d[block][missed] = np.inf
+                complete = False
+        return d, complete
 
     def distances_from(self, sources, limit: float = np.inf) -> np.ndarray:
         """Shortest-path rows for the given source node ids, one search from
         all of them; nodes farther than limit read inf."""
         sources = np.atleast_1d(np.asarray(sources, dtype=np.intp))
-        H, reached, T = self._hops(sources, np.arange(self.n), limit)
-        return np.where(reached, T[H], np.inf).T
+        return self._fill(sources, np.arange(self.n), limit)[0].T
 
     def distance(self, u: int, v: int) -> float:
         return float(self.distances_from([u])[0, v])
@@ -110,13 +136,12 @@ class GridGraph:
     def space_on(self, node_ids, limit: float = np.inf) -> FiniteMetricSpace:
         """Metric subspace on the given nodes; paths run through the full
         graph, searched up to limit, which must cover every pair.  Only the
-        requested nodes' columns are kept, and the matrix T[H] is handed to
+        requested nodes' columns are kept, and the filled matrix is handed to
         the space frozen, without a copy."""
         node_ids = np.asarray(node_ids, dtype=np.intp)
-        H, reached, T = self._hops(node_ids, node_ids, limit)
-        if not reached.all():
+        d, complete = self._fill(node_ids, node_ids, limit)
+        if not complete:
             raise DomainError(f"requested nodes are not mutually connected within {limit}")
-        d = T[H]
         d.flags.writeable = False
         return FiniteMetricSpace(d, tuple(self.keys[i] for i in node_ids))
 

@@ -21,7 +21,7 @@ from .errors import DomainError, MalformedMatrixError
 TOL = 1e-9
 
 _NUMPY_SLABS_MAX = 512  # points up to which validate_metric needs no scipy
-_CERTIFY_ROWS = 64  # source rows per block of _is_grid_metric
+_CERTIFY_ENTRIES = 2 ** 15  # matrix entries per block of rows of _is_grid_metric
 # Largest degree of G in _is_grid_metric: the d model has 4, carpets and t 5,
 # pillows and l 6.  Unbounded, an equilateral 1024-point space (degree 1023)
 # took 5.6 s in the certificate against 0.5 s in the full check (2-core x86).
@@ -207,8 +207,8 @@ def validate_metric(m: FiniteMetricSpace) -> list[AxiomViolation]:
 def _is_grid_metric(d: np.ndarray) -> bool:
     """validate_metric's certificate that d is h times a hop metric (proof there)."""
     n = len(d)
-    blocks = [(d[lo:lo + _CERTIFY_ROWS], np.arange(lo, min(lo + _CERTIFY_ROWS, n)))
-              for lo in range(0, n, _CERTIFY_ROWS)]
+    size = max(_CERTIFY_ENTRIES // n, 1)
+    blocks = [(d[lo:lo + size], np.arange(lo, min(lo + size, n))) for lo in range(0, n, size)]
     h = min(np.delete(rows, (ids - ids[0]) * n + ids).min(initial=math.inf) for rows, ids in blocks)
     top = max(rows.max() for rows, _ in blocks)
     if not (2 * TOL < h < math.inf and 16 * np.finfo(float).eps * top <= TOL):
@@ -315,16 +315,14 @@ def _label_from_json(label):
 
 def write_space(m: FiniteMetricSpace, path: str) -> None:
     """Atomic write of m as {"labels": [...], "dist": [[...]]}, streamed one
-    matrix row at a time.
+    matrix row and one label at a time.
 
     The bytes equal write_json_atomic of that object with the matrix as
     nested lists, without building the lists.  Each distinct value of a row
     is formatted once by float.__repr__, as json formats floats; values are
-    told apart by their bits, so -0.0 stays distinct from 0.0.
+    told apart by their bits, so -0.0 stays distinct from 0.0.  Each label is
+    formatted by json on its own and indented to its depth in the object.
     """
-    labels = json.dumps([_label_to_json(l) for l in m.labels],
-                        indent=1, sort_keys=True)
-
     def dump(fh):
         fh.write('{\n "dist": [')
         for i, row in enumerate(m.dist.view(np.uint64)):
@@ -333,8 +331,11 @@ def write_space(m: FiniteMetricSpace, path: str) -> None:
                             dtype=object)
             fh.write(("," if i else "") + "\n  [\n   "
                      + ",\n   ".join(text[inverse].tolist()) + "\n  ]")
-        fh.write(("\n ]" if m.n else "]") + ',\n "labels": '
-                 + labels.replace("\n", "\n ") + "\n}\n")
+        fh.write(("\n ]" if m.n else "]") + ',\n "labels": [')
+        for i, label in enumerate(m.labels):
+            text = json.dumps(_label_to_json(label), indent=1, sort_keys=True)
+            fh.write(("," if i else "") + "\n  " + text.replace("\n", "\n  "))
+        fh.write(("\n ]" if m.labels else "]") + "\n}\n")
     _write_atomic(dump, path)
 
 

@@ -19,7 +19,7 @@ TRIPLE_BUDGET_DEFAULT = 10 ** 6
 # their ratios, about 62 bytes per triple (659 MB measured at 10^7 on 250
 # points); a larger budget is refused unless it enumerates every triple.
 MAX_TRIPLE_BUDGET = 10 ** 7
-_ENVELOPE_ROWS = 8  # x rows per part of the all-triples envelope
+_ENVELOPE_SAMPLES = 2 ** 16  # samples per part of the all-triples envelope, at least one x row
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,30 +110,36 @@ def envelope_from_samples(t, s) -> DistortionEnvelope:
 
 def _envelope_all(f: SampledMap) -> DistortionEnvelope:
     """envelope_from_samples of every ordered triple (x, y, z) with x != z,
-    without holding them all: the samples of _ENVELOPE_ROWS x rows at a time
-    are reduced to their staircase and merged into the running one.  A sample
-    dominated within its part is dominated in the whole, so the staircase of
-    the parts' staircases is the staircase of all samples, built from the
-    same divisions, comparisons and maxima; SampledMap's distinct images keep
-    every image ratio a number (no 0/0), which the merge needs."""
+    without holding them all: the samples of as many x rows as keep a part
+    within _ENVELOPE_SAMPLES (one row at least) are reduced to their
+    staircase.  The parts' staircases wait until they hold as many
+    breakpoints as the running staircase, and the stable sort of the running
+    one followed by them, sorted runs, merges them into it; so each merge
+    sorts at most about twice the running staircase, not once per part.  A
+    sample dominated within its part is dominated in the whole, so the
+    staircase of the parts' staircases is the staircase of all samples,
+    built from the same divisions, comparisons and maxima; SampledMap's
+    distinct images keep every image ratio a number (no 0/0), which the
+    merge needs."""
     DX = f.domain.dist
     img = f.codomain.dist[np.ix_(f.assignment, f.assignment)]
     n = f.domain.n
-    env = None
-    for x0 in range(0, n, _ENVELOPE_ROWS):
-        xs = np.arange(x0, min(x0 + _ENVELOPE_ROWS, n))
+    rows = max(_ENVELOPE_SAMPLES // (n * n), 1)
+    stairs = []  # the running staircase, then the parts' waiting to merge
+    for x0 in range(0, n, rows):
+        xs = np.arange(x0, min(x0 + rows, n))
         dx, ix = DX[xs], img[xs]
         with np.errstate(divide="ignore", invalid="ignore"):
             t = dx[:, None, :] / dx[:, :, None]   # [x, z, y] = d(x,y)/d(x,z)
             s = ix[:, None, :] / ix[:, :, None]
         zmask = np.ones((len(xs), n), dtype=bool)   # z != x
         zmask[np.arange(len(xs)), xs] = False
-        part = envelope_from_samples(t[zmask].ravel(), s[zmask].ravel())
-        if env is not None:  # two sorted runs: the stable sort merges them
-            part = envelope_from_samples(np.concatenate((env.ts, part.ts)),
-                                         np.concatenate((env.ss, part.ss)))
-        env = part
-    return env
+        stairs.append(envelope_from_samples(t[zmask].ravel(), s[zmask].ravel()))
+        waiting = sum(e.ts.size for e in stairs[1:])
+        if len(stairs) > 1 and (waiting >= stairs[0].ts.size or x0 + rows >= n):
+            stairs = [envelope_from_samples(np.concatenate([e.ts for e in stairs]),
+                                            np.concatenate([e.ss for e in stairs]))]
+    return stairs[0]
 
 
 def _triple_samples_budget(f: SampledMap, budget: int, seed: int):

@@ -8,7 +8,6 @@ tangent, never a certificate.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 import time
 from dataclasses import dataclass
@@ -199,6 +198,8 @@ def tangent_scan(cfg: ScanConfig) -> ScanReport:
     self-similar centres (a square's corner, a cone point), where every
     rescaled window is the same finite space.  A row's seconds cover the
     seed and the solve, or for a hit the lookup."""
+    import hashlib  # OpenSSL's _hashlib loads with the first scan, not at start-up
+
     h_rel = cfg.h_of(cfg.scales[0]) / cfg.scales[0]
     model_windows = {kind: model_tangent_space(kind, cfg.window_radius, h_rel)
                      for kind in cfg.models}

@@ -626,28 +626,32 @@ class TestReproduce:
 
 
 # The commands that never call scipy must not load it: import scipy.spatial
-# alone costs more than numpy and click together.  A fresh interpreter runs
-# each step and reports the scipy modules loaded so far.  No module imports
-# scipy at import time; the function that calls scipy imports it, and only
-# one does: validate_metric's full check above _NUMPY_SLABS_MAX points
-# (scipy.spatial).  Carpets are measured by a breadth-first search in numpy,
-# and validate_metric certifies a grid metric by its hop counts before that
-# check, so even a carpet or model window above that limit loads no scipy.
-# A step is [name, CLI argv] or the name of a function of the probe; the
-# modules are reported under the name.
+# alone costs more than numpy and click together.  Nor may they load OpenSSL's
+# _hashlib (3.6 MB of RSS in every process): only reproduce and tangent_scan
+# hash, and each imports hashlib where it does (numpy.random loads it too,
+# which the small gh step below never imports).  A fresh interpreter runs
+# each step and reports the scipy modules and _hashlib loaded so far.  No
+# module imports scipy at import time; the function that calls scipy imports
+# it, and only one does: validate_metric's full check above _NUMPY_SLABS_MAX
+# points (scipy.spatial).  Carpets are measured by a breadth-first search in
+# numpy, and validate_metric certifies a grid metric by its hop counts before
+# that check, so even a carpet or model window above that limit loads no
+# scipy.  A step is [name, CLI argv] or the name of a function of the probe;
+# the modules are reported under the name.
 STARTUP_PROBE = """
 import importlib, json, pkgutil, sys
 import numpy as np
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def watched_modules():
+    return sorted(m for m in sys.modules
+                  if m in ("scipy", "_hashlib") or m.startswith("scipy."))
 loaded = {}
 import metric_lab
-loaded["import metric_lab"] = scipy_modules()
+loaded["import metric_lab"] = watched_modules()
 import metric_lab.cli
-loaded["import metric_lab.cli"] = scipy_modules()
+loaded["import metric_lab.cli"] = watched_modules()
 for info in pkgutil.iter_modules(metric_lab.__path__, "metric_lab."):
     importlib.import_module(info.name)
-loaded["import every submodule"] = scipy_modules()
+loaded["import every submodule"] = watched_modules()
 loaded["submodules"] = sorted(m for m in sys.modules if m.startswith("metric_lab."))
 from metric_lab.fractal_gen import model_tangent_space
 from metric_lab.metric_core import _NUMPY_SLABS_MAX, FiniteMetricSpace, validate_metric
@@ -664,7 +668,7 @@ for step in json.loads(sys.argv[1]):
     else:
         step, argv = step
         metric_lab.cli.main.main(args=argv, standalone_mode=False)
-    loaded[step] = scipy_modules()
+    loaded[step] = watched_modules()
 print(json.dumps(loaded))
 """
 
@@ -697,14 +701,8 @@ class TestStartup:
                                 "--out", str(tmp_path / "d.json"),
                                 "--out-codomain", str(tmp_path / "c.json"),
                                 "--out-map", str(tmp_path / "f.json")]],
-            ["corner scan", ["scan", "--space", "square", "--center", "0,0", "--scales",
-                             "2^-3..2^-5", "--models", "quarter,half", "--rule",
-                             "lambda/8", "--out", str(tmp_path / "s.csv")]],
             ["model-t", ["gen", "--kind", "model-t", "--radius", "1", "--h", "1/4",
                          "--out", str(tmp_path / "t.json")]],
-            ["corner scan t", ["scan", "--space", "square", "--center", "0,0", "--scales",
-                               "2^-3..2^-4", "--models", "t", "--rule", "lambda/4",
-                               "--out", str(tmp_path / "st.csv")]],
             # 2145 points, above _NUMPY_SLABS_MAX: certified, so no scipy.spatial
             ["model-t-2145", ["gen", "--kind", "model-t", "--radius", "1", "--h", "1/32",
                               "--out", str(tmp_path / "t32.json")]],
@@ -715,6 +713,14 @@ class TestStartup:
                                   "1/32", "--out", str(tmp_path / "k32.json")]],
             ["pillow-carpet", ["gen", "--kind", "pillow-carpet", "--levels", "1", "--h",
                                "1/16", "--out", str(tmp_path / "p.json")]],
+            # the scans come last: tangent_scan hashes its windows, so _hashlib
+            # is loaded from the first scan on
+            ["corner scan", ["scan", "--space", "square", "--center", "0,0", "--scales",
+                             "2^-3..2^-5", "--models", "quarter,half", "--rule",
+                             "lambda/8", "--out", str(tmp_path / "s.csv")]],
+            ["corner scan t", ["scan", "--space", "square", "--center", "0,0", "--scales",
+                               "2^-3..2^-4", "--models", "t", "--rule", "lambda/4",
+                               "--out", str(tmp_path / "st.csv")]],
             ["carpet scan", ["scan", "--space", "slit-carpet", "--r", "0.5", "--levels", "1",
                              "--center", "0.5,0.25", "--scales", "2^-3..2^-4", "--models",
                              "t,half", "--rule", "lambda/8", "--out", str(tmp_path / "sk.csv")]],
@@ -723,10 +729,11 @@ class TestStartup:
         ]
         loaded = run_startup_probe(steps)
         for step in ("import metric_lab", "import metric_lab.cli", "gh", "qs", "boundary",
-                     "model-quarter", "snowflake-pair", "corner scan", "model-t",
-                     "corner scan t", "model-t-2145", "slit-carpet", "slit-carpet-1146",
-                     "pillow-carpet", "carpet scan"):
+                     "model-quarter", "snowflake-pair", "model-t", "model-t-2145",
+                     "slit-carpet", "slit-carpet-1146", "pillow-carpet"):
             assert loaded[step] == [], f"{step} loaded {loaded[step][:5]}"
+        for step in ("corner scan", "corner scan t", "carpet scan"):
+            assert loaded[step] == ["_hashlib"], f"{step} loaded {loaded[step][:5]}"
         assert "scipy.spatial" in loaded["validate_above_the_limit"]
         for name in ("gh.json", "env.csv", "b.json", "q.json", "d.json", "s.csv", "t.json",
                      "st.csv", "t32.json", "k.json", "k32.json", "p.json", "sk.csv"):

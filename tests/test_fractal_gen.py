@@ -126,6 +126,30 @@ class TestSlitCarpet:
         with pytest.raises(ResolutionError, match="divisible"):
             slit_carpet_space(SlitSchedule((0.5, 0.5)), 1 / 6)
 
+    @pytest.mark.parametrize("box", [(0, 64, 0, 64), (0, 0, 0, 0), (10, 30, 40, 47),
+                                     (31, 33, 0, 64), (50, 64, 20, 21), (5, 6, 5, 6)])
+    def test_a_box_lists_the_slits_it_meets_by_their_whole_carpet_numbers(self, box):
+        # the whole table numbers its slits 0, 1, ... (pillow keys carry the
+        # number); a box keeps those whose column lies in [xa, xb] and whose
+        # ends meet [ya, yb], under the same numbers
+        sched = SlitSchedule.harmonic(4)
+        whole = fractal_gen._slit_table(sched, 64)
+        assert [s[0] for s in whole] == list(range(1 + 4 + 16 + 64))
+        xa, xb, ya, yb = box
+        assert fractal_gen._slit_table(sched, 64, box) == [
+            s for s in whole if xa <= s[1] <= xb and s[2] <= yb and ya <= s[3]]
+
+    def test_a_window_clear_of_an_unresolved_level_is_refused_as_the_whole_carpet_is(self):
+        # level 1 (fraction 0.05, slits 0.4 grid edges long, centred on rows
+        # 4 and 12) cannot be resolved at h = 1/16; the window's box
+        # [0, 4] x [5, 11] meets no level-1 slit
+        sched = SlitSchedule((0.5, 0.05))
+        message = "level 1: mesh 1/16 too coarse"
+        with pytest.raises(ResolutionError, match=message):
+            slit_carpet_space(sched, 1 / 16)
+        with pytest.raises(ResolutionError, match=message):
+            make_generator("slit-carpet", sched=sched).sample_ball((1 / 16, 0.5), 1 / 16, 1 / 16)
+
     def test_harmonic_preset(self):
         sched = SlitSchedule.harmonic(3)
         assert sched.r == pytest.approx((1 / math.sqrt(2), 1 / math.sqrt(3), 0.5))

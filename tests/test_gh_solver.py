@@ -93,6 +93,25 @@ class TestDistortion:
         with pytest.raises(DomainError, match=message):
             distortion_of_correspondence(X, X, Correspondence(pairs))
 
+    def test_a_600_pair_correspondence_is_measured_in_small_blocks(self):
+        # 600 pairs of two 300-point spaces: one block of every row held three
+        # 600 x 600 temporaries (11 MB traced); blocks of at most 2^16
+        # pair-pairs keep the peak near 1.3 MB, and the max stays exact
+        rng = np.random.default_rng(4)
+        X, Y = random_space(rng, 300), random_space(rng, 300)
+        R = Correspondence(tuple(sorted({(i, i) for i in range(300)}
+                                        | {(i, (i + 1) % 300) for i in range(300)})))
+        I, J = R.arrays()
+        want = float(np.abs(X.dist[np.ix_(I, I)] - Y.dist[np.ix_(J, J)]).max())
+        tracemalloc.start()
+        try:
+            got = distortion_of_correspondence(X, Y, R)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(R.pairs) == 600 and got == want
+        assert peak < 4 * 2 ** 20
+
 
 class TestExactSmall:
     def test_self_distance_zero_with_identity_witness(self):

@@ -1,5 +1,7 @@
 """Tests for the grid-graph layer and the certificate of its matrices."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,30 @@ class TestGridGraph:
         d = path_graph(150, h).space().dist
         T = grid_steps(h, 149)
         assert np.array_equal(d, T[np.abs(np.subtract.outer(np.arange(150), np.arange(150)))])
+
+    def test_a_whole_carpet_matrix_is_filled_from_the_bit_planes_in_row_blocks(self, tmp_path):
+        # 1146 points, a 10 MB matrix: the hop-count planes and one block of
+        # rows ride on it (1.6 MB traced); unpacking every plane at once into
+        # n x n hop counts, their reached mask and T[H] took 3.8 MB.  The
+        # certificate (64-row blocks: 2.4 MB) and the writer (all labels as
+        # one JSON text: 0.4 MB) then stay below that peak
+        graph = whole_carpet_graph(SlitSchedule.harmonic(2), 1 / 32)
+        tracemalloc.start()
+        try:
+            m = graph.space()
+            fill = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            assert validate_metric(m) == []
+            check = tracemalloc.get_traced_memory()[1] - start
+            tracemalloc.reset_peak()
+            metric_core.write_space(m, str(tmp_path / "k.json"))
+            write = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert m.n == 1146 and not m.dist.flags.writeable
+        assert fill - m.dist.nbytes <= 2.5 * 2 ** 20
+        assert check <= 2 * 2 ** 20 and write <= 0.25 * 2 ** 20
 
 
 def path_graph(n, h):
@@ -108,7 +134,7 @@ class TestHopMetricCertificate:
                 agrees(m)
 
     def test_row_blocks_cover_a_graph_of_several_blocks(self):
-        # 200 nodes: four blocks, the last one partial
+        # 200 nodes: two blocks of at most 2^15 entries, the last one partial
         d = path_graph(200, 0.25).space().dist.copy()
         assert _is_grid_metric(d)
         d[150, 199] = d[199, 150] = d[150, 199] + 0.25

@@ -128,11 +128,13 @@ class TestEnvelopeAgainstFrozenReference:
         assert env.ts.tobytes() == ts.tobytes() and env.ss.tobytes() == ss.tobytes()
 
     def test_parts_are_merged_into_one_staircase(self, monkeypatch):
-        # parts of 1, 2 and 3 rows give the bytes of one sort of every triple
+        # parts of 1, 2 and 3 rows of 17 x 17 samples (a bound below one row
+        # still takes a row) give the bytes of one sort of every triple
         f = dict(seeded_pairs())["coincident-domain-17"]
+        assert f.domain.n == 17
         ts, ss = reference_envelope_all(f)
-        for rows in (1, 2, 3):
-            monkeypatch.setattr(qs_analysis, "_ENVELOPE_ROWS", rows)
+        for samples in (1, 17 * 17, 2 * 17 * 17, 3 * 17 * 17 + 16):
+            monkeypatch.setattr(qs_analysis, "_ENVELOPE_SAMPLES", samples)
             env = distortion_envelope(f, "all")
             assert env.ts.tobytes() == ts.tobytes() and env.ss.tobytes() == ss.tobytes()
 
