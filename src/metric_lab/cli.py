@@ -322,8 +322,14 @@ def qs_cmd(domain_path, codomain_path, map_path, budget, seed, out):
         raise click.UsageError(f"{map_path} must contain an 'assignment' list")
     f = qs.SampledMap(dom, cod, np.asarray(assignment["assignment"], dtype=int))
     env = qs.distortion_envelope(f, budget_val, seed=seed)
-    lines = ["t,s"] + [f"{fmt(t)},{fmt(s)}" for t, s in env.breakpoints]
-    write_text_atomic("\n".join(lines) + "\n", out)
+
+    def dump(fh):  # 2^16 breakpoints per write, never the whole text at once
+        fh.write("t,s\n")
+        for lo in range(0, len(env.ts), 2 ** 16):
+            fh.write("".join(f"{fmt(t)},{fmt(s)}\n" for t, s in
+                             zip(env.ts[lo:lo + 2 ** 16].tolist(),
+                                 env.ss[lo:lo + 2 ** 16].tolist())))
+    mc._write_atomic(dump, out)
     click.echo(f"qs envelope: {len(env.ts)} breakpoints -> {out}")
 
 

@@ -42,10 +42,10 @@ MAX_SNOWFLAKE_WINDOW = 2.0 ** 64
 
 
 def _pairwise(P, dist) -> np.ndarray:
-    """Matrix dist(P_i, P_j) of coordinate rows P, filled 2^18 entries at a time."""
+    """Matrix dist(P_i, P_j) of coordinate rows P, filled 2^16 entries at a time."""
     n = len(P[0])
     d = np.empty((n, n))
-    rows = max(1, 2 ** 18 // max(n, 1))
+    rows = max(1, 2 ** 16 // max(n, 1))
     for a in range(0, n, rows):
         d[a:a + rows] = dist(P[:, a:a + rows, None], P)
     return d

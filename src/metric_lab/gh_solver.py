@@ -27,9 +27,11 @@ EXACT_BUDGET = 200_000  # default node budget of the exact search
 _EXACT_AUTO_PAIRS = 400  # method="auto" runs the exact search iff nx*ny is at most this
 _RESTARTS = 200  # default gh_bounds seeds, deterministic ones included
 _LOCAL_MOVES = 80  # repair moves per gh_bounds seed
-_MAX_PAIR_BUDGET = 4e8  # seeds of k pairs with k^2 above this run no moves
+# seeds of k pairs with k^2 above this run no moves: a search reads all k^2
+# pair-pairs before its first move, though it keeps only O((nx+ny)*k) floats
+_MAX_PAIR_BUDGET = 4e8
 _PARALLEL_WORK = 1.6e7  # restarts * (nx+ny)^2 from which restarts run in worker processes
-_DISTORTION_ENTRIES = 2 ** 16  # pair-pairs per block of _pair_distortion
+_DISTORTION_ENTRIES = 2 ** 16  # entries per block of _pair_distortion and _local_search
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,20 +235,55 @@ def _pairs_from_maps(nx, ny, f, g, base_pair):
 def _local_search(DX, DY, I, J, base_pair, moves: int):
     """Hill-climb on dis: repair an endpoint of the worst pair, strict descent.
 
-    The k x k pair-distortion matrix M is kept across moves, so a move costs
-    an O((nx+ny)*k) candidate scan plus an O(k^2) argmax over M, with no
-    rebuild, in about k^2 + 2*(nx+ny)*k floats.  moves == 0 keeps nothing.
+    Row a of the pair-distortion matrix is |GX[I[a]] - GY[J[a]]|, column m of
+    GX and GY holding the distances to the ends of pair m.  No k x k matrix
+    is kept, only top[a], the maximum of row a, and arg[a], the first column
+    where it occurs, so the worst pair (the first maximum in row-major order)
+    is (a, arg[a]) for the first a with the largest top.  Rows and candidate
+    scans are read in blocks of at most _DISTORTION_ENTRIES entries of one
+    buffer.  Re-pairing pair p changes only row and column p, so a trial is
+    dropped in O(k), before its scan, when a row it leaves alone reaches
+    cur; otherwise it costs an O((nx+ny)*k) candidate scan, O(k)
+    bookkeeping and O(k) per re-read row (row p and the rows whose maximum
+    was in column p), in about (nx+ny)*k floats.  moves == 0 keeps nothing.
     """
     I, J = I.copy(), J.copy()
     if moves <= 0:
         return _pair_distortion(DX, DY, I, J), I, J
     k = len(I)
     GX, GY = DX.take(I, axis=1), DY.take(J, axis=1)  # column m: distances to the ends of pair m
-    M = GX.take(I, axis=0)
-    np.abs(np.subtract(M, GY.take(J, axis=0), out=M), out=M)
-    idx = int(np.argmax(M))  # first maximum in row-major order
-    cur, where = float(M.flat[idx]), divmod(idx, k)
-    candJ, candI = np.empty_like(GY), np.empty_like(GX)
+    block = max(_DISTORTION_ENTRIES // k, 1)  # rows per block
+    buf = np.empty(min(block, max(k, len(DX), len(DY))) * k)
+    top, arg = np.empty(k), np.empty(k, dtype=np.intp)
+
+    def read_rows(rows):
+        """Set top and arg of the given rows."""
+        for lo in range(0, len(rows), block):
+            r = rows[lo:lo + block]
+            blk = buf[:len(r) * k].reshape(len(r), k)
+            np.take(GX, I[r], axis=0, out=blk, mode="clip")
+            blk -= GY.take(J[r], axis=0)
+            np.abs(blk, out=blk)
+            arg[r] = blk.argmax(axis=1)
+            top[r] = blk[np.arange(len(r)), arg[r]]
+
+    def best_row(G, v, p):
+        """First g minimising the max over columns m != p of |v[m] - G[g, m]|, and that max."""
+        n = len(G)
+        worst = np.empty(n)
+        for lo in range(0, n, block):
+            blk = buf[:min(block, n - lo) * k].reshape(-1, k)
+            np.abs(np.subtract(v, G[lo:lo + block], out=blk), out=blk)
+            # zeroing pair p's own column leaves each row max over the other
+            # columns unchanged (entries >= 0, and k >= 2 when cur > 0)
+            blk[:, p] = 0.0
+            blk.max(axis=1, out=worst[lo:lo + len(blk)])
+        g = int(np.argmin(worst))
+        return g, worst[g]
+
+    read_rows(np.arange(k))
+    a = int(np.argmax(top))  # first maximum of the matrix in row-major order
+    cur, where = float(top[a]), (a, int(arg[a]))
     for _ in range(moves):
         if cur <= 0:
             break
@@ -256,17 +293,18 @@ def _local_search(DX, DY, I, J, base_pair, moves: int):
             # the unique cover of both its ends: any re-pairing uncovers a point
             if np.count_nonzero(I == I[p]) == 1 and np.count_nonzero(J == J[p]) == 1:
                 continue
-            # re-pair pair p on either side; zeroing its own column leaves each
-            # row max unchanged (entries >= 0, and k >= 2 when cur > 0)
-            np.abs(np.subtract(GX[I[p]], GY, out=candJ), out=candJ)  # replace J[p]
-            np.abs(np.subtract(GX, GY[J[p]], out=candI), out=candI)  # replace I[p]
-            candJ[:, p] = candI[:, p] = 0.0
-            rowJ, rowI = candJ.max(axis=1), candI.max(axis=1)
-            jbest, ibest = int(np.argmin(rowJ)), int(np.argmin(rowI))
-            if rowJ[jbest] <= rowI[ibest] and rowJ[jbest] < cur:
-                trial, new_row = (I[p], jbest), candJ[jbest]
-            elif rowI[ibest] < cur:
-                trial, new_row = (ibest, J[p]), candI[ibest]
+            # a move changes only row and column p: a row whose maximum lies
+            # elsewhere and reaches cur - 1e-15 keeps any move from descending
+            held = (top >= cur - 1e-15) & (arg != p)
+            held[p] = False
+            if held.any():
+                continue
+            jbest, vJ = best_row(GY, GX[I[p]], p)  # replace J[p]
+            ibest, vI = best_row(GX, GY[J[p]], p)  # replace I[p]
+            if vJ <= vI and vJ < cur:
+                trial = (I[p], jbest)
+            elif vI < cur:
+                trial = (ibest, J[p])
             else:
                 continue
             oldI, oldJ = I[p], J[p]
@@ -275,15 +313,21 @@ def _local_search(DX, DY, I, J, base_pair, moves: int):
             if oldI not in I or oldJ not in J:
                 I[p], J[p] = oldI, oldJ
                 continue
-            old_row, old_col = M[p].copy(), M[:, p].copy()
-            M[p] = new_row
-            M[:, p] = np.abs(DX[I, I[p]] - DY[J, J[p]])
-            idx = int(np.argmax(M))
-            if M.flat[idx] < cur - 1e-15:
-                cur, where = float(M.flat[idx]), divmod(idx, k)
-                GX[:, p], GY[:, p] = DX[:, I[p]], DY[:, J[p]]
+            old_top, old_arg = top.copy(), arg.copy()
+            GX[:, p], GY[:, p] = DX[:, I[p]], DY[:, J[p]]
+            col = np.abs(GX[I, p] - GY[J, p])  # the new column p
+            rise = col > top
+            top[rise], arg[rise] = col[rise], p
+            arg[(col == top) & (arg > p)] = p  # p is now the first column reaching top
+            stale = (arg == p) & (col < top)  # the maximum was in column p and fell
+            stale[p] = True
+            read_rows(np.flatnonzero(stale))
+            a = int(np.argmax(top))
+            if top[a] < cur - 1e-15:
+                cur, where = float(top[a]), (a, int(arg[a]))
                 break
-            M[p], M[:, p] = old_row, old_col
+            top[:], arg[:] = old_top, old_arg
+            GX[:, p], GY[:, p] = DX[:, oldI], DY[:, oldJ]
             I[p], J[p] = oldI, oldJ
         else:  # neither endpoint of the worst pair could be improved
             break
@@ -384,8 +428,9 @@ def gh_bounds(X: FiniteMetricSpace, Y: FiniteMetricSpace, *,
     once the base pair is added, and restarts must not be negative;
     otherwise DomainError.
     A repair move on a seed of k pairs costs an O((nx+ny)*k) candidate scan
-    plus an O(k^2) argmax over the kept matrix (about k^2 + 2*(nx+ny)*k
-    floats); seeds with k^2 > _MAX_PAIR_BUDGET are only evaluated, in chunks.
+    plus O(k) per pair-distortion row it re-reads, in about (nx+ny)*k floats
+    (no k x k matrix); seeds with k^2 > _MAX_PAIR_BUDGET are only evaluated,
+    in chunks.
     """
     if X.n == 0 or Y.n == 0:
         raise DomainError("GH bounds of an empty space")

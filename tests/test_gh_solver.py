@@ -40,6 +40,7 @@ from metric_lab.tangent_lab import extract_window, nearest_position_seed
 
 from .oracles import (
     count_full_correspondences,
+    floyd_warshall,
     gh_exhaustive,
     minimal_full_correspondences,
     reference_exact_search,
@@ -58,6 +59,33 @@ def random_space(rng, n, scale=1.0):
 
 def two_point_space(gap):
     return FiniteMetricSpace([[0.0, gap], [gap, 0.0]])
+
+
+def hop_space(rng, n):
+    """Hop metric of a random connected graph: a random tree plus random chords."""
+    w = np.full((n, n), np.inf)
+    for v in range(1, n):
+        u = int(rng.integers(v))
+        w[u, v] = w[v, u] = 1.0
+    chords = np.triu(rng.random((n, n)) < 0.3 * rng.random(), 1)
+    w[chords | chords.T] = 1.0
+    return FiniteMetricSpace(floyd_warshall(w))
+
+
+def lattice_l1_space(rng, n):
+    """l1 metric of n distinct points of a small integer lattice."""
+    side = int(np.ceil(np.sqrt(n))) + int(rng.integers(0, 3))
+    cells = rng.permutation(side * side)[:n]
+    pts = np.stack([cells // side, cells % side], axis=1)
+    return FiniteMetricSpace(np.abs(pts[:, None] - pts[None]).sum(axis=-1).astype(float))
+
+
+def corner_window_and_model(model):
+    """The corner window at lambda = 1/8, h = lambda/16 of acceptance scan 09
+    and the model window of the same relative mesh."""
+    lam = 2.0 ** -3
+    W = extract_window(unit_square_generator(), (0.0, 0.0), lam, 1.0, lam / 16)
+    return W, model_tangent_space(model, 1.0, 1.0 / 16)
 
 
 class TestDistortion:
@@ -493,6 +521,88 @@ class TestLocalSearch:
                 ref, I3, J3 = reference_local_search(X.dist, Y.dist, I, J, base_pair, moves)
                 assert dis == ref
                 assert np.array_equal(I2, I3) and np.array_equal(J2, J3)
+
+    @pytest.mark.parametrize("batch", range(8))
+    def test_matches_reference_on_integer_metrics(self, batch):
+        # hop metrics of random connected graphs and l1 lattice subsets have
+        # integer distances, so pair-distortion rows tie often: the first
+        # column reaching a row's maximum decides the worst pair
+        for trial in range(50 * batch, 50 * batch + 50):
+            rng = np.random.default_rng(5000 + trial)
+            make = hop_space if trial % 4 < 2 else lattice_l1_space
+            nx, ny = (int(v) for v in rng.integers(2, 31, size=2))
+            X, Y = make(rng, nx), make(rng, ny)
+            base_pair = (int(rng.integers(nx)), int(rng.integers(ny))) if trial % 2 else None
+            f, g = rng.integers(0, ny, size=nx), rng.integers(0, nx, size=ny)
+            I, J = _pairs_from_maps(nx, ny, f, g, base_pair)
+            for moves in (0, 1, 80):
+                dis, I2, J2 = _local_search(X.dist, Y.dist, I, J, base_pair, moves)
+                ref, I3, J3 = reference_local_search(X.dist, Y.dist, I, J, base_pair, moves)
+                assert dis == ref
+                assert np.array_equal(I2, I3) and np.array_equal(J2, J3)
+
+    @pytest.mark.parametrize("trial", [1188, 2886, 8500, 10152, 12354, 12518])
+    def test_matches_reference_where_a_row_maximum_rises_into_the_moved_pair(self, trial):
+        # the planar starts of 20 000 searched where an accepted move raises a
+        # row's maximum into the moved pair's column and a later move depends
+        # on it: arg must follow the rise, or the next worst pair is wrong
+        rng = np.random.default_rng(trial)
+        nx, ny = (int(v) for v in rng.integers(2, 16, size=2))
+        X, Y = random_space(rng, nx), random_space(rng, ny)
+        base_pair = (int(rng.integers(nx)), int(rng.integers(ny))) if trial % 3 == 0 else None
+        f, g = rng.integers(0, ny, size=nx), rng.integers(0, nx, size=ny)
+        I, J = _pairs_from_maps(nx, ny, f, g, base_pair)
+        dis, I2, J2 = _local_search(X.dist, Y.dist, I, J, base_pair, 80)
+        ref, I3, J3 = reference_local_search(X.dist, Y.dist, I, J, base_pair, 80)
+        assert dis == ref
+        assert np.array_equal(I2, I3) and np.array_equal(J2, J3)
+
+    @pytest.mark.parametrize("model", ["quarter", "half", "t"])
+    def test_matches_reference_on_corner_window_seeds(self, monkeypatch, model):
+        # every deterministic seed that gh_bounds polishes (the position seed,
+        # then the rank and value matchings), up to the one meeting the lower
+        # bound; the lattice distances are multiples of h, so rows tie often
+        W, M = corner_window_and_model(model)
+        searched = []
+
+        def both(DX, DY, I, J, base_pair, moves):
+            got = _local_search(DX, DY, I, J, base_pair, moves)
+            ref, I3, J3 = reference_local_search(DX, DY, I, J, base_pair, moves)
+            assert got[0] == ref
+            assert np.array_equal(got[1], I3) and np.array_equal(got[2], J3)
+            searched.append(moves)
+            return got
+
+        monkeypatch.setattr(gh_solver, "_local_search", both)
+        pointed_gh_bounds(W, M, extra_seeds=[nearest_position_seed(W, M)], restarts=0)
+        assert searched and set(searched) == {gh_solver._LOCAL_MOVES}
+
+    def test_holds_no_pair_matrix_on_the_corner_window_against_t(self):
+        # 216 x 561 points, up to 765 pairs: a 765 x 765 pair-distortion
+        # matrix and its temporary alone took 9 MiB (13.7 MiB traced in all);
+        # the search now keeps GX, GY (4.5 MiB) and one block buffer
+        W, M = corner_window_and_model("t")
+        pointed_gh_bounds(W, M, restarts=4)  # warm up lazily built state
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            pointed_gh_bounds(W, M, restarts=4)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * 2 ** 20
+
+    def test_reference_search_gives_the_same_witness_on_the_corner_window_against_t(
+            self, monkeypatch):
+        # all 200 seeds, random restarts included; forked restart workers
+        # inherit the patched search, so this checks whichever restart path
+        # the process's CPU count selects
+        W, M = corner_window_and_model("t")
+        seed = nearest_position_seed(W, M)
+        res = pointed_gh_bounds(W, M, extra_seeds=[seed])
+        monkeypatch.setattr(gh_solver, "_local_search", reference_local_search)
+        ref = pointed_gh_bounds(W, M, extra_seeds=[seed])
+        assert_same_bounds(res, ref)
 
     @pytest.mark.parametrize("scan,model", [("snowflake", "line"), ("corner", "quarter"),
                                             ("corner", "half"), ("corner", "t")])
