@@ -334,36 +334,73 @@ def _local_search(DX, DY, I, J, base_pair, moves: int):
     return cur, I, J
 
 
-def _polish(DX, DY, I, J, base_pair):
-    """(dis, I, J) of one gh_bounds seed: _local_search, with no moves above _MAX_PAIR_BUDGET."""
+def _cannot_beat(DX, DY, I, J, moves: int, bound: float) -> bool:
+    """True when _local_search(DX, DY, I, J, _, moves) is sure to end at dis >= bound.
+
+    The pairs (a, a + h) for a < h = k // 2 share no index.  An accepted
+    move re-pairs exactly one index, and at most moves are accepted, so at
+    most moves indices change and each breaks at most one of these pairs.
+    When more than moves of them have |DX[I[a], I[a+h]] - DY[J[a], J[a+h]]|
+    >= bound, one keeps both ends, and the search's final dis, the maximum
+    over all such entries with the same float expression, is >= bound.
+    With moves == 0 one such pair suffices.  O(k).
+    """
+    h = len(I) // 2
+    if h <= moves:  # too few pairs to certify anything
+        return False
+    entries = np.abs(DX[I[:h], I[h:2 * h]] - DY[J[:h], J[h:2 * h]])
+    return np.count_nonzero(entries >= bound) > moves
+
+
+def _polish(DX, DY, I, J, base_pair, bound=np.inf):
+    """(dis, I, J) of one gh_bounds seed: _local_search, with no moves above
+    _MAX_PAIR_BUDGET; (inf, None, None), without a search, when _cannot_beat
+    shows that its dis would be at least bound."""
     moves = _LOCAL_MOVES if len(I) ** 2 <= _MAX_PAIR_BUDGET else 0
+    if _cannot_beat(DX, DY, I, J, moves, bound):
+        return np.inf, None, None
     return _local_search(DX, DY, I, J, base_pair, moves)
 
 
-def _restart_seeds(DX, DY, maps, base_pair):
-    """(dis, I, J) of each random restart map (f, g), lazily and in order."""
+def _random_maps(nx: int, ny: int, count: int, seed: int):
+    """count random restart maps (f, g), drawn from default_rng(seed) one at a
+    time; numpy.random is imported at the first draw."""
+    if count:
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            yield rng.integers(0, ny, size=nx), rng.integers(0, nx, size=ny)
+
+
+def _restart_seeds(DX, DY, maps, base_pair, low):
+    """(dis, I, J) of each random restart map (f, g), lazily and in order,
+    with I and J None unless dis is below low and every earlier dis: only
+    those seeds can win a fold whose best is at most low.  A restart whose
+    start has more than `moves` disjoint pairs (a, a + k//2) with an entry
+    at or above that running minimum is (inf, None, None), unsearched
+    (_cannot_beat): its search re-pairs at most `moves` indices, so one of
+    those pairs keeps both ends, and its dis would not be below it."""
     for f, g in maps:
-        yield _polish(DX, DY, *_pairs_from_maps(len(DX), len(DY), f, g, base_pair), base_pair)
+        I, J = _pairs_from_maps(len(DX), len(DY), f, g, base_pair)
+        dis, I, J = _polish(DX, DY, I, J, base_pair, low)
+        yield (dis, I, J) if dis < low else (dis, None, None)
+        low = min(low, dis)
 
 
-_worker_spaces = None  # (DX, DY, base_pair), set only inside a restart worker
+_worker_spaces = None  # (DX, DY, base_pair, low), set only inside a restart worker
 
 
-def _start_restart_worker(DX, DY, base_pair):
+def _start_restart_worker(DX, DY, base_pair, low):
     global _worker_spaces
-    _worker_spaces = DX, DY, base_pair
+    _worker_spaces = DX, DY, base_pair, low
 
 
 def _restart_chunk(maps):
-    """_restart_seeds of one chunk in a restart worker, with I and J None
-    unless dis is a strict running minimum of the chunk: a chunk is a
-    subsequence in seed order, so only those seeds can win the fold."""
-    DX, DY, base_pair = _worker_spaces
-    out, low = [], np.inf
-    for dis, I, J in _restart_seeds(DX, DY, maps, base_pair):
-        out.append((dis, I, J) if dis < low else (dis, None, None))
-        low = min(low, dis)
-    return out
+    """_restart_seeds of one chunk in a restart worker, from the fold's best
+    after the fixed seeds: a chunk is a subsequence in seed order, so a seed
+    at or above its running minimum cannot be a strict running minimum of
+    the whole fold."""
+    DX, DY, base_pair, low = _worker_spaces
+    return list(_restart_seeds(DX, DY, maps, base_pair, low))
 
 
 def _restart_workers(restarts: int, points: int) -> int:
@@ -385,25 +422,29 @@ def _restart_workers(restarts: int, points: int) -> int:
     return workers
 
 
-def _restart_results(DX, DY, maps, base_pair):
-    """(dis, I, J) of each random restart map, in seed order: lazily in this
-    process, or from one strided chunk per worker (_restart_chunk) in forked
-    processes that have all exited before the first result is yielded.
+def _restart_results(DX, DY, count, seed, base_pair, low):
+    """(dis, I, J) of each of count random restarts (_random_maps), in seed
+    order, I and J None where dis cannot win a fold whose best after the
+    fixed seeds is low: lazily in this process, or from one strided chunk
+    per worker (_restart_chunk) in forked processes that have all exited
+    before the first result is yielded; only then is the list of maps drawn.
     Forked, not spawned: a spawned worker would import numpy and the lab
     again on every call, and the workers run only numpy and pickling, no
     lock that another thread of this process could hold."""
-    workers = _restart_workers(len(maps), len(DX) + len(DY))
+    maps = _random_maps(len(DX), len(DY), count, seed)
+    workers = _restart_workers(count, len(DX) + len(DY))
     if workers == 1:
-        yield from _restart_seeds(DX, DY, maps, base_pair)
+        yield from _restart_seeds(DX, DY, maps, base_pair, low)
         return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    maps = list(maps)
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                              initializer=_start_restart_worker,
-                             initargs=(DX, DY, base_pair)) as pool:
+                             initargs=(DX, DY, base_pair, low)) as pool:
         chunks = list(pool.map(_restart_chunk, [maps[w::workers] for w in range(workers)]))
-    for r in range(len(maps)):
+    for r in range(count):
         yield chunks[r % workers][r // workers]
 
 
@@ -419,11 +460,21 @@ def gh_bounds(X: FiniteMetricSpace, Y: FiniteMetricSpace, *,
     when sizes agree, eccentricity-rank and signed-coordinate matchings) plus
     seeded random restarts, each polished by a worst-pair repair search.
     Seeds are folded in that order, keeping the first strict minimum and
-    stopping once the upper meets the lower bound.  The restarts run in
+    stopping once the upper meets the lower bound.  The restart maps are
+    drawn from default_rng(seed) only once the fold reaches them, so a call
+    that stops before its restarts draws none.  A restart is searched only if _cannot_beat
+    leaves it a chance against the running best: more than `moves` disjoint
+    pairs (a, a + k//2) of its start whose entry reaches the best, `moves`
+    being its search's move limit, keep its final distortion at or above
+    the best, since each accepted move re-pairs one index and so breaks at
+    most one of them.  Such a restart could not be a strict minimum, so the
+    fold, and with it lower, upper and witness, is the same as with every
+    restart searched.  The restarts run in
     forked worker processes, one strided chunk per usable CPU, when the
     process may use more than one CPU and their work restarts * (nx+ny)^2
-    reaches _PARALLEL_WORK; the fold is the same, so the result never
-    depends on the CPU count.
+    reaches _PARALLEL_WORK; each worker certifies against the best after
+    the fixed seeds, lowered by its own chunk's running minimum, and the
+    fold is the same, so the result never depends on the CPU count.
     Fixed seed, deterministic output.  An extra seed must cover both sides
     once the base pair is added, and restarts must not be negative;
     otherwise DomainError.
@@ -454,11 +505,8 @@ def gh_bounds(X: FiniteMetricSpace, Y: FiniteMetricSpace, *,
         seeds.append(_rank_match(DX[base_pair[0]], DY[base_pair[1]]))
         seeds.append(_value_match(DX[base_pair[0]], DY[base_pair[1]]))
 
-    rng = np.random.default_rng(seed)
-    maps = []
-    if nx + ny <= 2000:  # random restarts only pay off at small sizes
-        maps = [(rng.integers(0, ny, size=nx), rng.integers(0, nx, size=ny))
-                for _ in range(max(0, restarts - len(seeds)))]
+    # random restarts only pay off at small sizes
+    count = max(0, restarts - len(seeds)) if nx + ny <= 2000 else 0
 
     given = []
     for item in extra_seeds:
@@ -474,12 +522,19 @@ def gh_bounds(X: FiniteMetricSpace, Y: FiniteMetricSpace, *,
     fixed = itertools.chain(given, (_pairs_from_maps(nx, ny, f, g, base_pair)
                                     for f, g in seeds))
     best = (np.inf, None, None)
-    for dis, I, J in itertools.chain((_polish(DX, DY, I, J, base_pair) for I, J in fixed),
-                                     _restart_results(DX, DY, maps, base_pair)):
-        if dis < best[0]:
-            best = (dis, I, J)
-        if best[0] / 2.0 <= lower + 1e-15:
-            break
+
+    def fold(results) -> bool:
+        """Keep the first strict minimum of results; True once it meets lower."""
+        nonlocal best
+        for dis, I, J in results:
+            if dis < best[0]:
+                best = (dis, I, J)
+            if best[0] / 2.0 <= lower + 1e-15:
+                return True
+        return False
+
+    if not fold(_polish(DX, DY, I, J, base_pair) for I, J in fixed):
+        fold(_restart_results(DX, DY, count, seed, base_pair, best[0]))
 
     dis, I, J = best
     witness = Correspondence(tuple(zip(I.tolist(), J.tolist())))

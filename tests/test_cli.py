@@ -697,6 +697,13 @@ class TestStartup:
                           "--probe-expansion", "--out", str(tmp_path / "b.json")]],
             ["model-quarter", ["gen", "--kind", "model-quarter", "--radius", "1", "--h",
                                "1/4", "--out", str(tmp_path / "q.json")]],
+            # the identity seed closes gh_bounds before any random restart, so
+            # no restart map is drawn and numpy.random (with _hashlib) stays out
+            ["model-quarter-8", ["gen", "--kind", "model-quarter", "--radius", "1", "--h",
+                                 "1/8", "--out", str(tmp_path / "q8.json")]],
+            ["gh bounds", ["gh", "--x", str(tmp_path / "q8.json"), "--y",
+                           str(tmp_path / "q8.json"), "--no-exact",
+                           "--out", str(tmp_path / "gh8.json")]],
             ["snowflake-pair", ["gen", "--kind", "snowflake-pair", "--points", "30",
                                 "--out", str(tmp_path / "d.json"),
                                 "--out-codomain", str(tmp_path / "c.json"),
@@ -729,14 +736,16 @@ class TestStartup:
         ]
         loaded = run_startup_probe(steps)
         for step in ("import metric_lab", "import metric_lab.cli", "gh", "qs", "boundary",
-                     "model-quarter", "snowflake-pair", "model-t", "model-t-2145",
-                     "slit-carpet", "slit-carpet-1146", "pillow-carpet"):
+                     "model-quarter", "model-quarter-8", "gh bounds", "snowflake-pair",
+                     "model-t", "model-t-2145", "slit-carpet", "slit-carpet-1146",
+                     "pillow-carpet"):
             assert loaded[step] == [], f"{step} loaded {loaded[step][:5]}"
         for step in ("corner scan", "corner scan t", "carpet scan"):
             assert loaded[step] == ["_hashlib"], f"{step} loaded {loaded[step][:5]}"
         assert "scipy.spatial" in loaded["validate_above_the_limit"]
-        for name in ("gh.json", "env.csv", "b.json", "q.json", "d.json", "s.csv", "t.json",
-                     "st.csv", "t32.json", "k.json", "k32.json", "p.json", "sk.csv"):
+        for name in ("gh.json", "env.csv", "b.json", "q.json", "q8.json", "gh8.json", "d.json",
+                     "s.csv", "t.json", "st.csv", "t32.json", "k.json", "k32.json", "p.json",
+                     "sk.csv"):
             assert (tmp_path / name).exists()
 
     def test_no_module_imports_scipy_until_a_function_calls_it(self):

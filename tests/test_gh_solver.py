@@ -19,6 +19,7 @@ from metric_lab.fractal_gen import (
 from metric_lab.gh_solver import (
     Correspondence,
     GhResult,
+    _cannot_beat,
     _local_search,
     _pairs_from_maps,
     _value_set_mismatch,
@@ -80,12 +81,19 @@ def lattice_l1_space(rng, n):
     return FiniteMetricSpace(np.abs(pts[:, None] - pts[None]).sum(axis=-1).astype(float))
 
 
-def corner_window_and_model(model):
-    """The corner window at lambda = 1/8, h = lambda/16 of acceptance scan 09
-    and the model window of the same relative mesh."""
+def acceptance_window_and_model(scan, model):
+    """The window at lambda = 1/8, the coarsest scale, of acceptance scan 08
+    ("snowflake", h = lambda/64) or 09 ("corner", h = lambda/16), and the
+    model window of the same relative mesh."""
+    gen, center, k = {"snowflake": (FlatSnowflakeGenerator(), ("vertex", 3, 17), 64),
+                      "corner": (unit_square_generator(), (0.0, 0.0), 16)}[scan]
     lam = 2.0 ** -3
-    W = extract_window(unit_square_generator(), (0.0, 0.0), lam, 1.0, lam / 16)
-    return W, model_tangent_space(model, 1.0, 1.0 / 16)
+    W = extract_window(gen, center, lam, 1.0, lam / k)
+    return W, model_tangent_space(model, 1.0, 1.0 / k)
+
+
+def corner_window_and_model(model):
+    return acceptance_window_and_model("corner", model)
 
 
 class TestDistortion:
@@ -607,12 +615,7 @@ class TestLocalSearch:
     @pytest.mark.parametrize("scan,model", [("snowflake", "line"), ("corner", "quarter"),
                                             ("corner", "half"), ("corner", "t")])
     def test_upper_is_half_the_witness_distortion_on_acceptance_windows(self, scan, model):
-        # coarsest scale of acceptance scans 08 (rule lambda/64) and 09 (lambda/16)
-        gen, center, k = {"snowflake": (FlatSnowflakeGenerator(), ("vertex", 3, 17), 64),
-                          "corner": (unit_square_generator(), (0.0, 0.0), 16)}[scan]
-        lam = 2.0 ** -3
-        W = extract_window(gen, center, lam, 1.0, lam / k)
-        M = model_tangent_space(model, 1.0, 1.0 / k)
+        W, M = acceptance_window_and_model(scan, model)
         res = pointed_gh_bounds(W, M, extra_seeds=[nearest_position_seed(W, M)])
         assert distortion_of_correspondence(W.space, M.space, res.witness) / 2.0 == res.upper
 
@@ -639,6 +642,13 @@ def bounds_on_both_paths(monkeypatch, X, Y, **options):
     return results
 
 
+def small_pair(trial):
+    """Two random planar spaces of 3-7 points, pointed at (0, 0) on odd trials."""
+    rng = np.random.default_rng(trial)
+    nx, ny = (int(v) for v in rng.integers(3, 8, size=2))
+    return random_space(rng, nx), random_space(rng, ny), (0, 0) if trial % 2 else None
+
+
 def assert_same_bounds(a: GhResult, b: GhResult):
     assert (a.lower, a.upper, a.exact) == (b.lower, b.upper, b.exact)
     assert a.witness.pairs == b.witness.pairs
@@ -649,11 +659,7 @@ class TestParallelRestarts:
         ("snowflake", "line", 1), ("corner", "quarter", 0),  # quarter closes before any restart
         ("corner", "half", 1), ("corner", "t", 1)])
     def test_acceptance_windows_give_the_serial_result(self, monkeypatch, scan, model, parallel):
-        gen, center, k = {"snowflake": (FlatSnowflakeGenerator(), ("vertex", 3, 17), 64),
-                          "corner": (unit_square_generator(), (0.0, 0.0), 16)}[scan]
-        lam = 2.0 ** -3
-        W = extract_window(gen, center, lam, 1.0, lam / k)
-        M = model_tangent_space(model, 1.0, 1.0 / k)
+        W, M = acceptance_window_and_model(scan, model)
         (serial, pools1), (par, pools2) = bounds_on_both_paths(
             monkeypatch, W.space, M.space, base_pair=(W.base, M.base),
             extra_seeds=[nearest_position_seed(W, M)])
@@ -666,10 +672,7 @@ class TestParallelRestarts:
     @pytest.mark.parametrize("trial", list(range(2, 14)) + [55, 76])
     def test_small_pairs_give_the_serial_result(self, monkeypatch, trial):
         monkeypatch.setattr(gh_solver, "_PARALLEL_WORK", 0)
-        rng = np.random.default_rng(trial)
-        nx, ny = (int(v) for v in rng.integers(3, 8, size=2))
-        X, Y = random_space(rng, nx), random_space(rng, ny)
-        base_pair = (0, 0) if trial % 2 else None
+        X, Y, base_pair = small_pair(trial)
         (serial, _), (par, pools) = bounds_on_both_paths(monkeypatch, X, Y, seed=trial,
                                                          base_pair=base_pair)
         assert pools == 1
@@ -697,6 +700,113 @@ class TestParallelRestarts:
             monkeypatch.setattr(gh_solver, "_PARALLEL_WORK", limit)
             (_, serial_pools), (_, parallel_pools) = bounds_on_both_paths(monkeypatch, X, Y)
             assert (serial_pools, parallel_pools) == (0, pools)
+
+
+def some_start(trial):
+    """A seeded random start of 2-40 + 2-40 points: planar, hop or l1 lattice
+    metrics, pointed on odd trials.  Returns (DX, DY, I, J, base_pair)."""
+    rng = np.random.default_rng(7000 + trial)
+    make = (random_space, hop_space, lattice_l1_space)[trial % 3]
+    nx, ny = (int(v) for v in rng.integers(2, 41, size=2))
+    X, Y = make(rng, nx), make(rng, ny)
+    base_pair = (int(rng.integers(nx)), int(rng.integers(ny))) if trial % 2 else None
+    f, g = rng.integers(0, ny, size=nx), rng.integers(0, nx, size=ny)
+    return X.dist, Y.dist, *_pairs_from_maps(nx, ny, f, g, base_pair), base_pair
+
+
+def disjoint_entries(DX, DY, I, J):
+    """The entries of the pairs (a, a + k//2), largest first."""
+    h = len(I) // 2
+    return np.sort(np.abs(DX[I[:h], I[h:2 * h]] - DY[J[:h], J[h:2 * h]]))[::-1]
+
+
+class TestCannotBeat:
+    @pytest.mark.parametrize("batch", range(6))
+    def test_a_certified_start_ends_at_or_above_the_bound(self, batch):
+        # bounds at quantiles of each start's entries, at its largest disjoint
+        # entries (where exactly `moves` of them may reach the bound) and just
+        # above its unsearched distortion (where none does); no start here
+        # has more than 40 disjoint pairs, so 80 moves are never certified
+        certified = 0
+        for trial in range(40 * batch, 40 * batch + 40):
+            DX, DY, I, J, base_pair = some_start(trial)
+            entries = np.abs(DX[I][:, I] - DY[J][:, J])
+            bounds = [*np.quantile(entries, [0.5, 0.9, 0.99]), *disjoint_entries(DX, DY, I, J)[:2],
+                      np.nextafter(entries.max(), np.inf)]
+            for moves in (0, 1, 80):
+                dis = reference_local_search(DX, DY, I, J, base_pair, moves)[0]
+                for bound in bounds:
+                    if _cannot_beat(DX, DY, I, J, moves, bound):
+                        certified += 1
+                        assert dis >= bound, (trial, moves, bound)
+        assert certified >= 200  # 267-288 of the 720 checks per batch
+
+    def test_moves_disjoint_pairs_at_the_bound_do_not_certify(self):
+        # exactly one disjoint pair reaches the bound, and one move re-pairs
+        # an end of it: the search ends below, so the count must exceed moves
+        DX, DY, I, J, base_pair = some_start(8)
+        top = disjoint_entries(DX, DY, I, J)[:2]
+        assert top[0] > top[1]
+        assert reference_local_search(DX, DY, I, J, base_pair, 1)[0] < top[0]
+        assert not _cannot_beat(DX, DY, I, J, 1, top[0])
+        assert _cannot_beat(DX, DY, I, J, 0, top[0])  # no move: the pair stays
+        dis = reference_local_search(DX, DY, I, J, base_pair, 0)[0]
+        assert not _cannot_beat(DX, DY, I, J, 0, np.nextafter(dis, np.inf))
+
+
+def bounds_with_and_without_certificate(monkeypatch, X, Y, **options):
+    """bounds_on_both_paths as they are, then with every restart searched."""
+    got = bounds_on_both_paths(monkeypatch, X, Y, **options)
+    monkeypatch.setattr(gh_solver, "_cannot_beat", lambda *args: False)
+    want = bounds_on_both_paths(monkeypatch, X, Y, **options)
+    return got, want
+
+
+class TestRestartCertificate:
+    """Skipping the restarts _cannot_beat certifies changes no bound or witness."""
+
+    @pytest.mark.parametrize("scan,model", [("snowflake", "line"), ("corner", "half"),
+                                            ("corner", "t")])
+    def test_acceptance_windows_give_the_result_of_every_restart(self, monkeypatch, scan,
+                                                                  model):
+        W, M = acceptance_window_and_model(scan, model)
+        got, want = bounds_with_and_without_certificate(
+            monkeypatch, W.space, M.space, base_pair=(W.base, M.base),
+            extra_seeds=[nearest_position_seed(W, M)])
+        for (a, _), (b, _) in zip(got, want):
+            assert_same_bounds(a, b)
+
+    # the pairs of TestParallelRestarts; at 80 moves no restart of a few
+    # points is certified, at one move some are
+    @pytest.mark.parametrize("moves", [gh_solver._LOCAL_MOVES, 1])
+    @pytest.mark.parametrize("trial", list(range(2, 14)) + [55, 76])
+    def test_small_pairs_give_the_result_of_every_restart(self, monkeypatch, trial, moves):
+        monkeypatch.setattr(gh_solver, "_PARALLEL_WORK", 0)
+        monkeypatch.setattr(gh_solver, "_LOCAL_MOVES", moves)
+        X, Y, base_pair = small_pair(trial)
+        got, want = bounds_with_and_without_certificate(monkeypatch, X, Y, seed=trial,
+                                                        base_pair=base_pair)
+        for (a, _), (b, _) in zip(got, want):
+            assert_same_bounds(a, b)
+
+    def test_the_snowflake_window_searches_only_its_fixed_seeds(self, monkeypatch):
+        # serial path: every one of the 194 restarts starts far above the
+        # deterministic seeds' best and is certified before its search
+        W, M = acceptance_window_and_model("snowflake", "line")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        searched = []
+
+        def counting(*args):
+            searched.append(args[-1])
+            return _local_search(*args)
+
+        monkeypatch.setattr(gh_solver, "_local_search", counting)
+        options = dict(base_pair=(W.base, M.base), extra_seeds=[nearest_position_seed(W, M)])
+        fixed = gh_bounds(W.space, M.space, restarts=0, **options)
+        assert fixed.upper > fixed.lower  # so the default call reaches its restarts
+        assert len(searched) == 7  # the position seed and six matchings
+        assert_same_bounds(gh_bounds(W.space, M.space, **options), fixed)
+        assert searched == [gh_solver._LOCAL_MOVES] * 14
 
 
 class TestPointed:
